@@ -1,14 +1,6 @@
 """Fisher-information analysis of trilinear bosonic coupling sensing."""
 
-from .dynamics import (
-    AmplitudeSet,
-    EvolutionParams,
-    Spectrum,
-    diagonalize,
-    evolve,
-    evolve_vector,
-    outcome_probabilities,
-)
+from .dynamics import Spectrum, diagonalize, evolve_vector
 from .errors import (
     ConfigurationError,
     NumericError,
@@ -27,7 +19,6 @@ from .metrology import (
     cramer_rao,
     dynamic_range,
     dynamic_range_formula,
-    fisher,
     fisher_limit_closed_form,
     qfi_coherent,
     qfi_variance,
@@ -55,12 +46,10 @@ from .probes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeSet",
     "BinaryFock",
     "CoherentProduct",
     "Component",
     "ConfigurationError",
-    "EvolutionParams",
     "FockConfig",
     "FullPNR",
     "InteractionKind",
@@ -86,15 +75,12 @@ __all__ = [
     "diagonalize",
     "dynamic_range",
     "dynamic_range_formula",
-    "evolve",
     "evolve_vector",
-    "fisher",
     "fisher_limit_closed_form",
     "lagrange_relaxation",
     "mean_occupations",
     "optimize_config",
     "optimize_config_weighted",
-    "outcome_probabilities",
     "qfi_coherent",
     "qfi_variance",
     "scaling_table",

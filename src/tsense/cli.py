@@ -4,18 +4,18 @@ Subcommands: fisher-scan, optimize, scaling, dynamic-range, noise-scan,
 coherent-compare.  Grids go to CSV (meta as leading ``#`` comment
 lines), structured results to JSON; identical configurations produce
 byte-identical files.  A JSON config file can preset any flag; explicit
-flags override it.  TSENSE_THREADS caps grid parallelism (0 = auto).
+flags override it.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -81,27 +81,6 @@ class RunConfig:
     trials: int
     out: Optional[str]
     format: str
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.state is not None:
-            d["state"] = list(self.state)
-        if self.eps is not None:
-            d["eps"] = list(self.eps)
-        if self.alpha is not None:
-            d["alpha"] = [[a.real, a.imag] for a in self.alpha]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        kw = dict(d)
-        if kw.get("state") is not None:
-            kw["state"] = tuple(int(n) for n in kw["state"])
-        if kw.get("eps") is not None:
-            kw["eps"] = tuple(float(e) for e in kw["eps"])
-        if kw.get("alpha") is not None:
-            kw["alpha"] = tuple(complex(re, im) for re, im in kw["alpha"])
-        return cls(**kw)
 
 
 def _parse_state(text: str) -> tuple[int, ...]:
@@ -180,6 +159,14 @@ def parse_config(argv: list[str]) -> RunConfig:
     merged["state"] = _norm_state(merged["state"])
     merged["eps"] = _norm_eps(merged["eps"])
     merged["alpha"] = _norm_alpha(merged["alpha"])
+    for key in ("time", "theta_max"):
+        value = merged[key]
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {value}")
+        if value <= 0:
+            raise ConfigurationError(f"{key} must be positive, got {value}")
+    if merged["alpha"] is not None and not all(map(cmath.isfinite, merged["alpha"])):
+        raise ConfigurationError(f"alpha must be finite, got {merged['alpha']}")
     return RunConfig(subcommand=ns.subcommand, **merged)
 
 
@@ -226,25 +213,27 @@ def _broadcast_eps(eps: tuple[float, ...], n_modes: int) -> tuple[float, ...]:
     return eps
 
 
+def _state(cfg: RunConfig) -> tuple[int, ...]:
+    if cfg.state is None:
+        raise ConfigurationError("--state is required (occupations, e.g. 2,1,1)")
+    return cfg.state
+
+
 def _build_probe(cfg: RunConfig):
-    kind = _kind(cfg)
     if cfg.alpha is not None:
         if cfg.state is not None or cfg.eps is not None:
             raise ConfigurationError("--alpha cannot be combined with --state/--eps here")
         return CoherentProduct(alphas=cfg.alpha)
-    if cfg.state is None:
-        raise ConfigurationError("--state is required (occupations, e.g. 2,1,1)")
+    state = _state(cfg)
     if cfg.eps is not None:
-        return NoisyFock(nominal=cfg.state, eps=_broadcast_eps(cfg.eps, kind.n_modes))
-    return PureFock(occupations=cfg.state)
+        return NoisyFock(nominal=state, eps=_broadcast_eps(cfg.eps, _kind(cfg).n_modes))
+    return PureFock(occupations=state)
 
 
 def _reference_occupation(cfg: RunConfig) -> int:
-    if cfg.state is not None:
-        return cfg.state[0]
-    if cfg.alpha is not None:
+    if cfg.state is None and cfg.alpha is not None:
         return round(abs(cfg.alpha[0]) ** 2)
-    raise ConfigurationError("--state is required (occupations, e.g. 2,1,1)")
+    return _state(cfg)[0]
 
 
 def _build_scheme(cfg: RunConfig):
@@ -283,39 +272,33 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def _workers() -> int:
-    raw = os.environ.get("TSENSE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"TSENSE_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ConfigurationError("TSENSE_THREADS must be >= 0")
-    if cap == 0:
-        return os.cpu_count() or 1
-    return cap
+def _scan(cfg: RunConfig, probe):
+    """Fisher grid of ``probe`` under the configured scheme and coupling grid."""
+    return scan(
+        probe, _kind(cfg), _build_scheme(cfg),
+        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps,
+    )
+
+
+def _grid_meta(cfg: RunConfig, profile) -> dict:
+    return {
+        "scheme": _scheme_label(profile.scheme),
+        "time": cfg.time,
+        "theta_max": cfg.theta_max,
+        "steps": cfg.steps,
+    }
 
 
 def cmd_fisher_scan(cfg: RunConfig) -> dict:
-    kind = _kind(cfg)
     probe = _build_probe(cfg)
-    scheme = _build_scheme(cfg)
-    profile = scan(
-        probe, kind, scheme,
-        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps, workers=_workers(),
-    )
+    profile = _scan(cfg, probe)
     cr = None
     if profile.f_zero > 0.0:
         cr = cramer_rao(profile.f_zero, cfg.trials)
     meta = _meta(
         cfg,
         probe=_probe_label(probe),
-        scheme=_scheme_label(scheme),
-        time=cfg.time,
-        theta_max=cfg.theta_max,
-        steps=cfg.steps,
+        **_grid_meta(cfg, profile),
         trials=cfg.trials,
         f_zero=float(profile.f_zero),
         qfi_zero=None if profile.qfi_zero is None else float(profile.qfi_zero),
@@ -367,103 +350,60 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 
 
 def cmd_dynamic_range(cfg: RunConfig) -> dict:
-    kind = _kind(cfg)
-    if cfg.state is None:
-        raise ConfigurationError("--state is required (occupations, e.g. 2,1,1)")
-    probe = PureFock(occupations=cfg.state)
-    scheme = _build_scheme(cfg)
-    profile = scan(
-        probe, kind, scheme,
-        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps, workers=_workers(),
-    )
+    state = _state(cfg)
+    profile = _scan(cfg, PureFock(occupations=state))
     empirical = dynamic_range(profile)
-    formula = dynamic_range_formula(FockConfig(cfg.state), kind, cfg.time)
-    state_label = ",".join(str(n) for n in cfg.state)
-    meta = _meta(
-        cfg,
-        scheme=_scheme_label(scheme),
-        time=cfg.time,
-        theta_max=cfg.theta_max,
-        steps=cfg.steps,
-    )
+    formula = dynamic_range_formula(FockConfig(state), _kind(cfg), cfg.time)
     row = [
-        state_label,
+        ",".join(str(n) for n in state),
         None if empirical is None else float(empirical),
         None if formula is None else float(formula),
     ]
     return {
-        "meta": meta,
+        "meta": _meta(cfg, **_grid_meta(cfg, profile)),
         "columns": ["state", "theta_min_empirical", "theta_min_formula"],
         "rows": [row],
     }
 
 
 def cmd_noise_scan(cfg: RunConfig) -> dict:
-    kind = _kind(cfg)
-    if cfg.state is None:
-        raise ConfigurationError("--state is required (occupations, e.g. 2,1,1)")
+    state = _state(cfg)
     if cfg.eps is None:
         raise ConfigurationError("--eps is required for noise-scan")
-    eps = _broadcast_eps(cfg.eps, kind.n_modes)
-    scheme = _build_scheme(cfg)
-    workers = _workers()
-    pure = scan(
-        PureFock(cfg.state), kind, scheme,
-        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps, workers=workers,
-    )
-    noisy = scan(
-        NoisyFock(cfg.state, eps), kind, scheme,
-        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps, workers=workers,
-    )
-    meta = _meta(
-        cfg,
-        probe=_probe_label(NoisyFock(cfg.state, eps)),
-        scheme=_scheme_label(scheme),
-        time=cfg.time,
-        theta_max=cfg.theta_max,
-        steps=cfg.steps,
-    )
+    eps = _broadcast_eps(cfg.eps, _kind(cfg).n_modes)
+    pure = _scan(cfg, PureFock(state))
+    probe = NoisyFock(state, eps)
+    noisy = _scan(cfg, probe)
     rows = [
         [float(th), float(fp), float(fn)]
         for th, fp, fn in zip(pure.couplings, pure.fisher, noisy.fisher)
     ]
     return {
-        "meta": meta,
+        "meta": _meta(cfg, probe=_probe_label(probe), **_grid_meta(cfg, noisy)),
         "columns": ["coupling", "fisher_pure", "fisher_noisy"],
         "rows": rows,
     }
 
 
 def cmd_coherent_compare(cfg: RunConfig) -> dict:
-    kind = _kind(cfg)
-    if cfg.state is None:
-        raise ConfigurationError("--state is required (occupations, e.g. 2,1,1)")
+    n_modes = _kind(cfg).n_modes
+    state = _state(cfg)
     alphas = cfg.alpha
     if alphas is None:
-        alphas = tuple(complex(math.sqrt(n)) for n in cfg.state)
-    if len(alphas) != kind.n_modes:
+        alphas = tuple(complex(math.sqrt(n)) for n in state)
+    if len(alphas) != n_modes:
         raise ConfigurationError(
-            f"need {kind.n_modes} coherent amplitudes, got {len(alphas)}"
+            f"need {n_modes} coherent amplitudes, got {len(alphas)}"
         )
-    scheme = _build_scheme(cfg)
-    workers = _workers()
-    fock = scan(
-        PureFock(cfg.state), kind, scheme,
-        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps, workers=workers,
-    )
-    coherent = scan(
-        CoherentProduct(alphas), kind, scheme,
-        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps, workers=workers,
-    )
+    fock = _scan(cfg, PureFock(state))
+    probe = CoherentProduct(alphas)
+    coherent = _scan(cfg, probe)
     qfi = coherent.qfi_zero
     meta = _meta(
         cfg,
-        probe=_probe_label(CoherentProduct(alphas)),
-        fock_state=",".join(str(n) for n in cfg.state),
-        scheme=_scheme_label(scheme),
-        time=cfg.time,
-        theta_max=cfg.theta_max,
-        steps=cfg.steps,
+        probe=_probe_label(probe),
+        fock_state=",".join(str(n) for n in state),
+        **_grid_meta(cfg, coherent),
     )
     rows = [
         [float(th), float(ff), float(fc), float(qfi)]
@@ -525,8 +465,21 @@ def output_schema() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(map(_non_finite, value.values()))
+    if isinstance(value, list):
+        return any(map(_non_finite, value))
+    return False
+
+
 def run(cfg: RunConfig) -> str:
     doc = COMMANDS[cfg.subcommand](cfg)
+    if _non_finite(doc):
+        # CSV would print nan/inf cells and JSON cannot encode them
+        raise NumericError("the results contain non-finite values")
     return render(doc, cfg.format)
 
 

@@ -30,76 +30,27 @@ class Spectrum:
     eigenvectors: np.ndarray  # column j belongs to eigenvalues[j]
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
-    """Coupling strength and interaction time; only their product matters."""
-
-    coupling: float
-    time: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.time <= 0:
-            raise ValueError(f"time must be positive, got {self.time}")
-
-
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """Evolved amplitudes and their coupling derivatives, per rung."""
-
-    amps: np.ndarray
-    damps: np.ndarray
-    d2amps: np.ndarray
-
-
 def diagonalize(ladder: Ladder) -> Spectrum:
     """Eigendecomposition of the tridiagonal generator."""
     if ladder.d == 1:
         return Spectrum(eigenvalues=np.zeros(1), eigenvectors=np.eye(1))
     try:
-        lam, vec = eigh_tridiagonal(ladder.diag, ladder.offdiag)
+        lam, vec = eigh_tridiagonal(np.zeros(ladder.d), ladder.offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     return Spectrum(eigenvalues=lam, eigenvectors=vec)
 
 
 def evolve_vector(
-    spectrum: Spectrum, psi0: np.ndarray, params: EvolutionParams
-) -> AmplitudeSet:
-    """Evolve an arbitrary initial ladder vector."""
+    spectrum: Spectrum, psi0: np.ndarray, coupling: float, time: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evolved amplitudes c and their coupling derivatives c', c''.
+
+    ``psi0`` is any initial vector on the ladder, in rung order.
+    """
     lam = spectrum.eigenvalues
     v = spectrum.eigenvectors
     w = v.T @ np.asarray(psi0, dtype=complex)
-    phase = np.exp(-1j * params.coupling * params.time * lam)
-    gen = -1j * params.time * lam
-    return AmplitudeSet(
-        amps=v @ (phase * w),
-        damps=v @ (gen * phase * w),
-        d2amps=v @ (gen * gen * phase * w),
-    )
-
-
-def evolve(spectrum: Spectrum, root_index: int, params: EvolutionParams) -> AmplitudeSet:
-    """Evolve from a single Fock rung of the ladder."""
-    psi0 = np.zeros(len(spectrum.eigenvalues), dtype=complex)
-    psi0[root_index] = 1.0
-    return evolve_vector(spectrum, psi0, params)
-
-
-def outcome_probabilities(
-    amps: AmplitudeSet, ladder: Ladder, mode: int = 0
-) -> list[tuple[int, float, float, float]]:
-    """Per-occupation populations of one mode with theta-derivatives.
-
-    Returns (m, p_m, p_m', p_m'') for every rung, where m is the rung's
-    occupation in ``mode`` (every rung has a unique occupation in every
-    mode, so populations are an index lookup).  Mode 0 is the measured
-    mode (a for kind I, a' for kind II).
-    """
-    c, dc, d2c = amps.amps, amps.damps, amps.d2amps
-    p = np.abs(c) ** 2
-    dp = 2.0 * np.real(np.conj(c) * dc)
-    d2p = 2.0 * np.real(np.conj(c) * d2c) + 2.0 * np.abs(dc) ** 2
-    return [
-        (ladder.basis[k][mode], float(p[k]), float(dp[k]), float(d2p[k]))
-        for k in range(ladder.d)
-    ]
+    phase = np.exp(-1j * coupling * time * lam)
+    gen = -1j * time * lam
+    return v @ (phase * w), v @ (gen * phase * w), v @ (gen * gen * phase * w)

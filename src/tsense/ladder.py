@@ -65,14 +65,12 @@ class Ladder:
     """One invariant subspace with its tridiagonal generator.
 
     ``basis[k]`` has measured-mode occupation k; ``offdiag[k]`` is the
-    generator matrix element between rungs k and k+1.  ``diag`` is all
-    zeros (the resonant interaction picture has no diagonal part) and is
-    kept explicit so the generator is fully specified by this object.
+    generator matrix element between rungs k and k+1.  The diagonal is
+    zero (the resonant interaction picture has no diagonal part).
     """
 
     kind: InteractionKind
     basis: tuple[FockConfig, ...]
-    diag: np.ndarray
     offdiag: np.ndarray
     root_index: int
 
@@ -80,7 +78,6 @@ class Ladder:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", len(self.basis))
-        self.diag.flags.writeable = False
         self.offdiag.flags.writeable = False
 
     def matrix(self) -> np.ndarray:
@@ -129,7 +126,6 @@ def build_ladder(kind: InteractionKind, root: FockConfig) -> Ladder:
     return Ladder(
         kind=kind,
         basis=basis,
-        diag=np.zeros(d),
         offdiag=off,
         root_index=root[0],
     )

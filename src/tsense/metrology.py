@@ -16,7 +16,6 @@ F_binary <= F_s0 <= F_pnr pointwise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -73,11 +72,9 @@ def outcome_partition(scheme: MeasurementScheme, n_outcomes: int) -> list[list[i
 class SensitivityProfile:
     """Fisher information on a coupling grid, with its zero-coupling limits."""
 
-    kind: InteractionKind
-    probe: Probe
+    prepared: PreparedProbe
     scheme: MeasurementScheme
     time: float
-    mode: int
     couplings: np.ndarray
     fisher: np.ndarray
     f_zero: float
@@ -105,18 +102,17 @@ class PreparedProbe:
         P = np.zeros(self.n_outcomes)
         dP = np.zeros(self.n_outcomes)
         d2P = np.zeros(self.n_outcomes)
-        params = dynamics.EvolutionParams(coupling=coupling, time=time)
         for w, spec, psi0, occ in zip(
             self.weights, self.spectra, self.psi0s, self.occs
         ):
-            amps = dynamics.evolve_vector(spec, psi0, params)
-            c, dc, d2c = amps.amps, amps.damps, amps.d2amps
+            c, dc, d2c = dynamics.evolve_vector(spec, psi0, coupling, time)
             P[occ] += w * (np.abs(c) ** 2)
             dP[occ] += w * 2.0 * np.real(np.conj(c) * dc)
             d2P[occ] += w * (2.0 * np.real(np.conj(c) * d2c) + 2.0 * np.abs(dc) ** 2)
         return P, dP, d2P
 
     def fisher(self, scheme: MeasurementScheme, coupling: float, time: float) -> float:
+        """Classical Fisher information of one scheme at one coupling."""
         P, dP, d2P = self.distributions(coupling, time)
         total = 0.0
         for group in outcome_partition(scheme, self.n_outcomes):
@@ -131,19 +127,6 @@ def _fisher_term(p: float, dp: float, d2p: float) -> float:
     if p < ZERO_PROB and abs(dp) < ZERO_PROB:
         return 2.0 * d2p if d2p >= ZERO_PROB else 0.0
     return dp * dp / p
-
-
-def fisher(
-    probe: Probe,
-    kind: InteractionKind,
-    scheme: MeasurementScheme,
-    params: dynamics.EvolutionParams,
-    mode: int = 0,
-) -> float:
-    """Classical Fisher information of one probe/scheme at one coupling."""
-    return PreparedProbe(probe, kind, mode).fisher(
-        scheme, params.coupling, params.time
-    )
 
 
 def fisher_limit_closed_form(
@@ -207,18 +190,17 @@ def scan(
     theta_max: float = 1.0,
     steps: int = 401,
     mode: int = 0,
-    workers: int = 1,
 ) -> SensitivityProfile:
     """Fisher information on a uniform coupling grid [0, theta_max]."""
+    if t <= 0:
+        raise ConfigurationError(f"time must be positive, got {t}")
     if theta_max <= 0:
         raise ConfigurationError(f"theta_max must be positive, got {theta_max}")
     if steps < 2:
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     prepared = PreparedProbe(probe, kind, mode)
     grid = np.linspace(0.0, theta_max, steps)
-    values = _map_ordered(
-        lambda th: prepared.fisher(scheme, th, t), list(grid), workers
-    )
+    values = [prepared.fisher(scheme, th, t) for th in grid]
     f_zero = values[0]
     qfi_zero: Optional[float] = None
     if isinstance(probe, PureFock):
@@ -226,23 +208,14 @@ def scan(
     elif isinstance(probe, CoherentProduct):
         qfi_zero = qfi_coherent(probe.alphas, kind, t)
     return SensitivityProfile(
-        kind=kind,
-        probe=probe,
+        prepared=prepared,
         scheme=scheme,
         time=t,
-        mode=mode,
         couplings=grid,
         fisher=np.array(values),
         f_zero=f_zero,
         qfi_zero=qfi_zero,
     )
-
-
-def _map_ordered(fn: Callable, xs: list, workers: int) -> list:
-    if workers <= 1:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, xs))
 
 
 def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optional[float]:
@@ -265,9 +238,8 @@ def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optiona
             break
     if idx is None:
         return None
-    prepared = PreparedProbe(profile.probe, profile.kind, profile.mode)
     return _golden_min(
-        lambda x: prepared.fisher(profile.scheme, x, profile.time),
+        lambda x: profile.prepared.fisher(profile.scheme, x, profile.time),
         th[idx - 1],
         th[idx + 1],
         rel_tol,

@@ -7,6 +7,7 @@ the round-to-neighbors heuristic and the asymptotic N^3 growth.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,8 +116,7 @@ def optimize_config_weighted(
     tops = [int(budget / w) for w in weights]
     best = None
     arg: list[tuple[int, ...]] = []
-    ranges = [range(top + 1) for top in tops]
-    for occs in _box(ranges):
+    for occs in itertools.product(*(range(top + 1) for top in tops)):
         if sum(w * n for w, n in zip(weights, occs)) > budget:
             continue
         s = _score(kind, occs)
@@ -125,18 +125,6 @@ def optimize_config_weighted(
         elif s == best:
             arg.append(occs)
     return tuple(FockConfig(o) for o in sorted(arg)), 4.0 * t * t * (best or 0)
-
-
-def _box(ranges):
-    if len(ranges) == 2:
-        for a in ranges[0]:
-            for b in ranges[1]:
-                yield (a, b)
-    else:
-        for a in ranges[0]:
-            for b in ranges[1]:
-                for c in ranges[2]:
-                    yield (a, b, c)
 
 
 def _grad_hess(kind: InteractionKind, x: np.ndarray):

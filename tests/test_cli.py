@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from tsense.cli import RunConfig, main, output_schema, parse_config
+from tsense.cli import main, output_schema, parse_config
 
 
 def run_cli(args, capsys):
@@ -188,39 +188,6 @@ def test_deterministic_output_files(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_threaded_scan_matches_serial_bytes(tmp_path, capsys, monkeypatch):
-    args = [
-        "fisher-scan", "--interaction", "I", "--state", "2,1,1",
-        "--steps", "51",
-    ]
-    a, b = tmp_path / "serial.csv", tmp_path / "threads.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("TSENSE_THREADS", "4")
-    assert main(args + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_thread_cap_parsing(monkeypatch):
-    from tsense.cli import _workers
-
-    monkeypatch.delenv("TSENSE_THREADS", raising=False)
-    assert _workers() == 1
-    monkeypatch.setenv("TSENSE_THREADS", "3")
-    assert _workers() == 3
-    monkeypatch.setenv("TSENSE_THREADS", "0")
-    assert _workers() >= 1
-
-
-def test_bad_thread_cap_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("TSENSE_THREADS", "lots")
-    code, _, err = run_cli(
-        ["fisher-scan", "--interaction", "I", "--state", "1,0,0"], capsys
-    )
-    assert code == 2
-    assert "TSENSE_THREADS" in err
-
-
 def test_unwritable_path_exit_code(capsys):
     code, _, err = run_cli(
         [
@@ -243,6 +210,39 @@ def test_bad_scan_parameters_exit_code(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fisher-scan", "--state", "2,1,1", "--time", "inf"],
+        ["fisher-scan", "--state", "2,1,1", "--theta-max", "nan"],
+        ["fisher-scan", "--alpha", "nan,1,1"],
+        ["scaling", "--n-max", "3", "--time", "nan"],
+    ],
+)
+def test_non_finite_inputs_are_usage_errors(args, fmt, capsys):
+    code, out, err = run_cli(args + ["--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_results_are_numeric_failures(fmt, tmp_path, capsys):
+    # finite input whose coupling-time product overflows the evolution
+    path = tmp_path / f"scan.{fmt}"
+    code, _, err = run_cli(
+        [
+            "fisher-scan", "--state", "2,1,1", "--time", "1e300", "--steps", "3",
+            "--format", fmt, "--out", str(path),
+        ],
+        capsys,
+    )
+    assert code == 4
+    assert "non-finite" in err
+    assert not path.exists()
 
 
 def test_resource_failure_exit_code(capsys):
@@ -290,11 +290,20 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
         ]
     )
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    path.write_text(
+        json.dumps(
+            {
+                "subcommand": "fisher-scan", "interaction": "II", "state": [1, 3],
+                "eps": [0.05, 0.1], "alpha": None, "scheme": "s0", "time": 1.0,
+                "theta_max": 0.5, "steps": 11, "total": None, "n_max": 30,
+                "trials": 1, "out": None, "format": "csv",
+            }
+        ),
+        encoding="utf-8",
+    )
 
     again = parse_config(["fisher-scan", "--config", str(path)])
     assert again == cfg
-    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     overridden = parse_config(
         ["fisher-scan", "--config", str(path), "--steps", "21"]

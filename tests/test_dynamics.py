@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsense import (
-    EvolutionParams,
     FockConfig,
     InteractionKind,
+    PreparedProbe,
+    PureFock,
     build_ladder,
     diagonalize,
-    evolve,
     evolve_vector,
-    outcome_probabilities,
 )
 
 from oracles import central_diff, evolved_amplitudes_taylor
@@ -24,6 +23,13 @@ I, II = InteractionKind.I, InteractionKind.II
 def spectrum_of(kind, root):
     lad = build_ladder(kind, FockConfig(root))
     return lad, diagonalize(lad)
+
+
+def evolve_root(lad, spec, coupling, time=1.0):
+    """Amplitudes c, c', c'' evolved from the ladder's root rung."""
+    psi0 = np.zeros(lad.d, dtype=complex)
+    psi0[lad.root_index] = 1.0
+    return evolve_vector(spec, psi0, coupling, time)
 
 
 def test_trivial_spectrum():
@@ -64,18 +70,18 @@ def test_spectrum_invariants(kind, root):
 
 def test_zero_coupling_is_identity():
     lad, spec = spectrum_of(I, (2, 1, 1))
-    amps = evolve(spec, lad.root_index, EvolutionParams(0.0))
+    c, _, _ = evolve_root(lad, spec, 0.0)
     expected = np.zeros(lad.d, complex)
     expected[lad.root_index] = 1.0
-    np.testing.assert_allclose(amps.amps, expected, atol=1e-12)
+    np.testing.assert_allclose(c, expected, atol=1e-12)
 
 
 def test_small_coupling_populations_match_neighbor_rates():
     # leading-order transfer out of (1,1,1): 4 theta^2 down, 2 theta^2 up
     lad, spec = spectrum_of(I, (1, 1, 1))
     th = 1e-3
-    amps = evolve(spec, lad.root_index, EvolutionParams(th))
-    p = np.abs(amps.amps) ** 2
+    c, _, _ = evolve_root(lad, spec, th)
+    p = np.abs(c) ** 2
     assert p[0] / th**2 == pytest.approx(4.0, abs=1e-4)
     assert p[2] / th**2 == pytest.approx(2.0, abs=1e-4)
     assert p[1] == pytest.approx(1.0 - 6.0 * th**2, abs=1e-9)
@@ -87,45 +93,40 @@ def test_small_coupling_populations_match_neighbor_rates():
 )
 def test_amplitudes_match_taylor_exponential(kind, root, theta_t):
     lad, spec = spectrum_of(kind, root)
-    amps = evolve(spec, lad.root_index, EvolutionParams(theta_t))
+    c, _, _ = evolve_root(lad, spec, theta_t)
     oracle = evolved_amplitudes_taylor(lad.matrix(), lad.root_index, theta_t)
-    np.testing.assert_allclose(amps.amps, oracle, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(c, oracle, rtol=0, atol=1e-10)
 
 
 def test_outcome_probabilities_at_zero():
-    lad, spec = spectrum_of(I, (2, 1, 1))
-    amps = evolve(spec, lad.root_index, EvolutionParams(0.0))
-    rows = outcome_probabilities(amps, lad)
-    assert [m for m, *_ in rows] == [0, 1, 2, 3]
-    probs = {m: p for m, p, _, _ in rows}
+    lad = build_ladder(I, FockConfig((2, 1, 1)))
+    assert [cfg[0] for cfg in lad.basis] == [0, 1, 2, 3]
+    probs, dprobs, _ = PreparedProbe(PureFock((2, 1, 1)), I).distributions(0.0, 1.0)
+    assert len(probs) == 4
     assert probs[2] == pytest.approx(1.0, abs=1e-12)
     assert probs[0] == pytest.approx(0.0, abs=1e-12)
-    dprobs = {m: dp for m, _, dp, _ in rows}
     assert dprobs[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_probabilities_sum_to_one():
-    lad, spec = spectrum_of(II, (2, 5))
+    prep = PreparedProbe(PureFock((2, 5)), II)
     for th in (0.0, 0.3, 1.7):
-        amps = evolve(spec, lad.root_index, EvolutionParams(th))
-        rows = outcome_probabilities(amps, lad)
-        assert sum(p for _, p, _, _ in rows) == pytest.approx(1.0, abs=1e-10)
-        assert sum(dp for _, _, dp, _ in rows) == pytest.approx(0.0, abs=1e-9)
+        probs, dprobs, _ = prep.distributions(th, 1.0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+        assert dprobs.sum() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_other_mode_readout():
-    lad, spec = spectrum_of(I, (1, 2, 1))
-    amps = evolve(spec, lad.root_index, EvolutionParams(0.0))
-    rows = outcome_probabilities(amps, lad, mode=1)
-    probs = {m: p for m, p, _, _ in rows}
+    prep = PreparedProbe(PureFock((1, 2, 1)), I, mode=1)
+    probs, _, _ = prep.distributions(0.0, 1.0)
     assert probs[2] == pytest.approx(1.0, abs=1e-12)  # n_b of the root
 
 
 def test_evenness_in_coupling():
     lad, spec = spectrum_of(I, (2, 2, 1))
     for th in (0.15, 0.8, 2.0):
-        plus = np.abs(evolve(spec, lad.root_index, EvolutionParams(th)).amps) ** 2
-        minus = np.abs(evolve(spec, lad.root_index, EvolutionParams(-th)).amps) ** 2
+        plus = np.abs(evolve_root(lad, spec, th)[0]) ** 2
+        minus = np.abs(evolve_root(lad, spec, -th)[0]) ** 2
         np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-12)
 
 
@@ -134,26 +135,25 @@ def test_only_coupling_time_product_matters():
     rng = np.random.default_rng(7)
     for _ in range(20):
         th, t, t2 = rng.uniform(0.05, 2.0, size=3)
-        p1 = np.abs(evolve(spec, lad.root_index, EvolutionParams(th, t)).amps) ** 2
-        p2 = np.abs(
-            evolve(spec, lad.root_index, EvolutionParams(th * t / t2, t2)).amps
-        ) ** 2
+        p1 = np.abs(evolve_root(lad, spec, th, t)[0]) ** 2
+        p2 = np.abs(evolve_root(lad, spec, th * t / t2, t2)[0]) ** 2
         np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,root", [(I, (2, 1, 3)), (II, (1, 5))])
 def test_analytic_derivatives_match_finite_differences(kind, root):
     lad, spec = spectrum_of(kind, root)
+    prep = PreparedProbe(PureFock(root), kind)
     t = 1.0
 
     def pops(th):
-        return np.abs(evolve(spec, lad.root_index, EvolutionParams(th, t)).amps) ** 2
+        return np.abs(evolve_root(lad, spec, th, t)[0]) ** 2
 
     for th in (0.07, 0.4, 1.1):
-        amps = evolve(spec, lad.root_index, EvolutionParams(th, t))
-        rows = outcome_probabilities(amps, lad)
+        # mode-0 occupation equals the rung index, so outcomes align with rungs
+        _, dprobs, d2probs = prep.distributions(th, t)
         fd1, fd2 = central_diff(pops, th)
-        for k, (_, _, dp, d2p) in enumerate(rows):
+        for k, (dp, d2p) in enumerate(zip(dprobs, d2probs)):
             if abs(dp) > 1e-8:
                 assert abs(dp - fd1[k]) / abs(dp) < 1e-5
             if abs(d2p) > 1e-6:
@@ -170,17 +170,17 @@ def test_analytic_derivatives_match_finite_differences(kind, root):
 def test_unitarity_random(occ, theta_t):
     lad = build_ladder(I, FockConfig(occ))
     spec = diagonalize(lad)
-    amps = evolve(spec, lad.root_index, EvolutionParams(theta_t, 1.0))
-    assert abs(np.vdot(amps.amps, amps.amps).real - 1.0) < 1e-10
+    c, dc, _ = evolve_root(lad, spec, theta_t, 1.0)
+    assert abs(np.vdot(c, c).real - 1.0) < 1e-10
     # norm preservation differentiates to zero
-    assert abs(np.vdot(amps.amps, amps.damps).real) < 1e-9
+    assert abs(np.vdot(c, dc).real) < 1e-9
 
 
 def test_evolve_vector_general_initial_state():
     lad, spec = spectrum_of(II, (1, 2))
     psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: lad.d]
     psi /= np.linalg.norm(psi)
-    amps = evolve_vector(spec, psi, EvolutionParams(0.4))
-    assert abs(np.vdot(amps.amps, amps.amps).real - 1.0) < 1e-12
-    back = evolve_vector(spec, amps.amps, EvolutionParams(-0.4))
-    np.testing.assert_allclose(back.amps, psi, atol=1e-12)
+    c, _, _ = evolve_vector(spec, psi, 0.4, 1.0)
+    assert abs(np.vdot(c, c).real - 1.0) < 1e-12
+    back, _, _ = evolve_vector(spec, c, -0.4, 1.0)
+    np.testing.assert_allclose(back, psi, atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from tsense import (
     BinaryFock,
     CoherentProduct,
-    EvolutionParams,
+    ConfigurationError,
     FockConfig,
     FullPNR,
     InteractionKind,
@@ -18,7 +18,6 @@ from tsense import (
     cramer_rao,
     dynamic_range,
     dynamic_range_formula,
-    fisher,
     fisher_limit_closed_form,
     qfi_coherent,
     qfi_variance,
@@ -27,7 +26,10 @@ from tsense import (
 from tsense.metrology import SensitivityProfile, outcome_partition
 
 I, II = InteractionKind.I, InteractionKind.II
-AT_ZERO = EvolutionParams(0.0)
+
+
+def limit_fisher(probe, kind, scheme, mode=0):
+    return PreparedProbe(probe, kind, mode).fisher(scheme, 0.0, 1.0)
 
 
 def test_outcome_partition_shapes():
@@ -40,19 +42,20 @@ def test_outcome_partition_shapes():
 
 @pytest.mark.parametrize("scheme", [FullPNR(), BinaryFock(1), SequentialS0(1)])
 def test_single_mode_limit(scheme):
-    f = fisher(PureFock((1, 0, 0)), I, scheme, AT_ZERO)
+    f = limit_fisher(PureFock((1, 0, 0)), I, scheme)
     assert f == pytest.approx(4.0, abs=1e-8)
 
 
 def test_limit_examples():
-    assert fisher(PureFock((0, 3)), II, FullPNR(), AT_ZERO) == pytest.approx(
+    assert limit_fisher(PureFock((0, 3)), II, FullPNR()) == pytest.approx(
         24.0, abs=1e-8
     )
-    assert fisher(PureFock((2, 1, 1)), I, FullPNR(), AT_ZERO) == pytest.approx(
+    assert limit_fisher(PureFock((2, 1, 1)), I, FullPNR()) == pytest.approx(
         44.0, abs=1e-8
     )
-    assert fisher(PureFock((0, 0, 0)), I, FullPNR(), AT_ZERO) == 0.0
-    assert fisher(PureFock((0, 0, 0)), I, FullPNR(), EvolutionParams(0.7)) == 0.0
+    vacuum = PreparedProbe(PureFock((0, 0, 0)), I)
+    assert vacuum.fisher(FullPNR(), 0.0, 1.0) == 0.0
+    assert vacuum.fisher(FullPNR(), 0.7, 1.0) == 0.0
 
 
 def test_closed_form_reductions():
@@ -125,9 +128,10 @@ def test_scheme_refinement_ordering(probe, kind):
 
 
 def test_time_squared_scaling_of_limit():
+    prep = PreparedProbe(PureFock((2, 2, 1)), I)
     for t in (0.5, 2.0, 7.0):
-        f_t = fisher(PureFock((2, 2, 1)), I, FullPNR(), EvolutionParams(0.0, t))
-        f_1 = fisher(PureFock((2, 2, 1)), I, FullPNR(), EvolutionParams(0.0, 1.0))
+        f_t = prep.fisher(FullPNR(), 0.0, t)
+        f_1 = prep.fisher(FullPNR(), 0.0, 1.0)
         assert f_t == pytest.approx(t * t * f_1, rel=1e-9)
 
 
@@ -163,9 +167,10 @@ def test_coherent_fisher_below_coherent_qfi():
 def test_mixture_distributions_normalized():
     prep = PreparedProbe(NoisyFock((1, 1, 1), (0.1,) * 3), I)
     for th in (0.0, 0.4):
-        p, dp, _ = prep.distributions(th, 1.0)
+        p, dp, d2p = prep.distributions(th, 1.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
         assert dp.sum() == pytest.approx(0.0, abs=1e-9)
+        assert d2p.sum() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_scan_metadata_and_invariants():
@@ -177,18 +182,14 @@ def test_scan_metadata_and_invariants():
     assert len(profile.couplings) == 101
     assert np.all(profile.fisher >= 0.0)
     assert np.all(profile.fisher <= profile.qfi_zero + 1e-6)
+    with pytest.raises(ConfigurationError, match="time must be positive, got 0.0"):
+        scan(PureFock((1, 1, 1)), I, FullPNR(), t=0.0)
 
 
 def test_scan_vacuum_all_zero():
     profile = scan(PureFock((0, 0, 0)), I, FullPNR(), steps=11)
     assert np.all(profile.fisher == 0.0)
     assert profile.qfi_zero == 0.0
-
-
-def test_scan_parallel_matches_serial():
-    serial = scan(PureFock((2, 1, 1)), I, SequentialS0(2), steps=21, workers=1)
-    threaded = scan(PureFock((2, 1, 1)), I, SequentialS0(2), steps=21, workers=4)
-    np.testing.assert_array_equal(serial.fisher, threaded.fisher)
 
 
 def test_dynamic_range_single_mode_binary():
@@ -209,11 +210,9 @@ def test_dynamic_range_single_mode_binary():
 def test_dynamic_range_monotone_profile_has_no_minimum():
     grid = np.linspace(0.0, 1.0, 50)
     profile = SensitivityProfile(
-        kind=I,
-        probe=PureFock((1, 0, 0)),
+        prepared=PreparedProbe(PureFock((1, 0, 0)), I),
         scheme=FullPNR(),
         time=1.0,
-        mode=0,
         couplings=grid,
         fisher=4.0 + grid**2,
         f_zero=4.0,
@@ -248,5 +247,5 @@ def test_dynamic_range_formula_prefactors():
 
 def test_fisher_other_measured_mode():
     # readout on mode b of kind I carries the same zero-coupling limit
-    f_b = fisher(PureFock((2, 1, 1)), I, FullPNR(), AT_ZERO, mode=1)
+    f_b = limit_fisher(PureFock((2, 1, 1)), I, FullPNR(), mode=1)
     assert f_b == pytest.approx(44.0, abs=1e-8)
