@@ -64,6 +64,32 @@ DEFAULTS = {
     "format": "csv",
 }
 
+NON_FINITE = "the results contain non-finite values"
+
+CHOICES = {
+    "interaction": ("I", "II"),
+    "scheme": ("pnr", "binary", "s0"),
+    "format": ("csv", "json"),
+}
+
+# the JSON types a config-file value may have; null only where the default is
+_NUMBER = (int, float)
+CONFIG_TYPES = {
+    "interaction": str,
+    "state": (str, list),
+    "eps": (str, list),
+    "alpha": (str, list),
+    "scheme": str,
+    "time": _NUMBER,
+    "theta_max": _NUMBER,
+    "steps": int,
+    "total": int,
+    "n_max": int,
+    "trials": int,
+    "out": str,
+    "format": str,
+}
+
 
 @dataclass
 class RunConfig:
@@ -116,11 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         sub = subs.add_parser(name)
-        sub.add_argument("--interaction", choices=("I", "II"), default=None)
+        sub.add_argument("--interaction", choices=CHOICES["interaction"], default=None)
         sub.add_argument("--state", default=None, help="occupations, e.g. 2,1,1")
         sub.add_argument("--eps", default=None, help="per-mode eps or one broadcast value")
         sub.add_argument("--alpha", default=None, help="coherent amplitudes re+imi, comma separated")
-        sub.add_argument("--scheme", choices=("pnr", "binary", "s0"), default=None)
+        sub.add_argument("--scheme", choices=CHOICES["scheme"], default=None)
         sub.add_argument("--time", type=float, default=None)
         sub.add_argument("--theta-max", dest="theta_max", type=float, default=None)
         sub.add_argument("--steps", type=int, default=None)
@@ -128,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--n-max", dest="n_max", type=int, default=None)
         sub.add_argument("--trials", type=int, default=None)
         sub.add_argument("--out", default=None)
-        sub.add_argument("--format", choices=("csv", "json"), default=None)
+        sub.add_argument("--format", choices=CHOICES["format"], default=None)
         sub.add_argument("--config", default=None, help="JSON file presetting any flag")
     return parser
 
@@ -147,18 +173,25 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid config file: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigurationError("a config file must hold one JSON object")
         loaded.pop("subcommand", None)
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value)
         merged.update(loaded)
     for key in DEFAULTS:
         value = getattr(ns, key)
         if value is not None:
             merged[key] = value
-    merged["state"] = _norm_state(merged["state"])
-    merged["eps"] = _norm_eps(merged["eps"])
-    merged["alpha"] = _norm_alpha(merged["alpha"])
+    try:
+        merged["state"] = _norm_state(merged["state"])
+        merged["eps"] = _norm_eps(merged["eps"])
+        merged["alpha"] = _norm_alpha(merged["alpha"])
+    except TypeError as exc:  # list entries of the wrong type in a config file
+        raise ConfigurationError(f"invalid config value: {exc}") from exc
     for key in ("time", "theta_max"):
         value = merged[key]
         if not math.isfinite(value):
@@ -168,6 +201,17 @@ def parse_config(argv: list[str]) -> RunConfig:
     if merged["alpha"] is not None and not all(map(cmath.isfinite, merged["alpha"])):
         raise ConfigurationError(f"alpha must be finite, got {merged['alpha']}")
     return RunConfig(subcommand=ns.subcommand, **merged)
+
+
+def _check_config_value(key: str, value) -> None:
+    if value is None and DEFAULTS[key] is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, CONFIG_TYPES[key]):
+        raise ConfigurationError(f"config value for {key!r} has the wrong type: {value!r}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigurationError(
+            f"config value for {key!r} must be one of {', '.join(CHOICES[key])}, got {value!r}"
+        )
 
 
 def _norm_state(value) -> Optional[tuple[int, ...]]:
@@ -274,10 +318,14 @@ def _meta(cfg: RunConfig, **extra) -> dict:
 
 def _scan(cfg: RunConfig, probe):
     """Fisher grid of ``probe`` under the configured scheme and coupling grid."""
-    return scan(
+    profile = scan(
         probe, _kind(cfg), _build_scheme(cfg),
         t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps,
     )
+    # dynamic-range reports only a summary of the grid, so check it here
+    if not all(map(math.isfinite, profile.fisher)):
+        raise NumericError(NON_FINITE)
+    return profile
 
 
 def _grid_meta(cfg: RunConfig, profile) -> dict:
@@ -479,7 +527,7 @@ def run(cfg: RunConfig) -> str:
     doc = COMMANDS[cfg.subcommand](cfg)
     if _non_finite(doc):
         # CSV would print nan/inf cells and JSON cannot encode them
-        raise NumericError("the results contain non-finite values")
+        raise NumericError(NON_FINITE)
     return render(doc, cfg.format)
 
 

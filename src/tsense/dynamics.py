@@ -42,15 +42,28 @@ def diagonalize(ladder: Ladder) -> Spectrum:
 
 
 def evolve_vector(
-    spectrum: Spectrum, psi0: np.ndarray, coupling: float, time: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    spectrum: Spectrum, psi0: np.ndarray, couplings: np.ndarray, time: float
+) -> np.ndarray:
     """Evolved amplitudes c and their coupling derivatives c', c''.
 
-    ``psi0`` is any initial vector on the ladder, in rung order.
+    ``psi0`` is any initial vector on the ladder, in rung order, and
+    ``couplings`` a 1-D grid of G couplings.  The result is a (3 x G x d)
+    array that unpacks as ``c, dc, d2c``, with one row per coupling.
+    The eigenvectors are real, so the phase-weighted spectral vectors go
+    through one real product over their real and imaginary parts.
     """
     lam = spectrum.eigenvalues
     v = spectrum.eigenvectors
-    w = v.T @ np.asarray(psi0, dtype=complex)
-    phase = np.exp(-1j * coupling * time * lam)
-    gen = -1j * time * lam
-    return v @ (phase * w), v @ (gen * phase * w), v @ (gen * gen * phase * w)
+    # complex vectors enter real products as (real, imaginary) column pairs
+    psi = np.ascontiguousarray(psi0, dtype=complex)
+    w = (v.T @ psi.view(float).reshape(-1, 2)).view(complex)
+    th = np.asarray(couplings, dtype=float)
+    n = len(th)
+    gen = (-1j * time) * lam[:, None]
+    # column blocks: the spectral weights of c, c' and c'' at each coupling
+    cols = np.empty((len(lam), 3 * n), dtype=complex)
+    np.multiply(np.exp(gen * th), w, out=cols[:, :n])
+    np.multiply(cols[:, :n], gen, out=cols[:, n : 2 * n])
+    np.multiply(cols[:, n : 2 * n], gen, out=cols[:, 2 * n :])
+    moved = (v @ cols.view(float)).view(complex)
+    return moved.reshape(len(lam), 3, n).transpose(1, 2, 0)

@@ -27,6 +27,8 @@ from .ladder import FockConfig, InteractionKind, build_ladder, validate_config
 from .probes import CoherentProduct, Probe, PureFock, decompose
 
 ZERO_PROB = 1e-14
+# rows x ladder dimension evaluated at once along a coupling grid
+BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -89,44 +91,83 @@ class PreparedProbe:
         self.kind = kind
         self.mode = mode
         parts = decompose(probe, kind).components
-        self.weights = [c.weight for c in parts]
+        # each component's weight on P, and twice that on P' and P''
+        self.scales = [
+            np.array([[c.weight], [2.0 * c.weight], [2.0 * c.weight]]) for c in parts
+        ]
         self.spectra = [dynamics.diagonalize(c.ladder) for c in parts]
         self.psi0s = [c.amplitudes for c in parts]
-        self.occs = [
-            np.array([cfg[mode] for cfg in c.ladder.basis]) for c in parts
-        ]
-        self.n_outcomes = int(max(o.max() for o in self.occs)) + 1
+        occs = [np.array([cfg[mode] for cfg in c.ladder.basis]) for c in parts]
+        self.n_outcomes = int(max(o.max() for o in occs)) + 1
+        self.rungs = [_evenly_spaced(o) for o in occs]
+        # couplings per evaluation block, so no block exceeds BLOCK_ELEMENTS
+        self.block_rows = max(1, BLOCK_ELEMENTS // max(c.ladder.d for c in parts))
+        self._group_cache: dict = {}
 
-    def distributions(self, coupling: float, time: float):
-        """Aggregated P, P', P'' over the measured occupation."""
-        P = np.zeros(self.n_outcomes)
-        dP = np.zeros(self.n_outcomes)
-        d2P = np.zeros(self.n_outcomes)
-        for w, spec, psi0, occ in zip(
-            self.weights, self.spectra, self.psi0s, self.occs
+    def distributions(self, couplings: np.ndarray, time: float) -> np.ndarray:
+        """Aggregated P, P', P'' over the measured occupation.
+
+        The result is a (3 x G x n_outcomes) array that unpacks as
+        ``P, dP, d2P``, with one row per coupling.
+        """
+        # laid out as outcome x (P, P', P'') x coupling while accumulating
+        moments = np.zeros((self.n_outcomes, 3, len(couplings)))
+        for scale, spec, psi0, rungs in zip(
+            self.scales, self.spectra, self.psi0s, self.rungs
         ):
-            c, dc, d2c = dynamics.evolve_vector(spec, psi0, coupling, time)
-            P[occ] += w * (np.abs(c) ** 2)
-            dP[occ] += w * 2.0 * np.real(np.conj(c) * dc)
-            d2P[occ] += w * (2.0 * np.real(np.conj(c) * d2c) + 2.0 * np.abs(dc) ** 2)
-        return P, dP, d2P
+            amps = dynamics.evolve_vector(spec, psi0, couplings, time).transpose(2, 0, 1)
+            # |c|^2, Re c* c' and Re c* c'' + |c'|^2 for each rung and coupling
+            prods = (np.conj(amps[:, :1]) * amps).real
+            prods[:, 2] += np.abs(amps[:, 1]) ** 2
+            moments[rungs] += scale * prods
+        return moments.transpose(1, 2, 0)
 
-    def fisher(self, scheme: MeasurementScheme, coupling: float, time: float) -> float:
-        """Classical Fisher information of one scheme at one coupling."""
-        P, dP, d2P = self.distributions(coupling, time)
-        total = 0.0
-        for group in outcome_partition(scheme, self.n_outcomes):
-            p = sum(P[m] for m in group)
-            dp = sum(dP[m] for m in group)
-            d2p = sum(d2P[m] for m in group)
-            total += _fisher_term(p, dp, d2p)
-        return total
+    def fisher(
+        self, scheme: MeasurementScheme, couplings: np.ndarray, time: float
+    ) -> np.ndarray:
+        """Classical Fisher information of one scheme at each coupling."""
+        couplings = np.asarray(couplings, dtype=float)
+        order, starts = self._groups(scheme)
+        values = np.empty(len(couplings))
+        for lo in range(0, len(couplings), self.block_rows):
+            block = couplings[lo : lo + self.block_rows]
+            moments = self.distributions(block, time).transpose(2, 0, 1)
+            p, dp, d2p = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
+            values[lo : lo + len(block)] = np.add.reduce(_fisher_terms(p, dp, d2p))
+        return values
+
+    def _groups(self, scheme: MeasurementScheme) -> tuple[np.ndarray, np.ndarray]:
+        """Occupations ordered group by group, and where each group starts.
+
+        Empty groups are left out: they contribute nothing.
+        """
+        if scheme not in self._group_cache:
+            groups = [g for g in outcome_partition(scheme, self.n_outcomes) if g]
+            order = np.array([m for g in groups for m in g])
+            starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+            self._group_cache[scheme] = (order, starts)
+        return self._group_cache[scheme]
 
 
-def _fisher_term(p: float, dp: float, d2p: float) -> float:
-    if p < ZERO_PROB and abs(dp) < ZERO_PROB:
-        return 2.0 * d2p if d2p >= ZERO_PROB else 0.0
-    return dp * dp / p
+def _evenly_spaced(occ: np.ndarray) -> Union[slice, np.ndarray]:
+    """``occ`` as a basic slice when it is evenly spaced, else unchanged.
+
+    Adding into a slice is one in-place operation; adding into an index
+    array gathers, adds and scatters.
+    """
+    first = int(occ[0])
+    step = int(occ[1]) - first if len(occ) > 1 else 1
+    stop = first + step * len(occ)
+    if step == 0 or occ.tolist() != list(range(first, stop, step)):
+        return occ
+    return slice(first, stop if stop >= 0 else None, step)
+
+
+def _fisher_terms(p: np.ndarray, dp: np.ndarray, d2p: np.ndarray) -> np.ndarray:
+    """Fisher contribution P'^2 / P of each outcome group, 2 P'' at structural zeros."""
+    zero = np.maximum(p, np.abs(dp)) < ZERO_PROB
+    terms = np.where(d2p >= ZERO_PROB, 2.0 * d2p, 0.0)
+    return np.divide(dp * dp, p, out=terms, where=~zero)
 
 
 def fisher_limit_closed_form(
@@ -182,6 +223,12 @@ def cramer_rao(f: float, trials: int) -> float:
     return 1.0 / math.sqrt(trials * f)
 
 
+def _overflow_quiet():
+    """An overflowing evolution shows up as non-finite values, which the
+    callers check; numpy need not warn about it on the way."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def scan(
     probe: Probe,
     kind: InteractionKind,
@@ -200,8 +247,9 @@ def scan(
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     prepared = PreparedProbe(probe, kind, mode)
     grid = np.linspace(0.0, theta_max, steps)
-    values = [prepared.fisher(scheme, th, t) for th in grid]
-    f_zero = values[0]
+    with _overflow_quiet():
+        values = prepared.fisher(scheme, grid, t)
+    f_zero = float(values[0])
     qfi_zero: Optional[float] = None
     if isinstance(probe, PureFock):
         qfi_zero = fisher_limit_closed_form(FockConfig(probe.occupations), kind, t)
@@ -212,7 +260,7 @@ def scan(
         scheme=scheme,
         time=t,
         couplings=grid,
-        fisher=np.array(values),
+        fisher=values,
         f_zero=f_zero,
         qfi_zero=qfi_zero,
     )
@@ -238,12 +286,13 @@ def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optiona
             break
     if idx is None:
         return None
-    return _golden_min(
-        lambda x: profile.prepared.fisher(profile.scheme, x, profile.time),
-        th[idx - 1],
-        th[idx + 1],
-        rel_tol,
-    )
+    with _overflow_quiet():
+        return _golden_min(
+            lambda x: profile.prepared.fisher(profile.scheme, np.array([x]), profile.time)[0],
+            th[idx - 1],
+            th[idx + 1],
+            rel_tol,
+        )
 
 
 def _golden_min(fn: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:

@@ -45,14 +45,15 @@ def report(num: int, desc: str, failures: list) -> None:
 
 
 def limit_fisher(occs, kind, scheme):
-    return PreparedProbe(PureFock(occs), kind).fisher(scheme, 0.0, 1.0)
+    (f,) = PreparedProbe(PureFock(occs), kind).fisher(scheme, np.array([0.0]), 1.0)
+    return f
 
 
 def evolve_root(lad, spec, coupling):
-    """Amplitudes c, c', c'' evolved from the ladder's root rung, t = 1."""
+    """Amplitudes c, c', c'' at one coupling from the ladder's root rung, t = 1."""
     psi0 = np.zeros(lad.d, dtype=complex)
     psi0[lad.root_index] = 1.0
-    return evolve_vector(spec, psi0, coupling, 1.0)
+    return evolve_vector(spec, psi0, np.array([coupling]), 1.0)[:, 0]
 
 
 def test_criterion_1_closed_form_limits():
@@ -339,10 +340,14 @@ def test_criterion_7_property_suites():
         (NoisyFock((2, 2, 2), (0.05,) * 3), I, 2),
     ):
         prep = PreparedProbe(probe, kind)
-        for th in np.linspace(0.0, 1.5, 31):
-            f_bin = prep.fisher(BinaryFock(n_ref), th, 1.0)
-            f_s0 = prep.fisher(SequentialS0(n_ref), th, 1.0)
-            f_pnr = prep.fisher(FullPNR(), th, 1.0)
+        grid = np.linspace(0.0, 1.5, 31)
+        for th, f_bin, f_s0, f_pnr in zip(
+            grid,
+            prep.fisher(BinaryFock(n_ref), grid, 1.0),
+            prep.fisher(SequentialS0(n_ref), grid, 1.0),
+            prep.fisher(FullPNR(), grid, 1.0),
+            strict=True,
+        ):
             if not (f_bin <= f_s0 + 1e-9 and f_s0 <= f_pnr + 1e-9):
                 failures.append(("ordering", probe, th, f_bin, f_s0, f_pnr))
 
@@ -360,8 +365,10 @@ def test_criterion_7_property_suites():
         swapped = (occs[0], occs[2], occs[1])
         pa = PreparedProbe(PureFock(occs), I)
         pb = PreparedProbe(PureFock(swapped), I)
-        for th in (0.0, 0.3, 0.9):
-            if abs(pa.fisher(FullPNR(), th, 1.0) - pb.fisher(FullPNR(), th, 1.0)) > 1e-9:
+        grid = np.array([0.0, 0.3, 0.9])
+        f_a, f_b = pa.fisher(FullPNR(), grid, 1.0), pb.fisher(FullPNR(), grid, 1.0)
+        for th, fa, fb in zip(grid, f_a, f_b, strict=True):
+            if abs(fa - fb) > 1e-9:
                 failures.append(("swap", occs, th))
 
     # dense-exponential oracle equivalence for every ladder with d <= 6
@@ -414,10 +421,10 @@ def test_criterion_8_noise_behavior():
                 else SequentialS0(nominal[0])
             )
             pure = PreparedProbe(PureFock(nominal), kind)
-            f_pure = np.array([pure.fisher(scheme, th, 1.0) for th in grid])
+            f_pure = pure.fisher(scheme, grid, 1.0)
             for eps in (0.005, 0.05, 0.1):
                 noisy = PreparedProbe(NoisyFock(nominal, (eps,) * kind.n_modes), kind)
-                f_noisy = np.array([noisy.fisher(scheme, th, 1.0) for th in grid])
+                f_noisy = noisy.fisher(scheme, grid, 1.0)
                 if not f_noisy[0] < f_pure[0]:
                     failures.append((kind.value, scheme_name, eps, "no trough"))
                 jumps = np.max(np.abs(np.diff(f_noisy)))
@@ -434,7 +441,7 @@ def test_criterion_8_noise_behavior():
             else SequentialS0(nominal[0])
         )
         prep = PreparedProbe(NoisyFock(nominal, (eps,) * kind.n_modes), kind)
-        got = prep.fisher(scheme, th, 1.0)
+        (got,) = prep.fisher(scheme, np.array([th]), 1.0)
         if abs(got - want) > 1e-6 * max(1.0, abs(want)):
             failures.append(("fixture drift", kv, nominal, scheme_name, eps, th, got))
     report(8, "noise troughs at zero coupling with recovery inside the range", failures)
@@ -450,7 +457,9 @@ def test_criterion_9_coherent_benchmark():
     for kind, occs, alphas, f_fock_expected, qfi_expected in cases:
         f_fock = limit_fisher(occs, kind, FullPNR())
         qfi_co = qfi_coherent(alphas, kind)
-        f_co = PreparedProbe(CoherentProduct(alphas), kind).fisher(FullPNR(), 0.0, 1.0)
+        (f_co,) = PreparedProbe(CoherentProduct(alphas), kind).fisher(
+            FullPNR(), np.array([0.0]), 1.0
+        )
         if abs(f_fock - f_fock_expected) > 1e-8:
             failures.append(("fock limit", kind.value, f_fock))
         if abs(qfi_co - qfi_expected) > 1e-10:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tsense
 from tsense.cli import main, output_schema, parse_config
 
 
@@ -245,6 +250,29 @@ def test_non_finite_results_are_numeric_failures(fmt, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fisher-scan", "--state", "2,1,1", "--time", "1e300", "--steps", "3"],
+        ["dynamic-range", "--state", "4,0,0", "--scheme", "binary", "--time", "1e300",
+         "--steps", "5", "--format", "json"],
+    ],
+)
+def test_overflow_reports_one_line(args):
+    # a fresh interpreter, so numpy warnings would reach stderr as printed
+    src = str(Path(tsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsense.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "numeric failure: the results contain non-finite values\n"
+
+
 def test_resource_failure_exit_code(capsys):
     # coherent truncation above the hard state cap
     code, _, err = run_cli(
@@ -319,6 +347,30 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(["fisher-scan", "--config", str(path)], capsys)
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"state": "2,1,1", "time": "abc"},
+        {"state": "2,1,1", "steps": "5"},
+        {"state": 5},
+        {"state": "2,1,1", "theta_max": None},
+        {"state": "2,1,1", "steps": True},
+        {"state": "2,1,1", "scheme": "bogus"},
+        {"state": "2,1,1", "interaction": 1},
+        {"state": [[2], 1, 1]},
+        {"alpha": [1, 2, 3]},
+        ["state", "2,1,1"],
+    ],
+)
+def test_config_file_value_types_are_usage_errors(config, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(["fisher-scan", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_json_outputs_validate_against_schema(tmp_path, capsys):

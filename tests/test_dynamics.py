@@ -25,11 +25,14 @@ def spectrum_of(kind, root):
     return lad, diagonalize(lad)
 
 
-def evolve_root(lad, spec, coupling, time=1.0):
-    """Amplitudes c, c', c'' evolved from the ladder's root rung."""
+def evolve_root(lad, spec, couplings, time=1.0):
+    """Amplitudes c, c', c'' evolved from the ladder's root rung.
+
+    Each is a (G x d) array, one row per coupling.
+    """
     psi0 = np.zeros(lad.d, dtype=complex)
     psi0[lad.root_index] = 1.0
-    return evolve_vector(spec, psi0, coupling, time)
+    return evolve_vector(spec, psi0, np.asarray(couplings, dtype=float), time)
 
 
 def test_trivial_spectrum():
@@ -70,18 +73,19 @@ def test_spectrum_invariants(kind, root):
 
 def test_zero_coupling_is_identity():
     lad, spec = spectrum_of(I, (2, 1, 1))
-    c, _, _ = evolve_root(lad, spec, 0.0)
+    c, _, _ = evolve_root(lad, spec, [0.0])
     expected = np.zeros(lad.d, complex)
     expected[lad.root_index] = 1.0
-    np.testing.assert_allclose(c, expected, atol=1e-12)
+    assert c.shape == (1, lad.d)
+    np.testing.assert_allclose(c[0], expected, atol=1e-12)
 
 
 def test_small_coupling_populations_match_neighbor_rates():
     # leading-order transfer out of (1,1,1): 4 theta^2 down, 2 theta^2 up
     lad, spec = spectrum_of(I, (1, 1, 1))
     th = 1e-3
-    c, _, _ = evolve_root(lad, spec, th)
-    p = np.abs(c) ** 2
+    c, _, _ = evolve_root(lad, spec, [th])
+    p = np.abs(c[0]) ** 2
     assert p[0] / th**2 == pytest.approx(4.0, abs=1e-4)
     assert p[2] / th**2 == pytest.approx(2.0, abs=1e-4)
     assert p[1] == pytest.approx(1.0 - 6.0 * th**2, abs=1e-9)
@@ -93,41 +97,58 @@ def test_small_coupling_populations_match_neighbor_rates():
 )
 def test_amplitudes_match_taylor_exponential(kind, root, theta_t):
     lad, spec = spectrum_of(kind, root)
-    c, _, _ = evolve_root(lad, spec, theta_t)
+    c, _, _ = evolve_root(lad, spec, [theta_t])
     oracle = evolved_amplitudes_taylor(lad.matrix(), lad.root_index, theta_t)
-    np.testing.assert_allclose(c, oracle, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(c[0], oracle, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kind,root", [(I, (1, 1, 1)), (I, (2, 3, 1)), (II, (1, 3)), (II, (2, 2))]
+)
+def test_grid_rows_match_taylor_exponential(kind, root):
+    lad, spec = spectrum_of(kind, root)
+    grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
+    c, _, _ = evolve_root(lad, spec, grid)
+    assert c.shape == (len(grid), lad.d)
+    for row, theta_t in zip(c, grid):
+        oracle = evolved_amplitudes_taylor(lad.matrix(), lad.root_index, theta_t)
+        np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-10)
 
 
 def test_outcome_probabilities_at_zero():
     lad = build_ladder(I, FockConfig((2, 1, 1)))
     assert [cfg[0] for cfg in lad.basis] == [0, 1, 2, 3]
-    probs, dprobs, _ = PreparedProbe(PureFock((2, 1, 1)), I).distributions(0.0, 1.0)
-    assert len(probs) == 4
-    assert probs[2] == pytest.approx(1.0, abs=1e-12)
-    assert probs[0] == pytest.approx(0.0, abs=1e-12)
-    assert dprobs[2] == pytest.approx(0.0, abs=1e-12)
+    probs, dprobs, _ = PreparedProbe(PureFock((2, 1, 1)), I).distributions(
+        np.array([0.0]), 1.0
+    )
+    assert probs.shape == (1, 4)
+    assert probs[0, 2] == pytest.approx(1.0, abs=1e-12)
+    assert probs[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert dprobs[0, 2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_probabilities_sum_to_one():
     prep = PreparedProbe(PureFock((2, 5)), II)
-    for th in (0.0, 0.3, 1.7):
-        probs, dprobs, _ = prep.distributions(th, 1.0)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-        assert dprobs.sum() == pytest.approx(0.0, abs=1e-9)
+    probs, dprobs, _ = prep.distributions(np.array([0.0, 0.3, 1.7]), 1.0)
+    assert probs.shape[0] == 3
+    for p, dp in zip(probs, dprobs):
+        assert p.sum() == pytest.approx(1.0, abs=1e-10)
+        assert dp.sum() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_other_mode_readout():
     prep = PreparedProbe(PureFock((1, 2, 1)), I, mode=1)
-    probs, _, _ = prep.distributions(0.0, 1.0)
-    assert probs[2] == pytest.approx(1.0, abs=1e-12)  # n_b of the root
+    probs, _, _ = prep.distributions(np.array([0.0]), 1.0)
+    assert probs[0, 2] == pytest.approx(1.0, abs=1e-12)  # n_b of the root
 
 
 def test_evenness_in_coupling():
     lad, spec = spectrum_of(I, (2, 2, 1))
-    for th in (0.15, 0.8, 2.0):
-        plus = np.abs(evolve_root(lad, spec, th)[0]) ** 2
-        minus = np.abs(evolve_root(lad, spec, -th)[0]) ** 2
-        np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-12)
+    grid = np.array([0.15, 0.8, 2.0])
+    plus = np.abs(evolve_root(lad, spec, grid)[0]) ** 2
+    minus = np.abs(evolve_root(lad, spec, -grid)[0]) ** 2
+    assert plus.shape == (3, lad.d)
+    np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-12)
 
 
 def test_only_coupling_time_product_matters():
@@ -135,8 +156,8 @@ def test_only_coupling_time_product_matters():
     rng = np.random.default_rng(7)
     for _ in range(20):
         th, t, t2 = rng.uniform(0.05, 2.0, size=3)
-        p1 = np.abs(evolve_root(lad, spec, th, t)[0]) ** 2
-        p2 = np.abs(evolve_root(lad, spec, th * t / t2, t2)[0]) ** 2
+        p1 = np.abs(evolve_root(lad, spec, [th], t)[0]) ** 2
+        p2 = np.abs(evolve_root(lad, spec, [th * t / t2], t2)[0]) ** 2
         np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-12)
 
 
@@ -147,11 +168,12 @@ def test_analytic_derivatives_match_finite_differences(kind, root):
     t = 1.0
 
     def pops(th):
-        return np.abs(evolve_root(lad, spec, th, t)[0]) ** 2
+        return np.abs(evolve_root(lad, spec, [th], t)[0, 0]) ** 2
 
-    for th in (0.07, 0.4, 1.1):
-        # mode-0 occupation equals the rung index, so outcomes align with rungs
-        _, dprobs, d2probs = prep.distributions(th, t)
+    grid = np.array([0.07, 0.4, 1.1])
+    # mode-0 occupation equals the rung index, so outcomes align with rungs
+    _, dprobs_grid, d2probs_grid = prep.distributions(grid, t)
+    for th, dprobs, d2probs in zip(grid, dprobs_grid, d2probs_grid):
         fd1, fd2 = central_diff(pops, th)
         for k, (dp, d2p) in enumerate(zip(dprobs, d2probs)):
             if abs(dp) > 1e-8:
@@ -170,7 +192,7 @@ def test_analytic_derivatives_match_finite_differences(kind, root):
 def test_unitarity_random(occ, theta_t):
     lad = build_ladder(I, FockConfig(occ))
     spec = diagonalize(lad)
-    c, dc, _ = evolve_root(lad, spec, theta_t, 1.0)
+    c, dc, _ = evolve_root(lad, spec, [theta_t], 1.0)[:, 0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-10
     # norm preservation differentiates to zero
     assert abs(np.vdot(c, dc).real) < 1e-9
@@ -180,7 +202,7 @@ def test_evolve_vector_general_initial_state():
     lad, spec = spectrum_of(II, (1, 2))
     psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: lad.d]
     psi /= np.linalg.norm(psi)
-    c, _, _ = evolve_vector(spec, psi, 0.4, 1.0)
+    c = evolve_vector(spec, psi, np.array([0.4]), 1.0)[0, 0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-12
-    back, _, _ = evolve_vector(spec, c, -0.4, 1.0)
+    back = evolve_vector(spec, c, np.array([-0.4]), 1.0)[0, 0]
     np.testing.assert_allclose(back, psi, atol=1e-12)

@@ -29,7 +29,8 @@ I, II = InteractionKind.I, InteractionKind.II
 
 
 def limit_fisher(probe, kind, scheme, mode=0):
-    return PreparedProbe(probe, kind, mode).fisher(scheme, 0.0, 1.0)
+    (f,) = PreparedProbe(probe, kind, mode).fisher(scheme, np.array([0.0]), 1.0)
+    return f
 
 
 def test_outcome_partition_shapes():
@@ -54,8 +55,10 @@ def test_limit_examples():
         44.0, abs=1e-8
     )
     vacuum = PreparedProbe(PureFock((0, 0, 0)), I)
-    assert vacuum.fisher(FullPNR(), 0.0, 1.0) == 0.0
-    assert vacuum.fisher(FullPNR(), 0.7, 1.0) == 0.0
+    f_vac = vacuum.fisher(FullPNR(), np.array([0.0, 0.7]), 1.0)
+    assert f_vac.shape == (2,)
+    assert f_vac[0] == 0.0
+    assert f_vac[1] == 0.0
 
 
 def test_closed_form_reductions():
@@ -119,38 +122,42 @@ def test_cramer_rao():
 def test_scheme_refinement_ordering(probe, kind):
     prep = PreparedProbe(probe, kind)
     n_ref = 2 if kind is I else 1
-    for th in np.linspace(0.0, 1.2, 25):
-        f_bin = prep.fisher(BinaryFock(n_ref), th, 1.0)
-        f_s0 = prep.fisher(SequentialS0(n_ref), th, 1.0)
-        f_pnr = prep.fisher(FullPNR(), th, 1.0)
-        assert f_bin <= f_s0 + 1e-9
-        assert f_s0 <= f_pnr + 1e-9
+    grid = np.linspace(0.0, 1.2, 25)
+    f_bin = prep.fisher(BinaryFock(n_ref), grid, 1.0)
+    f_s0 = prep.fisher(SequentialS0(n_ref), grid, 1.0)
+    f_pnr = prep.fisher(FullPNR(), grid, 1.0)
+    assert f_bin.shape == f_s0.shape == f_pnr.shape == (25,)
+    assert np.all(f_bin <= f_s0 + 1e-9)
+    assert np.all(f_s0 <= f_pnr + 1e-9)
 
 
 def test_time_squared_scaling_of_limit():
     prep = PreparedProbe(PureFock((2, 2, 1)), I)
     for t in (0.5, 2.0, 7.0):
-        f_t = prep.fisher(FullPNR(), 0.0, t)
-        f_1 = prep.fisher(FullPNR(), 0.0, 1.0)
+        (f_t,) = prep.fisher(FullPNR(), np.array([0.0]), t)
+        (f_1,) = prep.fisher(FullPNR(), np.array([0.0]), 1.0)
         assert f_t == pytest.approx(t * t * f_1, rel=1e-9)
 
 
 def test_b_c_swap_symmetry_pointwise():
     prep_a = PreparedProbe(PureFock((2, 1, 3)), I)
     prep_b = PreparedProbe(PureFock((2, 3, 1)), I)
-    for th in (0.0, 0.2, 0.9):
-        assert prep_a.fisher(FullPNR(), th, 1.0) == pytest.approx(
-            prep_b.fisher(FullPNR(), th, 1.0), abs=1e-9
-        )
+    grid = np.array([0.0, 0.2, 0.9])
+    f_a = prep_a.fisher(FullPNR(), grid, 1.0)
+    f_b = prep_b.fisher(FullPNR(), grid, 1.0)
+    for a, b in zip(f_a, f_b, strict=True):
+        assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_noise_continuity_towards_pure():
     pure = PreparedProbe(PureFock((2, 1, 1)), I)
-    f_pure = pure.fisher(FullPNR(), 0.2, 1.0)
+    at = np.array([0.2])
+    (f_pure,) = pure.fisher(FullPNR(), at, 1.0)
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
         noisy = PreparedProbe(NoisyFock((2, 1, 1), (eps,) * 3), I)
-        gaps.append(abs(noisy.fisher(FullPNR(), 0.2, 1.0) - f_pure))
+        (f_noisy,) = noisy.fisher(FullPNR(), at, 1.0)
+        gaps.append(abs(f_noisy - f_pure))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.1
 
@@ -158,16 +165,18 @@ def test_noise_continuity_towards_pure():
 def test_coherent_fisher_below_coherent_qfi():
     s2 = math.sqrt(2)
     prep = PreparedProbe(CoherentProduct((s2, s2, s2)), I)
-    f0 = prep.fisher(FullPNR(), 0.0, 1.0)
+    (f0,) = prep.fisher(FullPNR(), np.array([0.0]), 1.0)
     assert f0 < qfi_coherent((s2, s2, s2), I)
     prep = PreparedProbe(CoherentProduct((s2, math.sqrt(3))), II)
-    assert prep.fisher(FullPNR(), 0.0, 1.0) < qfi_coherent((s2, math.sqrt(3)), II)
+    (f0,) = prep.fisher(FullPNR(), np.array([0.0]), 1.0)
+    assert f0 < qfi_coherent((s2, math.sqrt(3)), II)
 
 
 def test_mixture_distributions_normalized():
     prep = PreparedProbe(NoisyFock((1, 1, 1), (0.1,) * 3), I)
-    for th in (0.0, 0.4):
-        p, dp, d2p = prep.distributions(th, 1.0)
+    p_grid, dp_grid, d2p_grid = prep.distributions(np.array([0.0, 0.4]), 1.0)
+    assert p_grid.shape[0] == 2
+    for p, dp, d2p in zip(p_grid, dp_grid, d2p_grid):
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
         assert dp.sum() == pytest.approx(0.0, abs=1e-9)
         assert d2p.sum() == pytest.approx(0.0, abs=1e-9)
