@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     ConfigurationError,
@@ -318,14 +320,10 @@ def _meta(cfg: RunConfig, **extra) -> dict:
 
 def _scan(cfg: RunConfig, probe):
     """Fisher grid of ``probe`` under the configured scheme and coupling grid."""
-    profile = scan(
+    return scan(
         probe, _kind(cfg), _build_scheme(cfg),
         t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps,
     )
-    # dynamic-range reports only a summary of the grid, so check it here
-    if not all(map(math.isfinite, profile.fisher)):
-        raise NumericError(NON_FINITE)
-    return profile
 
 
 def _grid_meta(cfg: RunConfig, profile) -> dict:
@@ -400,6 +398,9 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 def cmd_dynamic_range(cfg: RunConfig) -> dict:
     state = _state(cfg)
     profile = _scan(cfg, PureFock(occupations=state))
+    # the output is a summary of the grid, so check the grid itself
+    if not all(map(math.isfinite, profile.fisher)):
+        raise NumericError(NON_FINITE)
     empirical = dynamic_range(profile)
     formula = dynamic_range_formula(FockConfig(state), _kind(cfg), cfg.time)
     row = [
@@ -524,7 +525,9 @@ def _non_finite(value) -> bool:
 
 
 def run(cfg: RunConfig) -> str:
-    doc = COMMANDS[cfg.subcommand](cfg)
+    # an overflowing evolution shows up as non-finite values, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        doc = COMMANDS[cfg.subcommand](cfg)
     if _non_finite(doc):
         # CSV would print nan/inf cells and JSON cannot encode them
         raise NumericError(NON_FINITE)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -97,12 +98,12 @@ class PreparedProbe:
         ]
         self.spectra = [dynamics.diagonalize(c.ladder) for c in parts]
         self.psi0s = [c.amplitudes for c in parts]
-        occs = [np.array([cfg[mode] for cfg in c.ladder.basis]) for c in parts]
-        self.n_outcomes = int(max(o.max() for o in occs)) + 1
-        self.rungs = [_evenly_spaced(o) for o in occs]
+        self.occs = [
+            np.array([cfg[mode] for cfg in c.ladder.basis]) for c in parts
+        ]
+        self.n_outcomes = int(max(o.max() for o in self.occs)) + 1
         # couplings per evaluation block, so no block exceeds BLOCK_ELEMENTS
         self.block_rows = max(1, BLOCK_ELEMENTS // max(c.ladder.d for c in parts))
-        self._group_cache: dict = {}
 
     def distributions(self, couplings: np.ndarray, time: float) -> np.ndarray:
         """Aggregated P, P', P'' over the measured occupation.
@@ -112,14 +113,14 @@ class PreparedProbe:
         """
         # laid out as outcome x (P, P', P'') x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, len(couplings)))
-        for scale, spec, psi0, rungs in zip(
-            self.scales, self.spectra, self.psi0s, self.rungs
+        for scale, spec, psi0, occ in zip(
+            self.scales, self.spectra, self.psi0s, self.occs
         ):
             amps = dynamics.evolve_vector(spec, psi0, couplings, time).transpose(2, 0, 1)
             # |c|^2, Re c* c' and Re c* c'' + |c'|^2 for each rung and coupling
             prods = (np.conj(amps[:, :1]) * amps).real
             prods[:, 2] += np.abs(amps[:, 1]) ** 2
-            moments[rungs] += scale * prods
+            moments[occ] += scale * prods
         return moments.transpose(1, 2, 0)
 
     def fisher(
@@ -127,7 +128,11 @@ class PreparedProbe:
     ) -> np.ndarray:
         """Classical Fisher information of one scheme at each coupling."""
         couplings = np.asarray(couplings, dtype=float)
-        order, starts = self._groups(scheme)
+        # occupations ordered group by group, and where each group starts;
+        # empty groups contribute nothing and are left out
+        groups = [g for g in outcome_partition(scheme, self.n_outcomes) if g]
+        order = np.array([m for g in groups for m in g])
+        starts = np.array([0, *accumulate(len(g) for g in groups[:-1])])
         values = np.empty(len(couplings))
         for lo in range(0, len(couplings), self.block_rows):
             block = couplings[lo : lo + self.block_rows]
@@ -135,32 +140,6 @@ class PreparedProbe:
             p, dp, d2p = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
             values[lo : lo + len(block)] = np.add.reduce(_fisher_terms(p, dp, d2p))
         return values
-
-    def _groups(self, scheme: MeasurementScheme) -> tuple[np.ndarray, np.ndarray]:
-        """Occupations ordered group by group, and where each group starts.
-
-        Empty groups are left out: they contribute nothing.
-        """
-        if scheme not in self._group_cache:
-            groups = [g for g in outcome_partition(scheme, self.n_outcomes) if g]
-            order = np.array([m for g in groups for m in g])
-            starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-            self._group_cache[scheme] = (order, starts)
-        return self._group_cache[scheme]
-
-
-def _evenly_spaced(occ: np.ndarray) -> Union[slice, np.ndarray]:
-    """``occ`` as a basic slice when it is evenly spaced, else unchanged.
-
-    Adding into a slice is one in-place operation; adding into an index
-    array gathers, adds and scatters.
-    """
-    first = int(occ[0])
-    step = int(occ[1]) - first if len(occ) > 1 else 1
-    stop = first + step * len(occ)
-    if step == 0 or occ.tolist() != list(range(first, stop, step)):
-        return occ
-    return slice(first, stop if stop >= 0 else None, step)
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray, d2p: np.ndarray) -> np.ndarray:
@@ -223,12 +202,6 @@ def cramer_rao(f: float, trials: int) -> float:
     return 1.0 / math.sqrt(trials * f)
 
 
-def _overflow_quiet():
-    """An overflowing evolution shows up as non-finite values, which the
-    callers check; numpy need not warn about it on the way."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
 def scan(
     probe: Probe,
     kind: InteractionKind,
@@ -247,8 +220,7 @@ def scan(
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     prepared = PreparedProbe(probe, kind, mode)
     grid = np.linspace(0.0, theta_max, steps)
-    with _overflow_quiet():
-        values = prepared.fisher(scheme, grid, t)
+    values = prepared.fisher(scheme, grid, t)
     f_zero = float(values[0])
     qfi_zero: Optional[float] = None
     if isinstance(probe, PureFock):
@@ -286,13 +258,12 @@ def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optiona
             break
     if idx is None:
         return None
-    with _overflow_quiet():
-        return _golden_min(
-            lambda x: profile.prepared.fisher(profile.scheme, np.array([x]), profile.time)[0],
-            th[idx - 1],
-            th[idx + 1],
-            rel_tol,
-        )
+    return _golden_min(
+        lambda x: profile.prepared.fisher(profile.scheme, np.array([x]), profile.time)[0],
+        th[idx - 1],
+        th[idx + 1],
+        rel_tol,
+    )
 
 
 def _golden_min(fn: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:

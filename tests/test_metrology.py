@@ -16,7 +16,6 @@ from tsense import (
     SequentialS0,
     UndefinedBoundError,
     cramer_rao,
-    decompose,
     dynamic_range,
     dynamic_range_formula,
     fisher_limit_closed_form,
@@ -24,7 +23,7 @@ from tsense import (
     qfi_variance,
     scan,
 )
-from tsense.metrology import SensitivityProfile, _evenly_spaced, outcome_partition
+from tsense.metrology import SensitivityProfile, outcome_partition
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -260,30 +259,3 @@ def test_fisher_other_measured_mode():
     f_b = limit_fisher(PureFock((2, 1, 1)), I, FullPNR(), mode=1)
     assert f_b == pytest.approx(44.0, abs=1e-8)
 
-
-@pytest.mark.parametrize(
-    "probe,kind,mode",
-    [
-        (PureFock((2, 1, 1)), I, 0),
-        (PureFock((1, 2, 1)), I, 1),
-        (PureFock((1, 3)), II, 1),  # b' moves in steps of two
-        (NoisyFock((1, 2), (0.1, 0.1)), II, 1),
-    ],
-)
-def test_rungs_address_the_measured_occupations(probe, kind, mode):
-    prep = PreparedProbe(probe, kind, mode)
-    outcomes = np.arange(prep.n_outcomes)
-    parts = decompose(probe, kind).components
-    assert len(prep.rungs) == len(parts)
-    for comp, rungs in zip(parts, prep.rungs):
-        assert isinstance(rungs, slice)
-        assert outcomes[rungs].tolist() == [cfg[mode] for cfg in comp.ladder.basis]
-
-
-def test_evenly_spaced_occupations_become_slices():
-    for occ in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 5], [6, 4, 2, 0], [4]):
-        index = _evenly_spaced(np.array(occ))
-        assert isinstance(index, slice)
-        assert np.arange(10)[index].tolist() == occ
-    uneven = np.array([0, 1, 3])
-    assert _evenly_spaced(uneven) is uneven
