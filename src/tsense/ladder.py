@@ -17,7 +17,6 @@ readout) relies on that ordering.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,10 +47,9 @@ class FockConfig:
         object.__setattr__(self, "occupations", occs)
         if any(n < 0 for n in occs):
             raise ConfigurationError(f"occupations must be non-negative, got {occs}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.occupations)
+        # ladder rungs and charges (up to 2 n_a' + n_b') are int64 arrays
+        if any(n >= 2**61 for n in occs):
+            raise ConfigurationError(f"occupations must be below 2**61, got {occs}")
 
     def __getitem__(self, i: int) -> int:
         return self.occupations[i]
@@ -64,13 +62,14 @@ class FockConfig:
 class Ladder:
     """One invariant subspace with its tridiagonal generator.
 
-    ``basis[k]`` has measured-mode occupation k; ``offdiag[k]`` is the
-    generator matrix element between rungs k and k+1.  The diagonal is
-    zero (the resonant interaction picture has no diagonal part).
+    ``basis`` is a read-only (d x modes) integer array: row ``basis[k]``
+    holds the occupations of rung k, whose measured-mode occupation is
+    k.  ``offdiag[k]`` is the generator matrix element between rungs k
+    and k+1.  The diagonal is zero (the resonant interaction picture has
+    no diagonal part).
     """
 
-    kind: InteractionKind
-    basis: tuple[FockConfig, ...]
+    basis: np.ndarray
     offdiag: np.ndarray
     root_index: int
 
@@ -78,14 +77,12 @@ class Ladder:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", len(self.basis))
+        self.basis.flags.writeable = False
         self.offdiag.flags.writeable = False
 
     def matrix(self) -> np.ndarray:
         """Dense d x d generator matrix (small; for inspection and tests)."""
-        g = np.zeros((self.d, self.d))
-        for k, v in enumerate(self.offdiag):
-            g[k, k + 1] = g[k + 1, k] = v
-        return g
+        return np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
 
 def validate_config(kind: InteractionKind, config: FockConfig) -> None:
@@ -109,23 +106,17 @@ def build_ladder(kind: InteractionKind, root: FockConfig) -> Ladder:
     if kind is InteractionKind.I:
         na, nb, nc = root.occupations
         qb, qc = na + nb, na + nc
-        d = min(qb, qc) + 1
-        basis = tuple(FockConfig((k, qb - k, qc - k)) for k in range(d))
-        # products of ints <= 61^3 stay exact in Python ints before the sqrt
-        off = np.array(
-            [math.sqrt((k + 1) * (qb - k) * (qc - k)) for k in range(d - 1)]
-        )
+        k = np.arange(min(qb, qc) + 1)
+        basis = np.stack([k, qb - k, qc - k], axis=1)
+        # float factors: each partial product is exact below 2^53, as
+        # the integer product was, and nothing can wrap around
+        lo = k[:-1]
+        off = np.sqrt((lo + 1.0) * (qb - lo) * (qc - lo))
     else:
         na, nb = root.occupations
         q = 2 * na + nb
-        d = q // 2 + 1
-        basis = tuple(FockConfig((k, q - 2 * k)) for k in range(d))
-        off = np.array(
-            [math.sqrt((k + 1) * (q - 2 * k) * (q - 2 * k - 1)) for k in range(d - 1)]
-        )
-    return Ladder(
-        kind=kind,
-        basis=basis,
-        offdiag=off,
-        root_index=root[0],
-    )
+        k = np.arange(q // 2 + 1)
+        basis = np.stack([k, q - 2 * k], axis=1)
+        lo = k[:-1]
+        off = np.sqrt((lo + 1.0) * (q - 2 * lo) * (q - 2 * lo - 1))
+    return Ladder(basis=basis, offdiag=off, root_index=root[0])

@@ -60,7 +60,8 @@ def outcome_partition(scheme: MeasurementScheme, n_outcomes: int) -> list[list[i
     if isinstance(scheme, FullPNR):
         return [[m] for m in occs]
     if isinstance(scheme, BinaryFock):
-        return [[scheme.n], [m for m in occs if m != scheme.n]]
+        # a target outside the occupation range leaves its group empty
+        return [[m for m in occs if m == scheme.n], [m for m in occs if m != scheme.n]]
     if isinstance(scheme, SequentialS0):
         n = scheme.n
         shells = [[n], [n - 1, n + 1], [n - 2, n + 2]]
@@ -98,9 +99,7 @@ class PreparedProbe:
         ]
         self.spectra = [dynamics.diagonalize(c.ladder) for c in parts]
         self.psi0s = [c.amplitudes for c in parts]
-        self.occs = [
-            np.array([cfg[mode] for cfg in c.ladder.basis]) for c in parts
-        ]
+        self.occs = [c.ladder.basis[:, mode] for c in parts]
         self.n_outcomes = int(max(o.max() for o in self.occs)) + 1
         # couplings per evaluation block, so no block exceeds BLOCK_ELEMENTS
         self.block_rows = max(1, BLOCK_ELEMENTS // max(c.ladder.d for c in parts))

@@ -46,6 +46,24 @@ def _compositions(kind: InteractionKind, total: int):
             yield (na, total - na)
 
 
+def _argmax(
+    kind: InteractionKind, candidates
+) -> tuple[Optional[int], tuple[FockConfig, ...]]:
+    """Best score among the candidates, with every tie.
+
+    Returns (score, sorted maximizers), or (None, ()) if there are none.
+    """
+    best = None
+    arg: list[tuple[int, ...]] = []
+    for occs in candidates:
+        s = _score(kind, occs)
+        if best is None or s > best:
+            best, arg = s, [occs]
+        elif s == best:
+            arg.append(occs)
+    return best, tuple(FockConfig(o) for o in sorted(arg))
+
+
 def optimize_config(
     kind: InteractionKind,
     total: int,
@@ -64,16 +82,10 @@ def optimize_config(
         raise ConfigurationError(
             f"modes must lie in 1..{kind.n_modes} for interaction {kind.value}"
         )
-    best = None
-    arg: list[tuple[int, ...]] = []
-    for occs in _compositions(kind, total):
-        if modes is not None and sum(n > 0 for n in occs) != modes:
-            continue
-        s = _score(kind, occs)
-        if best is None or s > best:
-            best, arg = s, [occs]
-        elif s == best:
-            arg.append(occs)
+    candidates = _compositions(kind, total)
+    if modes is not None:
+        candidates = (o for o in candidates if sum(n > 0 for n in o) == modes)
+    best, maximizers = _argmax(kind, candidates)
     if best is None:
         raise ConfigurationError(
             f"no configuration of {total} quanta excites exactly {modes} modes"
@@ -89,7 +101,7 @@ def optimize_config(
     return OptimalResult(
         n=total,
         kind=kind,
-        maximizers=tuple(FockConfig(o) for o in sorted(arg)),
+        maximizers=maximizers,
         f0=4.0 * t * t * best,
         relaxation=relaxation,
         asymptote=asymptotic_prediction(kind, total, t),
@@ -114,17 +126,11 @@ def optimize_config_weighted(
     if any(w <= 0 for w in weights) or budget < 0:
         raise ConfigurationError("weights must be positive and budget >= 0")
     tops = [int(budget / w) for w in weights]
-    best = None
-    arg: list[tuple[int, ...]] = []
-    for occs in itertools.product(*(range(top + 1) for top in tops)):
-        if sum(w * n for w, n in zip(weights, occs)) > budget:
-            continue
-        s = _score(kind, occs)
-        if best is None or s > best:
-            best, arg = s, [occs]
-        elif s == best:
-            arg.append(occs)
-    return tuple(FockConfig(o) for o in sorted(arg)), 4.0 * t * t * (best or 0)
+    box = itertools.product(*(range(top + 1) for top in tops))
+    best, maximizers = _argmax(
+        kind, (o for o in box if sum(w * n for w, n in zip(weights, o)) <= budget)
+    )
+    return maximizers, 4.0 * t * t * (best or 0)
 
 
 def _grad_hess(kind: InteractionKind, x: np.ndarray):

@@ -11,7 +11,11 @@ decompose into components that live on a single ladder each:
 * a coherent product spreads over conserved-charge sectors; within each
   sector its restriction is a fixed complex vector over the full sector
   ladder, and the sector enters as one component with the squared norm
-  of that restriction as weight.
+  of that restriction as weight.  The sectors are those of the product
+  states that carry the probe's mass: the truncated product box is
+  sorted once by descending Poisson weight (ties by per-mode weight
+  rank), and cut at the first state where the cumulative weight reaches
+  ``cutoff_mass``.
 
 Sector populations add for any measurement diagonal in the measured
 mode's number basis, so this decomposition is exact for every scheme in
@@ -19,7 +23,6 @@ mode's number basis, so this decomposition is exact for every scheme in
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,10 +133,13 @@ def _poisson_cutoffs(mus: list[float], cutoff_mass: float) -> list[int]:
     return tops
 
 
-def _charge_key(kind: InteractionKind, occs: tuple[int, ...]) -> tuple[int, ...]:
+def _sector_roots(kind: InteractionKind, occs: np.ndarray) -> np.ndarray:
+    """Rung-0 configuration of the conserved-charge sector of each row."""
     if kind is InteractionKind.I:
-        return (occs[0] + occs[1], occs[0] + occs[2])
-    return (2 * occs[0] + occs[1],)
+        na, nb, nc = occs.T
+        return np.stack([np.zeros_like(na), na + nb, na + nc], axis=1)
+    na, nb = occs.T
+    return np.stack([np.zeros_like(na), 2 * na + nb], axis=1)
 
 
 def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
@@ -183,48 +189,33 @@ def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> Weight
             row[n] = row[n - 1] * a / math.sqrt(n)
         tables.append(row)
 
-    # enumerate product states by descending Poisson weight until the
-    # retained mass reaches the cutoff, tracking which sectors appear
+    # product states by descending Poisson weight, ties by their tuple of
+    # per-mode weight ranks, kept until the retained mass reaches the cutoff
     weight_rows = [np.abs(t) ** 2 for t in tables]
     orders = [np.argsort(-w, kind="stable") for w in weight_rows]
-
-    def state_weight(idx: tuple[int, ...]) -> float:
-        return math.prod(w[o[i]] for w, o, i in zip(weight_rows, orders, idx))
-
-    start = tuple(0 for _ in alphas)
-    heap = [(-state_weight(start), start)]
-    seen = {start}
-    retained = 0.0
-    sectors: set[tuple[int, ...]] = set()
-    while heap and retained < probe.cutoff_mass:
-        negw, idx = heapq.heappop(heap)
-        retained += -negw
-        occs = tuple(int(o[i]) for o, i in zip(orders, idx))
-        sectors.add(_charge_key(kind, occs))
-        for axis in range(len(idx)):
-            nxt = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1 :]
-            if nxt[axis] <= tops[axis] and nxt not in seen:
-                seen.add(nxt)
-                heapq.heappush(heap, (-state_weight(nxt), nxt))
-    if retained < probe.cutoff_mass:
+    box = np.ones(())
+    for w, o in zip(weight_rows, orders):
+        box = np.multiply.outer(box, w[o])
+    weights = box.ravel()
+    ranked = np.argsort(-weights, kind="stable")
+    retained = np.cumsum(weights[ranked])
+    kept = int(np.searchsorted(retained, probe.cutoff_mass)) + 1
+    if kept > len(ranked):
         raise ResourceError(
-            f"retained mass {retained} below cutoff {probe.cutoff_mass}; "
+            f"retained mass {retained[-1]} below cutoff {probe.cutoff_mass}; "
             "per-mode truncation too tight"
         )
+    ranks = np.unravel_index(ranked[:kept], box.shape)
+    occs = np.stack([o[r] for o, r in zip(orders, ranks)], axis=1)
 
+    # each table gains a trailing zero for occupations past its cutoff
+    padded = [np.append(t, 0.0) for t in tables]
     comps = []
-    for key in sorted(sectors):
-        rep = _sector_root(kind, key)
-        ladder = build_ladder(kind, FockConfig(rep))
-        psi = np.zeros(ladder.d, dtype=complex)
-        for k, cfg in enumerate(ladder.basis):
-            amp = 1.0 + 0.0j
-            for table, n in zip(tables, cfg.occupations):
-                if n >= len(table):
-                    amp = 0.0j
-                    break
-                amp *= table[n]
-            psi[k] = amp
+    for root in np.unique(_sector_roots(kind, occs), axis=0):
+        ladder = build_ladder(kind, FockConfig(root))
+        psi = np.ones(ladder.d, dtype=complex)
+        for table, column in zip(padded, ladder.basis.T):
+            psi *= table[np.minimum(column, len(table) - 1)]
         w = float(np.vdot(psi, psi).real)
         if w <= 0.0:
             continue
@@ -238,21 +229,9 @@ def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> Weight
     return WeightedComponents(tuple(comps))
 
 
-def _sector_root(kind: InteractionKind, key: tuple[int, ...]) -> tuple[int, ...]:
-    """The rung-0 configuration of a conserved-charge sector."""
-    if kind is InteractionKind.I:
-        qb, qc = key
-        return (0, qb, qc)
-    (q,) = key
-    return (0, q)
-
-
 def mean_occupations(components: WeightedComponents) -> np.ndarray:
     """Ensemble mean occupation per mode (diagnostic for truncation)."""
-    n_modes = len(components.components[0].ladder.basis[0])
-    acc = np.zeros(n_modes)
-    for comp in components.components:
-        pops = np.abs(comp.amplitudes) ** 2
-        for k, cfg in enumerate(comp.ladder.basis):
-            acc += comp.weight * pops[k] * np.array(cfg.occupations)
-    return acc
+    return sum(
+        c.weight * (np.abs(c.amplitudes) ** 2 @ c.ladder.basis)
+        for c in components.components
+    )

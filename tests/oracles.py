@@ -4,10 +4,16 @@ Nothing here reuses the package's spectral path: generators are built on
 the full truncated tensor-product space from single-mode ladder
 matrices, reachability is a graph search over nonzero matrix entries,
 and time evolution is a scaled Taylor series of the matrix exponential.
+Coherent-probe sectors are found by a best-first heap search over the
+truncated product states, one state at a time.
 """
+import heapq
+import math
+
 import numpy as np
 
 from tsense import InteractionKind
+from tsense.probes import _poisson_cutoffs
 
 
 def _a_op(dim: int) -> np.ndarray:
@@ -104,3 +110,70 @@ def central_diff(fn, x: float, step: float = 1e-5):
     """First and second central finite differences."""
     up, mid, dn = fn(x + step), fn(x), fn(x - step)
     return (up - dn) / (2 * step), (up - 2 * mid + dn) / (step * step)
+
+
+def coherent_sectors_heap(alphas, cutoff_mass: float, kind: InteractionKind):
+    """Sectors of a product coherent probe by best-first heap search.
+
+    Product states leave a heap in descending Poisson weight, ties broken
+    by their tuple of per-mode weight ranks, until the retained mass
+    reaches ``cutoff_mass``.  Returns ``(root, weight, psi)`` per sector
+    in ascending root order: the rung-0 occupations, the normalized
+    sector weight and the unit amplitude vector over the sector's rungs,
+    each amplitude a product of per-mode <n|alpha> built rung by rung.
+    """
+    tops = _poisson_cutoffs([abs(a) ** 2 for a in alphas], cutoff_mass)
+    tables = []
+    for a, top in zip(alphas, tops):
+        # numpy complex arithmetic, as the package's tables use: ties in
+        # weight must round alike on both sides
+        row = np.empty(top + 1, dtype=complex)
+        row[0] = math.exp(-abs(a) ** 2 / 2.0)
+        for n in range(1, top + 1):
+            row[n] = row[n - 1] * a / math.sqrt(n)
+        tables.append(row)
+    weight_rows = [np.abs(t) ** 2 for t in tables]
+    orders = [np.argsort(-w, kind="stable") for w in weight_rows]
+
+    def state_weight(idx):
+        return math.prod(w[o[i]] for w, o, i in zip(weight_rows, orders, idx))
+
+    start = tuple(0 for _ in alphas)
+    heap = [(-state_weight(start), start)]
+    seen = {start}
+    retained = 0.0
+    keys = set()
+    while heap and retained < cutoff_mass:
+        negw, idx = heapq.heappop(heap)
+        retained += -negw
+        occs = tuple(int(o[i]) for o, i in zip(orders, idx))
+        if kind is InteractionKind.I:
+            keys.add((occs[0] + occs[1], occs[0] + occs[2]))
+        else:
+            keys.add((2 * occs[0] + occs[1],))
+        for axis in range(len(idx)):
+            nxt = idx[:axis] + (idx[axis] + 1,) + idx[axis + 1 :]
+            if nxt[axis] <= tops[axis] and nxt not in seen:
+                seen.add(nxt)
+                heapq.heappush(heap, (-state_weight(nxt), nxt))
+    assert retained >= cutoff_mass
+
+    sectors = []
+    for key in sorted(keys):
+        if kind is InteractionKind.I:
+            qb, qc = key
+            rungs = [(k, qb - k, qc - k) for k in range(min(qb, qc) + 1)]
+        else:
+            (q,) = key
+            rungs = [(k, q - 2 * k) for k in range(q // 2 + 1)]
+        psi = np.zeros(len(rungs), dtype=complex)
+        for k, rung in enumerate(rungs):
+            amp = 1.0 + 0.0j
+            for table, n in zip(tables, rung):
+                amp = amp * table[n] if n < len(table) else 0.0j
+            psi[k] = amp
+        w = float(np.vdot(psi, psi).real)
+        if w > 0.0:
+            sectors.append((rungs[0], w, psi / math.sqrt(w)))
+    total = sum(w for _, w, _ in sectors)
+    return [(root, w / total, psi) for root, w, psi in sectors]

@@ -382,7 +382,7 @@ def test_criterion_7_property_suites():
         )
         for occs in occ_ranges:
             lad = build_ladder(kind, FockConfig(occs))
-            key = (tuple(lad.basis[0].occupations), lad.root_index)
+            key = (tuple(lad.basis[0].tolist()), lad.root_index)
             if lad.d > 6 or key in seen:
                 continue
             seen.add(key)

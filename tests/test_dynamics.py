@@ -117,7 +117,7 @@ def test_grid_rows_match_taylor_exponential(kind, root):
 
 def test_outcome_probabilities_at_zero():
     lad = build_ladder(I, FockConfig((2, 1, 1)))
-    assert [cfg[0] for cfg in lad.basis] == [0, 1, 2, 3]
+    assert lad.basis[:, 0].tolist() == [0, 1, 2, 3]
     probs, dprobs, _ = PreparedProbe(PureFock((2, 1, 1)), I).distributions(
         np.array([0.0]), 1.0
     )

@@ -47,6 +47,12 @@ CASES = {
         "coherent-compare", "--interaction", "I", "--state", "2,2,2",
         "--theta-max", "0.5", "--steps", "11",
     ],
+    # equal amplitudes: many product states tie in weight
+    "coherent-compare-ties": [
+        "coherent-compare", "--interaction", "I", "--state", "2,2,2",
+        "--alpha=1.4142135623730951,1.4142135623730951,1.4142135623730951",
+        "--scheme", "binary", "--steps", "21",
+    ],
     "bench-coherent-sectors": [
         "coherent-compare", "--interaction", "I", "--state", "2,2,2",
         "--alpha=0.9+1.1i,-1.3+0.4i,0.2-1.4i", "--scheme", "s0",

@@ -11,7 +11,7 @@ I, II = InteractionKind.I, InteractionKind.II
 
 
 def occs(ladder):
-    return [cfg.occupations for cfg in ladder.basis]
+    return [tuple(row) for row in ladder.basis.tolist()]
 
 
 def test_three_mode_example():
@@ -46,6 +46,8 @@ def test_invalid_inputs():
         build_ladder(II, FockConfig((1, 1, 1)))
     with pytest.raises(ConfigurationError):
         FockConfig((1, -1, 0))
+    with pytest.raises(ConfigurationError):
+        FockConfig((0, 2**61, 0))
 
 
 def test_charge_conservation():
@@ -123,3 +125,5 @@ def test_ladder_arrays_are_immutable():
     lad = build_ladder(I, FockConfig((1, 1, 1)))
     with pytest.raises(ValueError):
         lad.offdiag[0] = 0.0
+    with pytest.raises(ValueError):
+        lad.basis[0, 0] = 5

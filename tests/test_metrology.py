@@ -36,6 +36,9 @@ def limit_fisher(probe, kind, scheme, mode=0):
 def test_outcome_partition_shapes():
     assert outcome_partition(FullPNR(), 4) == [[0], [1], [2], [3]]
     assert outcome_partition(BinaryFock(2), 4) == [[2], [0, 1, 3]]
+    # a binary target outside the occupation range leaves its group empty
+    assert outcome_partition(BinaryFock(-1), 4) == [[], [0, 1, 2, 3]]
+    assert outcome_partition(BinaryFock(9), 4) == [[], [0, 1, 2, 3]]
     # negative occupations are dropped, remainder collects the rest
     assert outcome_partition(SequentialS0(1), 6) == [[1], [0, 2], [3], [4, 5]]
     assert outcome_partition(SequentialS0(3), 6) == [[3], [2, 4], [1, 5], [0]]
@@ -59,6 +62,12 @@ def test_limit_examples():
     assert f_vac.shape == (2,)
     assert f_vac[0] == 0.0
     assert f_vac[1] == 0.0
+    # a binary target outside the ladder: one group holds all the
+    # probability, so F vanishes up to rounding
+    probe = PreparedProbe(PureFock((2, 1, 1)), I)
+    for n in (-1, 9):
+        f = probe.fisher(BinaryFock(n), np.array([0.0, 0.3]), 1.0)
+        np.testing.assert_allclose(f, 0.0, rtol=0, atol=1e-24)
 
 
 def test_closed_form_reductions():
