@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from importlib import resources
 from typing import Optional
 
@@ -41,93 +41,35 @@ from .metrology import (
 from .optimize import asymptotic_prediction, optimize_config, scaling_table
 from .probes import CoherentProduct, NoisyFock, PureFock
 
-SUBCOMMANDS = (
-    "fisher-scan",
-    "optimize",
-    "scaling",
-    "dynamic-range",
-    "noise-scan",
-    "coherent-compare",
-)
-
-DEFAULTS = {
-    "interaction": "I",
-    "state": None,
-    "eps": None,
-    "alpha": None,
-    "scheme": "pnr",
-    "time": 1.0,
-    "theta_max": 1.0,
-    "steps": 401,
-    "total": None,
-    "n_max": 30,
-    "trials": 1,
-    "out": None,
-    "format": "csv",
-}
-
 NON_FINITE = "the results contain non-finite values"
 
-CHOICES = {
-    "interaction": ("I", "II"),
-    "scheme": ("pnr", "binary", "s0"),
-    "format": ("csv", "json"),
-}
 
-# the JSON types a config-file value may have; null only where the default is
-_NUMBER = (int, float)
-CONFIG_TYPES = {
-    "interaction": str,
-    "state": (str, list),
-    "eps": (str, list),
-    "alpha": (str, list),
-    "scheme": str,
-    "time": _NUMBER,
-    "theta_max": _NUMBER,
-    "steps": int,
-    "total": int,
-    "n_max": int,
-    "trials": int,
-    "out": str,
-    "format": str,
-}
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    interaction: str
-    state: Optional[tuple[int, ...]]
-    eps: Optional[tuple[float, ...]]
-    alpha: Optional[tuple[complex, ...]]
-    scheme: str
-    time: float
-    theta_max: float
-    steps: int
-    total: Optional[int]
-    n_max: int
-    trials: int
-    out: Optional[str]
-    format: str
-
-
-def _parse_state(text: str) -> tuple[int, ...]:
+def _occupations(value) -> tuple[int, ...]:
+    """``--state`` as "2,1,1" or a JSON list of integers."""
+    if isinstance(value, list):
+        return tuple(int(n) for n in value)
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in value.split(","))
     except ValueError as exc:
-        raise ConfigurationError(f"cannot parse occupations from {text!r}") from exc
+        raise ConfigurationError(f"cannot parse occupations from {value!r}") from exc
 
 
-def _parse_eps(text: str) -> tuple[float, ...]:
+def _eps(value) -> tuple[float, ...]:
+    """``--eps`` as "0.05,0.1" or a JSON list of numbers."""
+    if isinstance(value, list):
+        return tuple(float(e) for e in value)
     try:
-        return tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in value.split(","))
     except ValueError as exc:
-        raise ConfigurationError(f"cannot parse eps from {text!r}") from exc
+        raise ConfigurationError(f"cannot parse eps from {value!r}") from exc
 
 
-def _parse_alpha(text: str) -> tuple[complex, ...]:
+def _amplitudes(value) -> tuple[complex, ...]:
+    """``--alpha`` as "1.2+0.5i,..." or a JSON list of [re, im] pairs."""
+    if isinstance(value, list):
+        return tuple(complex(re, im) for re, im in value)
     out = []
-    for part in text.split(","):
+    for part in value.split(","):
         try:
             out.append(complex(part.strip().replace("i", "j")))
         except ValueError as exc:
@@ -135,63 +77,94 @@ def _parse_alpha(text: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def _flag(default, type=str, choices=None, help=None, parse=None):
+    """A RunConfig field that is also the flag ``--<name>`` and a config key.
+
+    ``type`` converts the flag's text; a config-file value must have the
+    matching JSON type (any number for float).  A list-valued flag is
+    text on the command line or a JSON list in a config file, and
+    ``parse`` normalises either form.  A config value may be null only
+    where the default is.
+    """
+    return field(default=default, metadata={
+        "type": type, "choices": choices, "help": help, "parse": parse,
+    })
+
+
+@dataclass
+class RunConfig:
+    subcommand: str
+    interaction: str = _flag("I", choices=("I", "II"))
+    state: Optional[tuple[int, ...]] = _flag(
+        None, help="occupations, e.g. 2,1,1", parse=_occupations)
+    eps: Optional[tuple[float, ...]] = _flag(
+        None, help="per-mode eps or one broadcast value", parse=_eps)
+    alpha: Optional[tuple[complex, ...]] = _flag(
+        None, help="coherent amplitudes re+imi, comma separated", parse=_amplitudes)
+    scheme: str = _flag("pnr", choices=("pnr", "binary", "s0"))
+    time: float = _flag(1.0, type=float)
+    theta_max: float = _flag(1.0, type=float)
+    steps: int = _flag(401, type=int)
+    total: Optional[int] = _flag(None, type=int)
+    n_max: int = _flag(30, type=int)
+    trials: int = _flag(1, type=int)
+    out: Optional[str] = _flag(None)
+    format: str = _flag("csv", choices=("csv", "json"))
+
+
+FLAGS = {flag.name: flag for flag in fields(RunConfig)[1:]}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    flags = argparse.ArgumentParser(add_help=False)
+    for flag in FLAGS.values():
+        meta = flag.metadata
+        flags.add_argument(
+            "--" + flag.name.replace("_", "-"), default=None, help=meta["help"],
+            choices=meta["choices"], type=meta["type"],
+        )
+    flags.add_argument("--config", default=None, help="JSON file presetting any flag")
     parser = argparse.ArgumentParser(
         prog="tsense",
         description="Fisher-information analysis of trilinear coupling sensing",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        sub = subs.add_parser(name)
-        sub.add_argument("--interaction", choices=CHOICES["interaction"], default=None)
-        sub.add_argument("--state", default=None, help="occupations, e.g. 2,1,1")
-        sub.add_argument("--eps", default=None, help="per-mode eps or one broadcast value")
-        sub.add_argument("--alpha", default=None, help="coherent amplitudes re+imi, comma separated")
-        sub.add_argument("--scheme", choices=CHOICES["scheme"], default=None)
-        sub.add_argument("--time", type=float, default=None)
-        sub.add_argument("--theta-max", dest="theta_max", type=float, default=None)
-        sub.add_argument("--steps", type=int, default=None)
-        sub.add_argument("--total", type=int, default=None)
-        sub.add_argument("--n-max", dest="n_max", type=int, default=None)
-        sub.add_argument("--trials", type=int, default=None)
-        sub.add_argument("--out", default=None)
-        sub.add_argument("--format", choices=CHOICES["format"], default=None)
-        sub.add_argument("--config", default=None, help="JSON file presetting any flag")
+    for name in COMMANDS:
+        subs.add_parser(name, parents=[flags])
     return parser
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Merge defaults, an optional config file, and explicit flags."""
     ns = _build_parser().parse_args(argv)
-    merged = dict(DEFAULTS)
+    merged = {name: flag.default for name, flag in FLAGS.items()}
     if ns.subcommand == "optimize":
         merged["format"] = "json"
     if ns.config is not None:
         try:
             with open(ns.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError:
-            raise
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError("a config file must hold one JSON object")
         loaded.pop("subcommand", None)
-        unknown = set(loaded) - set(DEFAULTS)
+        unknown = set(loaded) - set(FLAGS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
-            _check_config_value(key, value)
+            _check_config_value(FLAGS[key], value)
         merged.update(loaded)
-    for key in DEFAULTS:
+    for key in merged:
         value = getattr(ns, key)
         if value is not None:
             merged[key] = value
     try:
-        merged["state"] = _norm_state(merged["state"])
-        merged["eps"] = _norm_eps(merged["eps"])
-        merged["alpha"] = _norm_alpha(merged["alpha"])
+        for key, flag in FLAGS.items():
+            parse = flag.metadata["parse"]
+            if parse is not None and merged[key] is not None:
+                merged[key] = parse(merged[key])
     except TypeError as exc:  # list entries of the wrong type in a config file
         raise ConfigurationError(f"invalid config value: {exc}") from exc
     for key in ("time", "theta_max"):
@@ -205,46 +178,22 @@ def parse_config(argv: list[str]) -> RunConfig:
     return RunConfig(subcommand=ns.subcommand, **merged)
 
 
-def _check_config_value(key: str, value) -> None:
-    if value is None and DEFAULTS[key] is None:
+def _check_config_value(flag: Field, value) -> None:
+    meta = flag.metadata
+    if value is None and flag.default is None:
         return
-    if isinstance(value, bool) or not isinstance(value, CONFIG_TYPES[key]):
-        raise ConfigurationError(f"config value for {key!r} has the wrong type: {value!r}")
-    if key in CHOICES and value not in CHOICES[key]:
+    if meta["parse"] is not None:
+        json_type = (str, list)
+    else:
+        json_type = (int, float) if meta["type"] is float else meta["type"]
+    if isinstance(value, bool) or not isinstance(value, json_type):
         raise ConfigurationError(
-            f"config value for {key!r} must be one of {', '.join(CHOICES[key])}, got {value!r}"
+            f"config value for {flag.name!r} has the wrong type: {value!r}")
+    if meta["choices"] is not None and value not in meta["choices"]:
+        raise ConfigurationError(
+            f"config value for {flag.name!r} must be one of "
+            f"{', '.join(meta['choices'])}, got {value!r}"
         )
-
-
-def _norm_state(value) -> Optional[tuple[int, ...]]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return _parse_state(value)
-    return tuple(int(n) for n in value)
-
-
-def _norm_eps(value) -> Optional[tuple[float, ...]]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return _parse_eps(value)
-    return tuple(float(e) for e in value)
-
-
-def _norm_alpha(value) -> Optional[tuple[complex, ...]]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return _parse_alpha(value)
-    out = []
-    for item in value:
-        if isinstance(item, complex):
-            out.append(item)
-        else:
-            re, im = item
-            out.append(complex(re, im))
-    return tuple(out)
 
 
 def _kind(cfg: RunConfig) -> InteractionKind:

@@ -10,7 +10,8 @@ class ConfigurationError(TsenseError):
 
 
 class NumericError(TsenseError):
-    """An iterative numerical routine failed to converge."""
+    """A computation failed numerically: it did not converge, or its
+    results are not finite."""
 
 
 class ResourceError(TsenseError):

@@ -22,7 +22,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResourceError
+
+# the most rungs build_ladder will allocate: 8192 rungs already mean
+# 512 MiB of float64 eigenvectors once the ladder is diagonalized
+MAX_RUNGS = 8192
 
 
 class InteractionKind(Enum):
@@ -106,7 +110,7 @@ def build_ladder(kind: InteractionKind, root: FockConfig) -> Ladder:
     if kind is InteractionKind.I:
         na, nb, nc = root.occupations
         qb, qc = na + nb, na + nc
-        k = np.arange(min(qb, qc) + 1)
+        k = np.arange(_checked_rungs(min(qb, qc) + 1, root))
         basis = np.stack([k, qb - k, qc - k], axis=1)
         # float factors: each partial product is exact below 2^53, as
         # the integer product was, and nothing can wrap around
@@ -115,8 +119,18 @@ def build_ladder(kind: InteractionKind, root: FockConfig) -> Ladder:
     else:
         na, nb = root.occupations
         q = 2 * na + nb
-        k = np.arange(q // 2 + 1)
+        k = np.arange(_checked_rungs(q // 2 + 1, root))
         basis = np.stack([k, q - 2 * k], axis=1)
         lo = k[:-1]
         off = np.sqrt((lo + 1.0) * (q - 2 * lo) * (q - 2 * lo - 1))
     return Ladder(basis=basis, offdiag=off, root_index=root[0])
+
+
+def _checked_rungs(d: int, root: FockConfig) -> int:
+    """The closed-form rung count ``d``, refused above MAX_RUNGS before
+    anything is allocated."""
+    if d > MAX_RUNGS:
+        raise ResourceError(
+            f"the ladder of {root.occupations} has {d} rungs (cap {MAX_RUNGS})"
+        )
+    return d

@@ -295,7 +295,11 @@ def dynamic_range_formula(
     single-pumped interaction-I probes (n, 0, 0) under the binary
     readout, the true first minimum times sqrt(F(0)) grows with n
     (3.63, 4.70, 5.87, 7.10 at n = 2, 4, 8, 16, against sqrt(16) = 4),
-    so the estimate is off by 9%, 17%, 47% and 78% there.  Probes whose
+    so the estimate is off by 9%, 17%, 47% and 78% there.  The growth
+    goes on as a logarithm: the product is 8.34, 9.59 and 10.83 at
+    n = 32, 64 and 128, about 1.245 more per doubling of n from n = 16
+    on, so the true minimum falls like ln(n)/sqrt(n), while this
+    formula, with F(0) = 4n, gives 2/sqrt(n).  Probes whose
     ladder has only two rungs, such as (0, 2) and (0, 3) for
     interaction II or (1, 1, 0) for interaction I, have a constant F and
     no minimum at all, yet a number is still returned for them.

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import jsonschema
 import pytest
 
 import tsense
-from tsense.cli import main, output_schema, parse_config
+from tsense.cli import COMMANDS, RunConfig, main, output_schema, parse_config
 
 
 def run_cli(args, capsys):
@@ -285,6 +287,17 @@ def test_resource_failure_exit_code(capsys):
     assert code == 4
 
 
+def test_oversized_ladder_is_a_resource_failure(capsys):
+    # d = 3e9 rungs: refused from the closed-form size, before any allocation
+    code, out, err = run_cli(
+        ["fisher-scan", "--state", "2,3000000000,3000000000", "--steps", "3"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    assert err.count("\n") == 1 and "3000000003 rungs" in err
+
+
 def test_alpha_and_state_conflict(capsys):
     code, _, err = run_cli(
         [
@@ -339,6 +352,31 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
     assert overridden.steps == 21
     assert overridden.state == cfg.state
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sub", list(COMMANDS))
+def test_config_keys_are_the_flags(sub, tmp_path, capsys):
+    code, out, _ = run_cli([sub, "--help"], capsys)
+    assert code == 0
+    flags = set(re.findall(r"\s(--[a-z][a-z-]*)", out)) - {"--config", "--help"}
+    keys = {name.replace("-", "_") for name in (flag[2:] for flag in flags)}
+    config_keys = {f.name for f in dataclasses.fields(RunConfig)} - {"subcommand"}
+    assert keys == config_keys
+    # every key at once, each at the value its flag leaves by default
+    defaults = parse_config([sub])
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps({key: getattr(defaults, key) for key in keys}), encoding="utf-8")
+    assert parse_config([sub, "--config", str(path)]) == defaults
+    # and each key on its own, moved off its default through the file as by its flag
+    texts = {"interaction": "II", "scheme": "s0", "state": "1,3", "eps": "0.5",
+             "alpha": "1+2i", "out": "x.csv", "format": "json" if sub != "optimize" else "csv"}
+    for key in sorted(keys):
+        text = texts.get(key, "7")
+        want = parse_config([sub, "--" + key.replace("_", "-"), text])
+        assert want != defaults, key
+        value = text if key in ("state", "eps", "alpha") else getattr(want, key)
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert parse_config([sub, "--config", str(path)]) == want, key
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -5,7 +5,9 @@ stdout and stderr it produced when it was recorded.  Exit code, stderr,
 meta keys, columns, row counts and empty cells must match exactly;
 numeric cells (and numeric meta values) must match to a relative 1e-11,
 so a change that reorders floating-point sums still passes while one
-that changes a result does not.
+that changes a result does not.  The ``--help`` texts and the argparse
+usage error are compared byte for byte; every case runs with
+``COLUMNS=80``, because argparse wraps its text to the terminal width.
 
 Record the goldens with the package on the path:
 
@@ -17,11 +19,13 @@ import contextlib
 import csv
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from tsense.cli import main
+from tsense.cli import COMMANDS, main
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 REL_TOL = 1e-11
@@ -83,10 +87,22 @@ CASES = {
     "missing-state": ["fisher-scan", "--interaction", "I"],
 }
 
+SUBCOMMANDS = (
+    "fisher-scan", "optimize", "scaling", "dynamic-range", "noise-scan",
+    "coherent-compare",
+)
+HELP_CASES = {
+    "help": ["--help"],
+    **{f"help-{sub}": [sub, "--help"] for sub in SUBCOMMANDS},
+    "usage-unknown-flag": ["fisher-scan", "--bogus"],
+}
+COLUMNS = "80"
+
 
 def run_case(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return {"argv": argv, "exit": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
 
@@ -151,6 +167,17 @@ def test_cli_matches_golden(name):
     assert not problems, "\n".join(problems[:10])
 
 
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden_bytes(name):
+    golden = json.loads((GOLDENS / f"{name}.json").read_text(encoding="utf-8"))
+    assert golden["argv"] == HELP_CASES[name]
+    assert run_case(HELP_CASES[name]) == golden
+
+
+def test_help_cases_cover_every_subcommand():
+    assert list(SUBCOMMANDS) == list(COMMANDS)
+
+
 def test_golden_comparison_is_not_vacuous():
     def doc(label="fock(2,1,1)", first="1.0", second=""):
         return _parse_csv(
@@ -165,9 +192,9 @@ def test_golden_comparison_is_not_vacuous():
     assert _diff({"a": [1.0, None]}, {"a": [1.0, 0.0]}, "x")
 
 
-def record() -> None:
+def record(cases: dict | None = None) -> None:
     GOLDENS.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name, argv in (cases or {**CASES, **HELP_CASES}).items():
         doc = run_case(argv)
         (GOLDENS / f"{name}.json").write_text(
             json.dumps(doc, indent=1) + "\n", encoding="utf-8"

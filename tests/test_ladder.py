@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tsense import ConfigurationError, FockConfig, InteractionKind, build_ladder
+from tsense import ConfigurationError, FockConfig, InteractionKind, ResourceError, build_ladder
+from tsense.ladder import MAX_RUNGS
 
 from oracles import reachable_block
 
@@ -48,6 +49,24 @@ def test_invalid_inputs():
         FockConfig((1, -1, 0))
     with pytest.raises(ConfigurationError):
         FockConfig((0, 2**61, 0))
+
+
+def test_oversized_ladders_are_refused_before_allocation():
+    # the closed-form rung count decides; none of these ladders is built
+    for kind, occupations in [
+        (I, (2, 3_000_000_000, 3_000_000_000)),
+        (I, (MAX_RUNGS, 0, 0)),
+        (I, (0, 2**60, 2**60)),
+        (II, (0, 2 * MAX_RUNGS)),
+        (II, (2**60, 0)),
+    ]:
+        with pytest.raises(ResourceError, match="rungs"):
+            build_ladder(kind, FockConfig(occupations))
+    # the largest ladders still allowed: building one holds only its d x modes table
+    assert build_ladder(I, FockConfig((MAX_RUNGS - 1, 0, 0))).d == MAX_RUNGS
+    assert build_ladder(II, FockConfig((0, 2 * MAX_RUNGS - 1))).d == MAX_RUNGS
+    # above every ladder the goldens and the benchmark build (d = 401)
+    assert MAX_RUNGS > 401
 
 
 def test_charge_conservation():
