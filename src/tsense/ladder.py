@@ -25,7 +25,10 @@ import numpy as np
 from .errors import ConfigurationError, ResourceError
 
 # the most rungs build_ladder will allocate: 8192 rungs already mean
-# 512 MiB of float64 eigenvectors once the ladder is diagonalized
+# 512 MiB of float64 eigenvectors once the ladder is diagonalized, and
+# PreparedProbe caps the sum of d**2 over a probe's ladders at the same
+# MAX_RUNGS**2.  While diagonalize runs, the SVD's outputs and workspace
+# add about 1.3 d**2 more (measured at d = 2001 and 3000)
 MAX_RUNGS = 8192
 
 

@@ -23,8 +23,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import dynamics
-from .errors import ConfigurationError, UndefinedBoundError
-from .ladder import FockConfig, InteractionKind, build_ladder, validate_config
+from .errors import ConfigurationError, ResourceError, UndefinedBoundError
+from .ladder import MAX_RUNGS, FockConfig, InteractionKind, build_ladder, validate_config
 from .probes import CoherentProduct, Probe, PureFock, decompose
 
 ZERO_PROB = 1e-14
@@ -93,6 +93,14 @@ class PreparedProbe:
         self.kind = kind
         self.mode = mode
         parts = decompose(probe, kind).components
+        # each ladder keeps a d x d eigenvector matrix; all of them together
+        # may hold no more than one ladder at the rung cap
+        entries = sum(c.ladder.d ** 2 for c in parts)
+        if entries > MAX_RUNGS**2:
+            raise ResourceError(
+                f"the {len(parts)} ladders of the probe need {entries} eigenvector "
+                f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2)"
+            )
         # each component's weight on P, and twice that on P' and P''
         self.scales = [
             np.array([[c.weight], [2.0 * c.weight], [2.0 * c.weight]]) for c in parts

@@ -20,6 +20,17 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def run_fresh(args):
+    """Run ``python *args`` in a fresh interpreter with the package on its path."""
+    src = str(Path(tsense.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def csv_body(text):
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     return lines[0], lines[1:]
@@ -262,17 +273,43 @@ def test_non_finite_results_are_numeric_failures(fmt, tmp_path, capsys):
 )
 def test_overflow_reports_one_line(args):
     # a fresh interpreter, so numpy warnings would reach stderr as printed
-    src = str(Path(tsense.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tsense.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fresh(["-m", "tsense.cli", *args])
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr == "numeric failure: the results contain non-finite values\n"
+
+
+# runs each argv of a JSON list through main() while a None entry in
+# sys.modules makes every scipy import fail, and reports the exit codes,
+# the stdout texts and any scipy submodule that got loaded
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from tsense.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+loaded = [m for m in sys.modules if m.startswith("scipy") and m != "scipy"]
+print(json.dumps({"runs": runs, "scipy": loaded}))
+"""
+
+
+def test_cli_runs_without_scipy(capsys):
+    argvs = [
+        ["fisher-scan", "--state", "1,0,0", "--steps", "2"],
+        ["dynamic-range", "--state", "4,0,0", "--scheme", "binary", "--steps", "41"],
+        ["coherent-compare", "--state", "1,1,1", "--theta-max", "0.5", "--steps", "5"],
+    ]
+    proc = run_fresh(["-c", WITHOUT_SCIPY, json.dumps(argvs)])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["scipy"] == []
+    assert len(doc["runs"]) == len(argvs)
+    for argv, (code, out) in zip(argvs, doc["runs"]):
+        assert code == 0
+        assert out and out == run_cli(argv, capsys)[1]
 
 
 def test_resource_failure_exit_code(capsys):
@@ -433,3 +470,20 @@ def test_json_outputs_validate_against_schema(tmp_path, capsys):
         code, out, _ = run_cli(args, capsys)
         assert code == 0, args
         validator.validate(json.loads(out))
+
+
+def test_probe_eigenvector_budget_is_a_resource_failure(monkeypatch, capsys):
+    # 27 ladders, each under the rung cap, would hold about 12.9 GiB of
+    # eigenvectors; the probe is refused before any of them is diagonalized
+    def refuse(ladder):
+        raise AssertionError(f"diagonalized a ladder of d = {ladder.d}")
+
+    monkeypatch.setattr(tsense.dynamics, "diagonalize", refuse)
+    code, out, err = run_cli(
+        ["fisher-scan", "--state", "2000,6000,6000", "--eps", "0.1", "--steps", "3"],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    assert err.count("\n") == 1 and "27 ladders" in err

@@ -57,18 +57,43 @@ def test_spectrum_examples():
 
 @pytest.mark.parametrize(
     "kind,root",
-    [(I, (2, 3, 1)), (I, (4, 4, 4)), (II, (3, 5)), (II, (0, 9)), (I, (1, 0, 5))],
+    [
+        (I, (2, 3, 1)), (I, (4, 4, 4)), (II, (3, 5)), (II, (0, 9)), (I, (1, 0, 5)),
+        # d = 2, 3, 4
+        (I, (1, 0, 0)), (I, (2, 0, 0)), (II, (3, 0)),
+        # the benchmark's deep ladders: d = 401 and d = 301
+        (I, (200, 200, 200)), (II, (130, 340)),
+    ],
 )
 def test_spectrum_invariants(kind, root):
     lad, spec = spectrum_of(kind, root)
     v, lam = spec.eigenvectors, spec.eigenvalues
-    np.testing.assert_allclose(
-        v @ np.diag(lam) @ v.T, lad.matrix(), rtol=0, atol=1e-10
-    )
+    g = lad.matrix()
+    dense = np.linalg.eigh(g)[0]
+    norm = np.abs(dense).max()
+    np.testing.assert_allclose(lam, dense, rtol=0, atol=1e-13 * norm)
+    np.testing.assert_allclose(v @ np.diag(lam) @ v.T, g, rtol=0, atol=1e-10)
     np.testing.assert_allclose(v.T @ v, np.eye(lad.d), rtol=0, atol=1e-10)
     assert np.all(np.diff(lam) >= -1e-12)
     # chain with zero diagonal: eigenvalues come in +/- pairs
     np.testing.assert_allclose(lam, -lam[::-1], rtol=0, atol=1e-10)
+    assert np.array_equal(lam, -lam[::-1])
+    if lad.d % 2:
+        # the null vector lives on the even rungs alone
+        null = lad.d // 2
+        assert lam[null] == 0.0
+        assert np.all(v[1::2, null] == 0.0)
+
+
+@pytest.mark.parametrize("kind", [I, II])
+def test_spectra_ascend_and_pair_exactly(kind):
+    for d in range(1, 65):
+        root = (d - 1, 0, 0) if kind is I else (0, 2 * d - 1)
+        lad, spec = spectrum_of(kind, root)
+        lam = spec.eigenvalues
+        assert lad.d == d and spec.eigenvectors.shape == (d, d)
+        assert np.all(np.diff(lam) > 0)
+        assert np.array_equal(lam, -lam[::-1])
 
 
 def test_zero_coupling_is_identity():

@@ -13,6 +13,7 @@ from tsense import (
     NoisyFock,
     PreparedProbe,
     PureFock,
+    ResourceError,
     SequentialS0,
     UndefinedBoundError,
     cramer_rao,
@@ -23,6 +24,8 @@ from tsense import (
     qfi_variance,
     scan,
 )
+from tsense import dynamics
+from tsense.ladder import MAX_RUNGS
 from tsense.metrology import SensitivityProfile, outcome_partition
 
 I, II = InteractionKind.I, InteractionKind.II
@@ -268,3 +271,22 @@ def test_fisher_other_measured_mode():
     f_b = limit_fisher(PureFock((2, 1, 1)), I, FullPNR(), mode=1)
     assert f_b == pytest.approx(44.0, abs=1e-8)
 
+
+def test_probe_eigenvector_budget_is_checked_before_diagonalizing(monkeypatch):
+    # 27 ladders of d = 7999-8003, each under the rung cap, about 12.9 GiB
+    # of eigenvectors together
+    def refuse(ladder):
+        raise AssertionError(f"diagonalized a ladder of d = {ladder.d}")
+
+    monkeypatch.setattr(dynamics, "diagonalize", refuse)
+    probe = NoisyFock((2000, 6000, 6000), (0.1, 0.1, 0.1))
+    with pytest.raises(ResourceError, match=r"27 ladders .* 12\.9 GiB"):
+        PreparedProbe(probe, I)
+
+
+def test_probe_eigenvector_budget_admits_one_ladder_at_the_cap(monkeypatch):
+    # d = MAX_RUNGS fills the budget exactly; the stub keeps it undiagonalized
+    seen = []
+    monkeypatch.setattr(dynamics, "diagonalize", lambda ladder: seen.append(ladder.d))
+    PreparedProbe(PureFock((MAX_RUNGS - 1, 0, 0)), I)
+    assert seen == [MAX_RUNGS]
