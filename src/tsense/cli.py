@@ -369,9 +369,10 @@ def cmd_noise_scan(cfg: RunConfig) -> dict:
     if cfg.eps is None:
         raise ConfigurationError("--eps is required for noise-scan")
     eps = _broadcast_eps(cfg.eps, _kind(cfg).n_modes)
-    pure = _scan(cfg, PureFock(state))
+    # the noisy probe first: if it is refused, no time goes into the pure one
     probe = NoisyFock(state, eps)
     noisy = _scan(cfg, probe)
+    pure = _scan(cfg, PureFock(state))
     rows = [
         [float(th), float(fp), float(fn)]
         for th, fp, fn in zip(pure.couplings, pure.fisher, noisy.fisher)
@@ -393,9 +394,10 @@ def cmd_coherent_compare(cfg: RunConfig) -> dict:
         raise ConfigurationError(
             f"need {n_modes} coherent amplitudes, got {len(alphas)}"
         )
-    fock = _scan(cfg, PureFock(state))
+    # the coherent probe first: if it is refused, no time goes into the Fock one
     probe = CoherentProduct(alphas)
     coherent = _scan(cfg, probe)
+    fock = _scan(cfg, PureFock(state))
     qfi = coherent.qfi_zero
     meta = _meta(
         cfg,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .probes import CoherentProduct, Probe, PureFock, decompose
 ZERO_PROB = 1e-14
 # rows x ladder dimension evaluated at once along a coupling grid
 BLOCK_ELEMENTS = 4096
+# couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
+# point at the bracket's centre
+ZOOM_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -248,46 +251,38 @@ def scan(
 def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optional[float]:
     """Coupling at the first local minimum of F, or None if none exists.
 
-    Grid detection uses a relative noise floor so that profiles that are
-    mathematically constant (every partition informationally complete)
-    do not report rounding wiggles as minima.  The bracketed minimum is
-    refined by golden-section search on the continuous F.
+    A grid point is a minimum when it is no higher than its left
+    neighbour and lower than its right one.  On the profile's grid both
+    comparisons allow a relative noise floor of 1e-9, so that profiles
+    that are mathematically constant (every partition informationally
+    complete) do not report rounding wiggles as minima.  The bracket
+    around the first minimum is then rescanned on ZOOM_POINTS couplings
+    and narrowed to the first minimum of the rescan, with no floor,
+    until it is narrower than ``rel_tol`` relative.  Two minima closer
+    together than about bracket / (ZOOM_POINTS - 1) can still be taken
+    for one another.
     """
-    f = profile.fisher
-    th = profile.couplings
-    if len(f) < 3:
+    i = _first_minimum(profile.fisher, 1e-9)
+    if i is None:
         return None
-    idx = None
-    for i in range(1, len(f) - 1):
-        floor = 1e-9 * (1.0 + abs(f[i]))
-        if f[i] <= f[i - 1] + floor and f[i] < f[i + 1] - floor:
-            idx = i
-            break
-    if idx is None:
-        return None
-    return _golden_min(
-        lambda x: profile.prepared.fisher(profile.scheme, np.array([x]), profile.time)[0],
-        th[idx - 1],
-        th[idx + 1],
-        rel_tol,
-    )
-
-
-def _golden_min(fn: Callable[[float], float], a: float, b: float, rel_tol: float) -> float:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fn(c), fn(d)
+    a, b = profile.couplings[i - 1], profile.couplings[i + 1]
     while (b - a) > rel_tol * max(abs(a) + abs(b), 1e-12):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fn(d)
+        grid = np.linspace(a, b, ZOOM_POINTS)
+        f = profile.prepared.fisher(profile.scheme, grid, profile.time)
+        i = _first_minimum(f, 0.0)
+        if i is None:
+            # the minimum sits on a bracket end
+            i = min(max(int(np.argmin(f)), 1), ZOOM_POINTS - 2)
+        a, b = grid[i - 1], grid[i + 1]
     return 0.5 * (a + b)
+
+
+def _first_minimum(f: np.ndarray, floor: float) -> Optional[int]:
+    """Index of the first interior local minimum of f, beyond a relative floor."""
+    mid = f[1:-1]
+    tol = floor * (1.0 + np.abs(mid))
+    hits = np.flatnonzero((mid <= f[:-2] + tol) & (mid < f[2:] - tol))
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def dynamic_range_formula(

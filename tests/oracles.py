@@ -5,7 +5,9 @@ the full truncated tensor-product space from single-mode ladder
 matrices, reachability is a graph search over nonzero matrix entries,
 and time evolution is a scaled Taylor series of the matrix exponential.
 Coherent-probe sectors are found by a best-first heap search over the
-truncated product states, one state at a time.
+truncated product states, one state at a time.  The first Fisher
+minimum is found by dense rescans of its grid bracket, given any
+function that evaluates F on a coupling grid.
 """
 import heapq
 import math
@@ -177,3 +179,35 @@ def coherent_sectors_heap(alphas, cutoff_mass: float, kind: InteractionKind):
             sectors.append((rungs[0], w, psi / math.sqrt(w)))
     total = sum(w for _, w, _ in sectors)
     return [(root, w / total, psi) for root, w, psi in sectors]
+
+
+def _first_strict_minimum(f: np.ndarray) -> int:
+    """First index below both neighbours, else the interior argmin."""
+    below = (f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])
+    if below.any():
+        return int(np.argmax(below)) + 1
+    return min(max(int(np.argmin(f)), 1), len(f) - 2)
+
+
+def first_minimum_dense(fisher, couplings, values):
+    """Coupling of the first Fisher minimum by dense search, or None.
+
+    The bracket is the first grid point of ``values`` that is no more
+    than 1e-9 relative above its left neighbour and that much below its
+    right one, with its two neighbours.  Inside it the first strict
+    local minimum of 20001 evaluations of ``fisher`` is taken, and its
+    own bracket is searched the same way twice more on 2001 points.
+    """
+    start = None
+    for i in range(1, len(values) - 1):
+        floor = 1e-9 * (1.0 + abs(values[i]))
+        if values[i] <= values[i - 1] + floor and values[i] < values[i + 1] - floor:
+            start = i
+            break
+    if start is None:
+        return None
+    grid, i = couplings, start
+    for points in (20001, 2001, 2001):
+        grid = np.linspace(grid[i - 1], grid[i + 1], points)
+        i = _first_strict_minimum(fisher(grid))
+    return float(grid[i])

@@ -487,3 +487,20 @@ def test_probe_eigenvector_budget_is_a_resource_failure(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("numeric failure: ")
     assert err.count("\n") == 1 and "27 ladders" in err
+
+
+@pytest.mark.parametrize("command", [["noise-scan", "--eps", "0.1"], ["coherent-compare"]])
+def test_two_probe_commands_refuse_before_diagonalizing(command, monkeypatch, capsys):
+    # the pure Fock probe alone is one ladder of d = 8001, under the rung cap;
+    # the noisy or coherent probe beside it is refused, and is scanned first
+    def refuse(ladder):
+        raise AssertionError(f"diagonalized a ladder of d = {ladder.d}")
+
+    monkeypatch.setattr(tsense.dynamics, "diagonalize", refuse)
+    code, out, err = run_cli(
+        [*command, "--state", "2000,6000,6000", "--steps", "3"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+    assert err.count("\n") == 1

@@ -9,9 +9,10 @@ that changes a result does not.  The ``--help`` texts and the argparse
 usage error are compared byte for byte; every case runs with
 ``COLUMNS=80``, because argparse wraps its text to the terminal width.
 
-Record the goldens with the package on the path:
+Record the goldens with the package on the path, all of them or only
+the named cases:
 
-    PYTHONPATH=src python tests/test_goldens.py
+    PYTHONPATH=src python tests/test_goldens.py [case ...]
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import csv
 import io
 import json
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -202,4 +204,5 @@ def record(cases: dict | None = None) -> None:
 
 
 if __name__ == "__main__":
-    record()
+    every = {**CASES, **HELP_CASES}
+    record({name: every[name] for name in sys.argv[1:]} or None)

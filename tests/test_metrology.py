@@ -26,7 +26,9 @@ from tsense import (
 )
 from tsense import dynamics
 from tsense.ladder import MAX_RUNGS
-from tsense.metrology import SensitivityProfile, outcome_partition
+from tsense.metrology import ZOOM_POINTS, SensitivityProfile, outcome_partition
+
+from oracles import first_minimum_dense
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -247,6 +249,58 @@ def test_dynamic_range_flat_profile_ignores_rounding_noise():
     profile = scan(PureFock((2, 0, 0)), I, FullPNR(), theta_max=2.0, steps=401)
     np.testing.assert_allclose(profile.fisher, 8.0, rtol=1e-10)
     assert dynamic_range(profile) is None
+
+
+def test_dynamic_range_reports_the_first_of_two_bracketed_minima():
+    # the grid bracket [0.3125, 0.4375] holds a zero of F at 0.33469 and a
+    # second minimum near 0.404
+    profile = scan(PureFock((0, 16, 4)), I, BinaryFock(0), theta_max=2.5, steps=41)
+    assert dynamic_range(profile) == pytest.approx(0.334693, rel=1e-4)
+
+
+def _range_sweep_profile(occs):
+    return scan(PureFock(occs), I, BinaryFock(occs[0]), theta_max=2.5, steps=41)
+
+
+def test_dynamic_range_matches_dense_search_on_range_sweep():
+    # every (na, nb, nc) with na + nb + nc = 20, binary readout, 41 steps
+    missing, off = [], []
+    for occs in [(na, nb, 20 - na - nb) for na in range(21) for nb in range(21 - na)]:
+        profile = _range_sweep_profile(occs)
+        got = dynamic_range(profile)
+        want = first_minimum_dense(
+            lambda grid: profile.prepared.fisher(profile.scheme, grid, profile.time),
+            profile.couplings,
+            profile.fisher,
+        )
+        if (got is None) != (want is None):
+            off.append((occs, got, want))
+        elif want is None:
+            missing.append(occs)
+        elif abs(got - want) > 1e-4 * want:
+            off.append((occs, got, want))
+    assert not off
+    # inert probes, and ladders too short for a dip within the grid
+    assert missing == [
+        (0, 0, 20), (0, 1, 19), (0, 19, 1), (0, 20, 0),
+        (1, 0, 19), (1, 1, 18), (1, 18, 1), (1, 19, 0),
+    ]
+
+
+@pytest.mark.parametrize("occs", [(0, 16, 4), (5, 7, 8), (4, 0, 0), (10, 5, 5)])
+def test_dynamic_range_refines_in_few_grid_calls(occs, monkeypatch):
+    profile = _range_sweep_profile(occs)
+    sizes = []
+    fisher = profile.prepared.fisher
+
+    def counting(scheme, couplings, time):
+        sizes.append(len(couplings))
+        return fisher(scheme, couplings, time)
+
+    monkeypatch.setattr(profile.prepared, "fisher", counting)
+    assert dynamic_range(profile) is not None
+    assert 1 <= len(sizes) <= 5
+    assert sizes == [ZOOM_POINTS] * len(sizes)
 
 
 def test_dynamic_range_formula_prefactors():
