@@ -25,6 +25,7 @@ import numpy as np
 from . import dynamics
 from .errors import ConfigurationError, ResourceError, UndefinedBoundError
 from .ladder import MAX_RUNGS, FockConfig, InteractionKind, build_ladder, validate_config
+from .optimize import _score
 from .probes import CoherentProduct, Probe, PureFock, decompose
 
 ZERO_PROB = 1e-14
@@ -162,13 +163,10 @@ def _fisher_terms(p: np.ndarray, dp: np.ndarray, d2p: np.ndarray) -> np.ndarray:
 def fisher_limit_closed_form(
     config: FockConfig, kind: InteractionKind, t: float = 1.0
 ) -> float:
-    """Zero-coupling Fisher limit of a pure Fock probe, in closed form."""
+    """Zero-coupling Fisher limit of a pure Fock probe: 4 t^2 times
+    ``optimize._score``, the polynomial the configuration search maximizes."""
     validate_config(kind, config)
-    if kind is InteractionKind.I:
-        na, nb, nc = config.occupations
-        return 4.0 * t * t * (na * (nb + 1) * (nc + 1) + (na + 1) * nb * nc)
-    na, nb = config.occupations
-    return 4.0 * t * t * (nb * (nb - 1) * (na + 1) + (nb + 1) * (nb + 2) * na)
+    return 4.0 * t * t * _score(kind, config.occupations)
 
 
 def qfi_variance(config: FockConfig, kind: InteractionKind, t: float = 1.0) -> float:

@@ -1,20 +1,30 @@
 """Optimal Fock configurations for a fixed total excitation number.
 
-Exhaustive enumeration over integer compositions is the ground truth;
-the continuous Lagrange relaxation (stationarity of the closed-form
-zero-coupling Fisher information under sum(n_i) = N) exists to validate
-the round-to-neighbors heuristic and the asymptotic N^3 growth.
+Exhaustive enumeration over integer compositions, scored at once as
+int64 columns so ties are exact, is the ground truth; it refuses more
+than ``MAX_COMPOSITIONS`` candidates (totals from 2047 for interaction I,
+from 2**21 for II).  The continuous Lagrange relaxation (stationarity of
+the closed-form zero-coupling Fisher information under sum(n_i) = N)
+exists to validate the round-to-neighbors heuristic and the N^3 growth.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, ResourceError
 from .ladder import FockConfig, InteractionKind
+
+# Largest number of candidates one search scores, for two reasons.
+# Memory: interaction I at the cap (total 2046) lifts the peak RSS of a
+# run from about 30 MB to about 110 MB of int64 columns.  Exact scores:
+# the largest interaction-II score at the cap is 2.7e18, below 2**63;
+# above it scores wrap without an error (a 2**23 cap gave the wrong
+# maximizer at total 5,000,000).
+MAX_COMPOSITIONS = 2**21
 
 
 @dataclass(frozen=True)
@@ -27,8 +37,9 @@ class OptimalResult:
     asymptote: float
 
 
-def _score(kind: InteractionKind, occs: tuple[int, ...]) -> int:
-    # integer arithmetic so ties are exact
+def _score(kind: InteractionKind, occs):
+    """F0 / (4 t^2) of a configuration; ``occs`` holds one Python int or
+    one int64 column of candidates per mode."""
     if kind is InteractionKind.I:
         na, nb, nc = occs
         return na * (nb + 1) * (nc + 1) + (na + 1) * nb * nc
@@ -36,32 +47,43 @@ def _score(kind: InteractionKind, occs: tuple[int, ...]) -> int:
     return nb * (nb - 1) * (na + 1) + (nb + 1) * (nb + 2) * na
 
 
-def _compositions(kind: InteractionKind, total: int):
+def _compositions(kind: InteractionKind, total: int, modes: Optional[int]) -> list:
+    """One int64 column per mode of the compositions of ``total`` with
+    ``modes`` excited modes (None: any), in lexicographic order."""
+    if total < 0:
+        raise ConfigurationError(f"total must be >= 0, got {total}")
+    if modes is not None and not 1 <= modes <= kind.n_modes:
+        raise ConfigurationError(
+            f"modes must lie in 1..{kind.n_modes} for interaction {kind.value}"
+        )
+    count = math.comb(total + kind.n_modes - 1, kind.n_modes - 1)
+    if count > MAX_COMPOSITIONS:
+        raise ResourceError(
+            f"{count} compositions exceed MAX_COMPOSITIONS = {MAX_COMPOSITIONS}"
+        )
     if kind is InteractionKind.I:
-        for na in range(total + 1):
-            for nb in range(total - na + 1):
-                yield (na, nb, total - na - nb)
+        # row na, column na + nb of the upper triangle
+        na, upper = np.triu_indices(total + 1)
+        cols = [na, upper - na, total - upper]
     else:
-        for na in range(total + 1):
-            yield (na, total - na)
+        na = np.arange(total + 1)
+        cols = [na, total - na]
+    if modes is not None:
+        keep = sum(c > 0 for c in cols) == modes
+        cols = [c[keep] for c in cols]
+    return cols
 
 
-def _argmax(
-    kind: InteractionKind, candidates
-) -> tuple[Optional[int], tuple[FockConfig, ...]]:
-    """Best score among the candidates, with every tie.
-
-    Returns (score, sorted maximizers), or (None, ()) if there are none.
-    """
-    best = None
-    arg: list[tuple[int, ...]] = []
-    for occs in candidates:
-        s = _score(kind, occs)
-        if best is None or s > best:
-            best, arg = s, [occs]
-        elif s == best:
-            arg.append(occs)
-    return best, tuple(FockConfig(o) for o in sorted(arg))
+def _argmax(kind: InteractionKind, cols) -> tuple[Optional[int], tuple[FockConfig, ...]]:
+    """Best score among the candidate rows and every row that ties it,
+    or (None, ()) if there are none."""
+    scores = _score(kind, cols)
+    if scores.size == 0:
+        return None, ()
+    best = scores.max()
+    hit = scores == best
+    rows = np.stack([c[hit] for c in cols], axis=1).tolist()
+    return int(best), tuple(FockConfig(tuple(r)) for r in rows)
 
 
 def optimize_config(
@@ -76,16 +98,7 @@ def optimize_config(
     many excited modes (single-, two-, or three-mode excitation
     schemes); None searches every composition of ``total``.
     """
-    if total < 0:
-        raise ConfigurationError(f"total must be >= 0, got {total}")
-    if modes is not None and not 1 <= modes <= kind.n_modes:
-        raise ConfigurationError(
-            f"modes must lie in 1..{kind.n_modes} for interaction {kind.value}"
-        )
-    candidates = _compositions(kind, total)
-    if modes is not None:
-        candidates = (o for o in candidates if sum(n > 0 for n in o) == modes)
-    best, maximizers = _argmax(kind, candidates)
+    best, maximizers = _argmax(kind, _compositions(kind, total, modes))
     if best is None:
         raise ConfigurationError(
             f"no configuration of {total} quanta excites exactly {modes} modes"
@@ -125,11 +138,15 @@ def optimize_config_weighted(
         )
     if any(w <= 0 for w in weights) or budget < 0:
         raise ConfigurationError("weights must be positive and budget >= 0")
-    tops = [int(budget / w) for w in weights]
-    box = itertools.product(*(range(top + 1) for top in tops))
-    best, maximizers = _argmax(
-        kind, (o for o in box if sum(w * n for w, n in zip(weights, o)) <= budget)
-    )
+    shape = [int(budget / w) + 1 for w in weights]
+    if math.prod(shape) > MAX_COMPOSITIONS:
+        raise ResourceError(
+            f"{math.prod(shape)} candidates exceed MAX_COMPOSITIONS = {MAX_COMPOSITIONS}"
+        )
+    box = np.indices(shape).reshape(kind.n_modes, -1)
+    # summed left to right in float, as sum(w_i * n_i) over Python numbers
+    keep = sum(w * n for w, n in zip(weights, box)) <= budget
+    best, maximizers = _argmax(kind, [n[keep] for n in box])
     return maximizers, 4.0 * t * t * (best or 0)
 
 
@@ -220,12 +237,12 @@ def scaling_table(
     kind: InteractionKind, n_max: int, modes: int, t: float = 1.0
 ) -> list[tuple[int, Optional[float]]]:
     """Constrained optimum F0 for every N up to n_max (None if infeasible)."""
+    if n_max < 1:
+        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     if n_max > 200:
         raise ConfigurationError(f"n_max capped at 200, got {n_max}")
     rows: list[tuple[int, Optional[float]]] = []
     for n in range(1, n_max + 1):
-        try:
-            rows.append((n, optimize_config(kind, n, modes=modes, t=t).f0))
-        except ConfigurationError:
-            rows.append((n, None))
+        best, _ = _argmax(kind, _compositions(kind, n, modes))
+        rows.append((n, None if best is None else 4.0 * t * t * best))
     return rows

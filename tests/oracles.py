@@ -7,14 +7,17 @@ and time evolution is a scaled Taylor series of the matrix exponential.
 Coherent-probe sectors are found by a best-first heap search over the
 truncated product states, one state at a time.  The first Fisher
 minimum is found by dense rescans of its grid bracket, given any
-function that evaluates F on a coupling grid.
+function that evaluates F on a coupling grid.  Optimal configurations
+are found by scoring one composition at a time in Python integers.
 """
 import heapq
+import itertools
 import math
 
 import numpy as np
 
 from tsense import InteractionKind
+from tsense.optimize import _score
 from tsense.probes import _poisson_cutoffs
 
 
@@ -211,3 +214,50 @@ def first_minimum_dense(fisher, couplings, values):
         grid = np.linspace(grid[i - 1], grid[i + 1], points)
         i = _first_strict_minimum(fisher(grid))
     return float(grid[i])
+
+
+def compositions(kind: InteractionKind, total: int):
+    """Every composition of ``total`` over the interaction's modes."""
+    if kind is InteractionKind.I:
+        for na in range(total + 1):
+            for nb in range(total - na + 1):
+                yield (na, nb, total - na - nb)
+    else:
+        for na in range(total + 1):
+            yield (na, total - na)
+
+
+def argmax_loop(kind: InteractionKind, candidates):
+    """Best score among the candidates, with every tie.
+
+    Returns (score, sorted maximizer tuples), or (None, ()) if there are
+    none.
+    """
+    best = None
+    arg: list[tuple[int, ...]] = []
+    for occs in candidates:
+        s = _score(kind, occs)
+        if best is None or s > best:
+            best, arg = s, [occs]
+        elif s == best:
+            arg.append(occs)
+    return best, tuple(sorted(arg))
+
+
+def optimal_configs_loop(kind: InteractionKind, total: int, modes=None):
+    """(score, maximizers) over the compositions of ``total`` that excite
+    exactly ``modes`` modes (any number if None)."""
+    candidates = compositions(kind, total)
+    if modes is not None:
+        candidates = (o for o in candidates if sum(n > 0 for n in o) == modes)
+    return argmax_loop(kind, candidates)
+
+
+def weighted_configs_loop(kind: InteractionKind, weights, budget: float):
+    """(score, maximizers) over the box of occupations with
+    sum(w_i n_i) <= budget, the sum taken left to right."""
+    tops = [int(budget / w) for w in weights]
+    box = itertools.product(*(range(top + 1) for top in tops))
+    return argmax_loop(
+        kind, (o for o in box if sum(w * n for w, n in zip(weights, o)) <= budget)
+    )

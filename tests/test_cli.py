@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import tsense
@@ -120,12 +121,13 @@ def test_scaling_columns(capsys):
     assert header == "n,f0_one,f0_two,asymptote"
 
 
-def test_scaling_empty(capsys):
-    code, out, _ = run_cli(["scaling", "--interaction", "I", "--n-max", "0"], capsys)
-    assert code == 0
-    header, rows = csv_body(out)
-    assert header == "n,f0_one,f0_two,f0_three,asymptote"
-    assert rows == []
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_scaling_needs_a_positive_n_max(n_max, capsys):
+    # an empty table is a usage error, not an empty file
+    code, out, err = run_cli(["scaling", "--interaction", "I", "--n-max", n_max], capsys)
+    assert code == 2
+    assert out == ""
+    assert "n_max must be >= 1" in err
 
 
 def test_noise_scan_zero_eps_columns_identical(capsys):
@@ -504,3 +506,29 @@ def test_two_probe_commands_refuse_before_diagonalizing(command, monkeypatch, ca
     assert out == ""
     assert err.startswith("numeric failure: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "interaction, total, expected", [("I", 2046, 0), ("I", 2047, 4), ("II", 2**21, 4)]
+)
+def test_optimize_total_cap(interaction, total, expected, capsys):
+    code, out, err = run_cli(
+        ["optimize", "--interaction", interaction, "--total", str(total)], capsys
+    )
+    assert code == expected
+    if expected == 4:
+        assert out == ""
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_huge_optimize_total_is_refused_before_allocating(monkeypatch, capsys):
+    # 5.0e9 compositions
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the compositions")
+
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    monkeypatch.setattr(np, "indices", refuse)
+    code, out, err = run_cli(["optimize", "--total", "100000"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1

@@ -7,7 +7,7 @@ grid call and one-point calls.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsense import (
@@ -67,6 +67,8 @@ def qfi_bound(probe, kind, t):
 
 @settings(max_examples=60, deadline=None)
 @given(case=probes(), grid=grids, t=times)
+# sum P'' = -1.52e-12 against sum |P''| = 2372: rounding, 6.4e-16 relative
+@example(case=(II, PureFock((4, 4))), grid=np.array([1.46875]), t=1.84375)
 def test_distributions_conserve_probability_at_every_point(case, grid, t):
     kind, probe = case
     prep = PreparedProbe(probe, kind)
@@ -74,7 +76,9 @@ def test_distributions_conserve_probability_at_every_point(case, grid, t):
     assert P.shape == dP.shape == d2P.shape == (len(grid), prep.n_outcomes)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dP.sum(axis=1), 0.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(d2P.sum(axis=1), 0.0, rtol=0, atol=1e-12)
+    # the terms of P'' grow with the probe, so the rounding of their sum does
+    bound = np.maximum(1e-12, 1e-13 * np.abs(d2P).sum(axis=1))
+    assert np.all(np.abs(d2P.sum(axis=1)) <= bound)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,19 +1,27 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from oracles import optimal_configs_loop, weighted_configs_loop
 from tsense import (
     ConfigurationError,
     InteractionKind,
+    ResourceError,
     asymptotic_prediction,
     lagrange_relaxation,
     optimize_config,
     optimize_config_weighted,
     scaling_table,
 )
+from tsense.optimize import MAX_COMPOSITIONS, _score
 
 I, II = InteractionKind.I, InteractionKind.II
+
+
+def occupations(configs):
+    return tuple(m.occupations for m in configs)
 
 
 def maximizer_set(kind, n, modes=None):
@@ -213,3 +221,71 @@ def test_optimize_result_fields():
     assert res.asymptote == pytest.approx(32 * 64 / 27)
     res0 = optimize_config(I, 0)
     assert res0.relaxation is None
+
+
+@pytest.mark.parametrize("kind", [I, II])
+def test_array_search_matches_the_loop_oracle(kind):
+    for modes in (None, *range(1, kind.n_modes + 1)):
+        table = dict(scaling_table(kind, 60, modes)) if modes else {}
+        for n in range(61):
+            best, arg = optimal_configs_loop(kind, n, modes)
+            if best is None:
+                with pytest.raises(ConfigurationError):
+                    optimize_config(kind, n, modes=modes)
+            else:
+                res = optimize_config(kind, n, modes=modes)
+                assert occupations(res.maximizers) == arg, (kind, n, modes)
+                assert res.f0 == 4.0 * best
+            if modes is not None and n >= 1:
+                assert table[n] == (None if best is None else 4.0 * best)
+
+
+def test_weighted_search_matches_the_loop_oracle():
+    rng = random.Random(2404)
+    ties = 0
+    for _ in range(240):
+        kind = rng.choice([I, II])
+        # a scale of 0.1 makes the budget test sensitive to float rounding
+        scale = rng.choice([0.1, 0.5, 1.0])
+        weights = tuple(
+            scale * rng.choice([1, 2, 3, rng.uniform(0.8, 3.0)]) for _ in range(kind.n_modes)
+        )
+        budget = scale * rng.choice([rng.randint(0, 9), rng.uniform(0.0, 9.0)])
+        maxis, f0 = optimize_config_weighted(kind, weights, budget)
+        best, arg = weighted_configs_loop(kind, weights, budget)
+        assert occupations(maxis) == arg, (kind, weights, budget)
+        assert f0 == 4.0 * best
+        ties += len(arg) > 1
+    assert ties >= 20
+
+
+def test_largest_interaction_ii_total_scores_exactly():
+    # N = 3k + 1 with k = 699050; an int64 overflow would move the optimum
+    res = optimize_config(II, MAX_COMPOSITIONS - 1)
+    assert occupations(res.maximizers) == ((699050, 1398101),)
+    assert res.f0 == 4.0 * _score(II, (699050, 1398101))
+
+
+def test_oversized_searches_are_refused_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the candidates")
+
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    monkeypatch.setattr(np, "indices", refuse)
+    with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
+        optimize_config(I, 2047)
+    with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
+        optimize_config(II, MAX_COMPOSITIONS)
+    # a box of about 10^12 candidates
+    with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
+        optimize_config_weighted(I, (1e-3,) * 3, 10.0)
+
+
+def test_scaling_table_rejects_bad_arguments():
+    with pytest.raises(ConfigurationError, match="modes"):
+        scaling_table(I, 4, modes=4)
+    with pytest.raises(ConfigurationError, match="modes"):
+        scaling_table(II, 4, modes=0)
+    for n_max in (0, -3):
+        with pytest.raises(ConfigurationError, match="n_max"):
+            scaling_table(I, n_max, modes=1)
