@@ -452,11 +452,7 @@ def render_json(doc: dict) -> str:
 
 
 def render(doc: dict, fmt: str) -> str:
-    if fmt == "csv":
-        if "columns" not in doc:
-            raise ConfigurationError("structured results support only --format json")
-        return render_csv(doc)
-    return render_json(doc)
+    return render_csv(doc) if fmt == "csv" else render_json(doc)
 
 
 def output_schema() -> dict:

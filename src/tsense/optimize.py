@@ -6,6 +6,8 @@ than ``MAX_COMPOSITIONS`` candidates (totals from 2047 for interaction I,
 from 2**21 for II).  The continuous Lagrange relaxation (stationarity of
 the closed-form zero-coupling Fisher information under sum(n_i) = N)
 exists to validate the round-to-neighbors heuristic and the N^3 growth.
+It is the larger root of one quadratic (n_b = n_c at every stationary
+point of interaction I), and None where that has no real root.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ResourceError
+from .errors import ConfigurationError, ResourceError
 from .ladder import FockConfig, InteractionKind
 
 # Largest number of candidates one search scores, for two reasons.
@@ -103,20 +105,12 @@ def optimize_config(
         raise ConfigurationError(
             f"no configuration of {total} quanta excites exactly {modes} modes"
         )
-    relaxation = None
-    if total > 0:
-        try:
-            relaxation = lagrange_relaxation(kind, total)
-        except NumericError:
-            # the continuous stationarity system has no real root for
-            # kind II at N=1; enumeration stays authoritative
-            relaxation = None
     return OptimalResult(
         n=total,
         kind=kind,
         maximizers=maximizers,
         f0=4.0 * t * t * best,
-        relaxation=relaxation,
+        relaxation=lagrange_relaxation(kind, total) if total > 0 else None,
         asymptote=asymptotic_prediction(kind, total, t),
     )
 
@@ -136,6 +130,8 @@ def optimize_config_weighted(
         raise ConfigurationError(
             f"interaction {kind.value} needs {kind.n_modes} weights"
         )
+    if not all(math.isfinite(v) for v in (*weights, budget)):
+        raise ConfigurationError("weights and budget must be finite")
     if any(w <= 0 for w in weights) or budget < 0:
         raise ConfigurationError("weights must be positive and budget >= 0")
     shape = [int(budget / w) + 1 for w in weights]
@@ -150,79 +146,33 @@ def optimize_config_weighted(
     return maximizers, 4.0 * t * t * (best or 0)
 
 
-def _grad_hess(kind: InteractionKind, x: np.ndarray):
-    if kind is InteractionKind.I:
-        na, nb, nc = x
-        grad = np.array(
-            [
-                (nb + 1) * (nc + 1) + nb * nc,
-                na * (nc + 1) + (na + 1) * nc,
-                na * (nb + 1) + (na + 1) * nb,
-            ]
-        )
-        hess = np.array(
-            [
-                [0.0, 2 * nc + 1, 2 * nb + 1],
-                [2 * nc + 1, 0.0, 2 * na + 1],
-                [2 * nb + 1, 2 * na + 1, 0.0],
-            ]
-        )
-    else:
-        na, nb = x
-        grad = np.array(
-            [
-                2 * nb * nb + 2 * nb + 2,
-                (2 * nb - 1) * (na + 1) + (2 * nb + 3) * na,
-            ]
-        )
-        hess = np.array(
-            [
-                [0.0, 4 * nb + 2],
-                [4 * nb + 2, 4 * na + 2],
-            ]
-        )
-    return grad, hess
-
-
-def lagrange_relaxation(kind: InteractionKind, total: float) -> tuple[float, ...]:
+def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[float, ...]]:
     """Continuous stationary occupations of the closed form under sum = N.
 
-    Damped Newton on grad F = lambda, sum(n_i) = N from the even split;
-    steps are halved while the residual norm would grow.
+    For interaction I, dF/dn_b - dF/dn_c = (n_c - n_b)(2 n_a + 1), so a
+    stationary point has n_b = n_c = m, and equal partial derivatives
+    under n_a = N - 2m reduce to 6m^2 + (3 - 2N)m + (1 - N) = 0, whose
+    larger root is m = (2N - 3 + sqrt(4N^2 + 12N - 15)) / 12.  For
+    interaction II they reduce to 6n_b^2 + (2 - 4N)n_b + (3 - 2N) = 0,
+    with n_b = (2N - 1 + sqrt(4N^2 + 8N - 17)) / 6 and n_a = N - n_b.
+    The other root is negative for N > 1 (I) and N > 3/2 (II); below
+    N = 1 both roots of I are negative.  None when the quadratic has no
+    real root: N below about 0.95 for I and 1.29 for II, so among
+    integers only N = 1 of interaction II.
     """
     if total <= 0:
         raise ConfigurationError(f"total must be positive, got {total}")
-    k = kind.n_modes
-    z = np.empty(k + 1)
-    z[:k] = total / k
-    z[k] = _grad_hess(kind, z[:k])[0].mean()
-
-    def residual(zv: np.ndarray) -> np.ndarray:
-        grad, _ = _grad_hess(kind, zv[:k])
-        return np.append(grad - zv[k], zv[:k].sum() - total)
-
-    r = residual(z)
-    for _ in range(200):
-        if np.linalg.norm(r) < 1e-10:
-            return tuple(float(v) for v in z[:k])
-        _, hess = _grad_hess(kind, z[:k])
-        jac = np.zeros((k + 1, k + 1))
-        jac[:k, :k] = hess
-        jac[:k, k] = -1.0
-        jac[k, :k] = 1.0
-        step = np.linalg.solve(jac, -r)
-        damp = 1.0
-        while damp > 1e-8:
-            trial = z + damp * step
-            r_trial = residual(trial)
-            if np.linalg.norm(r_trial) <= np.linalg.norm(r):
-                z, r = trial, r_trial
-                break
-            damp *= 0.5
-        else:
-            z = z + step
-            r = residual(z)
-    raise NumericError(f"relaxation did not converge for N={total}, kind {kind.value}")
+    if kind is InteractionKind.I:
+        disc = 4.0 * total * total + 12.0 * total - 15.0
+        if disc < 0:
+            return None
+        m = (2.0 * total - 3.0 + math.sqrt(disc)) / 12.0
+        return (total - 2.0 * m, m, m)
+    disc = 4.0 * total * total + 8.0 * total - 17.0
+    if disc < 0:
+        return None
+    nb = (2.0 * total - 1.0 + math.sqrt(disc)) / 6.0
+    return (total - nb, nb)
 
 
 def asymptotic_prediction(kind: InteractionKind, total: int, t: float = 1.0) -> float:

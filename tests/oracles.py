@@ -8,7 +8,9 @@ Coherent-probe sectors are found by a best-first heap search over the
 truncated product states, one state at a time.  The first Fisher
 minimum is found by dense rescans of its grid bracket, given any
 function that evaluates F on a coupling grid.  Optimal configurations
-are found by scoring one composition at a time in Python integers.
+are found by scoring one composition at a time in Python integers.  The
+Lagrange relaxation is found by a damped Newton solve of the full
+stationarity system, with no symmetry assumed.
 """
 import heapq
 import itertools
@@ -261,3 +263,79 @@ def weighted_configs_loop(kind: InteractionKind, weights, budget: float):
     return argmax_loop(
         kind, (o for o in box if sum(w * n for w, n in zip(weights, o)) <= budget)
     )
+
+
+def grad_hess(kind: InteractionKind, x: np.ndarray):
+    """Gradient and Hessian of the zero-coupling score at occupations x."""
+    if kind is InteractionKind.I:
+        na, nb, nc = x
+        grad = np.array(
+            [
+                (nb + 1) * (nc + 1) + nb * nc,
+                na * (nc + 1) + (na + 1) * nc,
+                na * (nb + 1) + (na + 1) * nb,
+            ]
+        )
+        hess = np.array(
+            [
+                [0.0, 2 * nc + 1, 2 * nb + 1],
+                [2 * nc + 1, 0.0, 2 * na + 1],
+                [2 * nb + 1, 2 * na + 1, 0.0],
+            ]
+        )
+    else:
+        na, nb = x
+        grad = np.array(
+            [
+                2 * nb * nb + 2 * nb + 2,
+                (2 * nb - 1) * (na + 1) + (2 * nb + 3) * na,
+            ]
+        )
+        hess = np.array(
+            [
+                [0.0, 4 * nb + 2],
+                [4 * nb + 2, 4 * na + 2],
+            ]
+        )
+    return grad, hess
+
+
+def relaxation_newton(kind: InteractionKind, total: float) -> tuple[float, ...]:
+    """Continuous stationary occupations of the score under sum = N.
+
+    Damped Newton on grad F = lambda, sum(n_i) = N from the even split;
+    steps are halved while the residual norm would grow.  The absolute
+    residual target of 1e-10 is out of reach once grad F is large, so
+    this raises ``ArithmeticError`` from about N = 770 (II) or 1085 (I).
+    """
+    k = kind.n_modes
+    z = np.empty(k + 1)
+    z[:k] = total / k
+    z[k] = grad_hess(kind, z[:k])[0].mean()
+
+    def residual(zv: np.ndarray) -> np.ndarray:
+        grad, _ = grad_hess(kind, zv[:k])
+        return np.append(grad - zv[k], zv[:k].sum() - total)
+
+    r = residual(z)
+    for _ in range(200):
+        if np.linalg.norm(r) < 1e-10:
+            return tuple(float(v) for v in z[:k])
+        _, hess = grad_hess(kind, z[:k])
+        jac = np.zeros((k + 1, k + 1))
+        jac[:k, :k] = hess
+        jac[:k, k] = -1.0
+        jac[k, :k] = 1.0
+        step = np.linalg.solve(jac, -r)
+        damp = 1.0
+        while damp > 1e-8:
+            trial = z + damp * step
+            r_trial = residual(trial)
+            if np.linalg.norm(r_trial) <= np.linalg.norm(r):
+                z, r = trial, r_trial
+                break
+            damp *= 0.5
+        else:
+            z = z + step
+            r = residual(z)
+    raise ArithmeticError(f"relaxation did not converge for N={total}, kind {kind.value}")

@@ -92,6 +92,17 @@ def test_optimize_json(capsys):
     assert doc["relaxation"] is None
 
 
+@pytest.mark.parametrize("interaction, total", [("I", 1085), ("II", 770)])
+def test_optimize_prints_the_relaxation_at_large_totals(interaction, total, capsys):
+    code, out, _ = run_cli(
+        ["optimize", "--interaction", interaction, "--total", str(total)], capsys
+    )
+    assert code == 0
+    relaxation = json.loads(out)["relaxation"]
+    assert relaxation is not None
+    assert sum(relaxation) == pytest.approx(total, rel=1e-15)
+
+
 def test_optimize_rejects_csv(capsys):
     code, _, err = run_cli(
         ["optimize", "--interaction", "I", "--total", "4", "--format", "csv"], capsys

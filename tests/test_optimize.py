@@ -4,7 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from oracles import optimal_configs_loop, weighted_configs_loop
+from oracles import (
+    grad_hess,
+    optimal_configs_loop,
+    relaxation_newton,
+    weighted_configs_loop,
+)
 from tsense import (
     ConfigurationError,
     InteractionKind,
@@ -128,6 +133,42 @@ def test_lagrange_relaxation_matches_analytic_roots():
         lagrange_relaxation(I, 0)
 
 
+@pytest.mark.parametrize("kind", [I, II])
+def test_lagrange_relaxation_matches_the_newton_oracle(kind):
+    first = 1 if kind is I else 2
+    for total in [*range(first, 701), 2.7, 7.3, 100.5]:
+        want = relaxation_newton(kind, total)
+        got = lagrange_relaxation(kind, total)
+        assert got is not None, (kind, total)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * total, (kind, total)
+
+
+def test_lagrange_relaxation_is_none_without_a_real_root():
+    assert lagrange_relaxation(II, 1) is None
+    assert lagrange_relaxation(II, 0.95) is None
+    assert optimize_config(II, 1).relaxation is None
+
+
+@pytest.mark.parametrize(
+    "kind, totals",
+    [
+        (I, [0.95, *range(1, 2047), 10**6]),
+        (II, [1.3, *range(2, 20001), 2**21 - 1]),
+    ],
+)
+def test_lagrange_relaxation_is_stationary(kind, totals):
+    # the Newton oracle stops converging from 1085 (I) and 770 (II), and
+    # near the double roots at 0.95 (I) and 1.3 (II) it stops about 3e-11
+    # short of the root
+    for total in totals:
+        relax = lagrange_relaxation(kind, total)
+        assert relax is not None, (kind, total)
+        assert total < 1 or min(relax) >= 0.0
+        assert sum(relax) == pytest.approx(total, rel=1e-15)
+        grad, _ = grad_hess(kind, np.array(relax))
+        assert np.ptp(grad) <= 1e-12 * np.max(np.abs(grad)), (kind, total)
+
+
 def test_relaxation_rounding_contains_integer_optimum():
     for kind in (I, II):
         for n in range(3, 61):
@@ -210,6 +251,20 @@ def test_weighted_budget_constraint():
         optimize_config_weighted(I, (1.0, 1.0), 4.0)
     with pytest.raises(ConfigurationError):
         optimize_config_weighted(II, (0.0, 1.0), 4.0)
+
+
+@pytest.mark.parametrize(
+    "weights, budget",
+    [
+        ((1.0, 1.0, 1.0), math.inf),
+        ((1.0, 1.0, 1.0), math.nan),
+        ((1.0, math.nan, 1.0), 4.0),
+        ((1.0, math.inf, 1.0), 4.0),
+    ],
+)
+def test_weighted_search_refuses_non_finite_input(weights, budget):
+    with pytest.raises(ConfigurationError):
+        optimize_config_weighted(I, weights, budget)
 
 
 def test_optimize_result_fields():
