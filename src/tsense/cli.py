@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -44,10 +45,19 @@ from .probes import CoherentProduct, NoisyFock, PureFock
 NON_FINITE = "the results contain non-finite values"
 
 
+def _entries(value: list, json_type, name: str) -> list:
+    """The entries of a config-file list, each of ``json_type`` and no bool."""
+    for entry in value:
+        if isinstance(entry, bool) or not isinstance(entry, json_type):
+            raise ConfigurationError(
+                f"config value for {name!r} has an entry of the wrong type: {entry!r}")
+    return value
+
+
 def _occupations(value) -> tuple[int, ...]:
     """``--state`` as "2,1,1" or a JSON list of integers."""
     if isinstance(value, list):
-        return tuple(int(n) for n in value)
+        return tuple(_entries(value, int, "state"))
     try:
         return tuple(int(part) for part in value.split(","))
     except ValueError as exc:
@@ -57,7 +67,7 @@ def _occupations(value) -> tuple[int, ...]:
 def _eps(value) -> tuple[float, ...]:
     """``--eps`` as "0.05,0.1" or a JSON list of numbers."""
     if isinstance(value, list):
-        return tuple(float(e) for e in value)
+        return tuple(float(e) for e in _entries(value, (int, float), "eps"))
     try:
         return tuple(float(part) for part in value.split(","))
     except ValueError as exc:
@@ -67,7 +77,10 @@ def _eps(value) -> tuple[float, ...]:
 def _amplitudes(value) -> tuple[complex, ...]:
     """``--alpha`` as "1.2+0.5i,..." or a JSON list of [re, im] pairs."""
     if isinstance(value, list):
-        return tuple(complex(re, im) for re, im in value)
+        pairs = _entries(value, list, "alpha")
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigurationError(f"alpha entries must be [re, im] pairs, got {value!r}")
+        return tuple(complex(*_entries(pair, (int, float), "alpha")) for pair in pairs)
     out = []
     for part in value.split(","):
         try:
@@ -83,8 +96,8 @@ def _flag(default, type=str, choices=None, help=None, parse=None):
     ``type`` converts the flag's text; a config-file value must have the
     matching JSON type (any number for float).  A list-valued flag is
     text on the command line or a JSON list in a config file, and
-    ``parse`` normalises either form.  A config value may be null only
-    where the default is.
+    ``parse`` normalises either form, checking the JSON type of each
+    list entry.  A config value may be null only where the default is.
     """
     return field(default=default, metadata={
         "type": type, "choices": choices, "help": help, "parse": parse,
@@ -115,7 +128,14 @@ class RunConfig:
 FLAGS = {flag.name: flag for flag in fields(RunConfig)[1:]}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every later call.
+
+    argparse reads ``COLUMNS`` and the output streams when it formats and
+    prints, not here, so sharing the tree leaves help wrapping, usage
+    errors and redirection as they would be with a fresh parser.
+    """
     flags = argparse.ArgumentParser(add_help=False)
     for flag in FLAGS.values():
         meta = flag.metadata
@@ -160,13 +180,10 @@ def parse_config(argv: list[str]) -> RunConfig:
         value = getattr(ns, key)
         if value is not None:
             merged[key] = value
-    try:
-        for key, flag in FLAGS.items():
-            parse = flag.metadata["parse"]
-            if parse is not None and merged[key] is not None:
-                merged[key] = parse(merged[key])
-    except TypeError as exc:  # list entries of the wrong type in a config file
-        raise ConfigurationError(f"invalid config value: {exc}") from exc
+    for key, flag in FLAGS.items():
+        parse = flag.metadata["parse"]
+        if parse is not None and merged[key] is not None:
+            merged[key] = parse(merged[key])
     for key in ("time", "theta_max"):
         value = merged[key]
         if not math.isfinite(value):

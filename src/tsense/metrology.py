@@ -34,6 +34,8 @@ BLOCK_ELEMENTS = 4096
 # couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
 # point at the bracket's centre
 ZOOM_POINTS = 33
+# couplings on one scan grid; refused above it before any allocation
+MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -219,13 +221,19 @@ def scan(
     steps: int = 401,
     mode: int = 0,
 ) -> SensitivityProfile:
-    """Fisher information on a uniform coupling grid [0, theta_max]."""
+    """Fisher information on a uniform coupling grid [0, theta_max].
+
+    A grid of more than ``MAX_STEPS`` couplings raises ResourceError
+    before anything is allocated.
+    """
     if t <= 0:
         raise ConfigurationError(f"time must be positive, got {t}")
     if theta_max <= 0:
         raise ConfigurationError(f"theta_max must be positive, got {theta_max}")
     if steps < 2:
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise ResourceError(f"{steps} steps exceed MAX_STEPS = {MAX_STEPS}")
     prepared = PreparedProbe(probe, kind, mode)
     grid = np.linspace(0.0, theta_max, steps)
     values = prepared.fisher(scheme, grid, t)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import tsense
+from tsense import cli
 from tsense.cli import COMMANDS, RunConfig, main, output_schema, parse_config
 
 
@@ -450,6 +452,15 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         {"state": [[2], 1, 1]},
         {"alpha": [1, 2, 3]},
         ["state", "2,1,1"],
+        {"state": [2, 1.7, True]},
+        {"state": [2, True, 1]},
+        {"state": [2.0, 1, 1]},
+        {"state": "2,2,2", "eps": [0.1, False, 0.1]},
+        {"state": "2,2,2", "eps": ["0.1"]},
+        {"alpha": [[1, True], [1, 0], [1, 0]]},
+        {"alpha": [[1], [1, 0], [1, 0]]},
+        {"alpha": [[1, 0, 0], [1, 0], [1, 0]]},
+        {"alpha": [["1", 0], [1, 0], [1, 0]]},
     ],
 )
 def test_config_file_value_types_are_usage_errors(config, tmp_path, capsys):
@@ -543,3 +554,44 @@ def test_huge_optimize_total_is_refused_before_allocating(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_huge_steps_are_refused_before_allocating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the coupling grid")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = run_cli(
+        ["fisher-scan", "--state", "1,0,0", "--steps", "2000000000"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argvs = [
+        ["dynamic-range", "--state", "2,1,1", "--scheme", "binary", "--steps", "5"],
+        ["fisher-scan", "--bogus"],
+        ["optimize", "--total", "4"],
+        ["fisher-scan", "--state", "1,0,0", "--steps", "2"],
+    ]
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert run_cli(argvs[0], capsys)[0] == 0
+        one_build = list(built)
+        # the shared flags, the top-level parser and one per subcommand
+        assert len(one_build) == 2 + len(COMMANDS)
+        for argv in argvs * 5:
+            run_cli(argv, capsys)
+        assert built == one_build
+    finally:
+        cli._build_parser.cache_clear()

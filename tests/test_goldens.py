@@ -27,6 +27,7 @@ from unittest import mock
 
 import pytest
 
+from tsense import cli
 from tsense.cli import COMMANDS, main
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -174,6 +175,25 @@ def test_help_matches_golden_bytes(name):
     golden = json.loads((GOLDENS / f"{name}.json").read_text(encoding="utf-8"))
     assert golden["argv"] == HELP_CASES[name]
     assert run_case(HELP_CASES[name]) == golden
+
+
+def test_a_reused_parser_keeps_no_state_between_calls():
+    # build and use the parser at another width; later calls must not notice
+    goldens = {
+        name: json.loads((GOLDENS / f"{name}.json").read_text(encoding="utf-8"))
+        for name in ("help", "help-fisher-scan", "usage-unknown-flag", "readme-dynamic-range")
+    }
+    cli._build_parser.cache_clear()
+    with mock.patch.dict(os.environ, COLUMNS="200"), \
+            contextlib.redirect_stdout(io.StringIO()) as wide:
+        assert main(["fisher-scan", "--help"]) == 0
+    assert wide.getvalue() != goldens["help-fisher-scan"]["stdout"]
+    for name in ("help", "help-fisher-scan", "usage-unknown-flag"):
+        assert run_case(goldens[name]["argv"]) == goldens[name], name
+    golden = goldens["readme-dynamic-range"]
+    got = run_case(golden["argv"])
+    assert (got["exit"], got["stderr"]) == (golden["exit"], golden["stderr"])
+    assert not _diff(_parse(golden["stdout"]), _parse(got["stdout"]), "readme-dynamic-range")
 
 
 def test_help_cases_cover_every_subcommand():
