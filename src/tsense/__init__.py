@@ -1,6 +1,6 @@
 """Fisher-information analysis of trilinear bosonic coupling sensing."""
 
-from .dynamics import Spectrum, diagonalize, evolve_vector
+from .dynamics import Spectrum, diagonalize, evolve_vector, spectral_weights
 from .errors import (
     ConfigurationError,
     NumericError,
@@ -34,7 +34,7 @@ from .optimize import (
 )
 from .probes import (
     CoherentProduct,
-    Component,
+    LadderStack,
     NoisyFock,
     Probe,
     PureFock,
@@ -48,12 +48,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryFock",
     "CoherentProduct",
-    "Component",
     "ConfigurationError",
     "FockConfig",
     "FullPNR",
     "InteractionKind",
     "Ladder",
+    "LadderStack",
     "MeasurementScheme",
     "NoisyFock",
     "NumericError",
@@ -85,4 +85,5 @@ __all__ = [
     "qfi_variance",
     "scaling_table",
     "scan",
+    "spectral_weights",
 ]

@@ -54,6 +54,16 @@ def _entries(value: list, json_type, name: str) -> list:
     return value
 
 
+def _floats(values, name: str) -> list[float]:
+    """Config-file numbers as floats; an integer too large for a float is a
+    usage error."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise ConfigurationError(
+            f"config value for {name!r} is too large for a float") from exc
+
+
 def _occupations(value) -> tuple[int, ...]:
     """``--state`` as "2,1,1" or a JSON list of integers."""
     if isinstance(value, list):
@@ -67,7 +77,7 @@ def _occupations(value) -> tuple[int, ...]:
 def _eps(value) -> tuple[float, ...]:
     """``--eps`` as "0.05,0.1" or a JSON list of numbers."""
     if isinstance(value, list):
-        return tuple(float(e) for e in _entries(value, (int, float), "eps"))
+        return tuple(_floats(_entries(value, (int, float), "eps"), "eps"))
     try:
         return tuple(float(part) for part in value.split(","))
     except ValueError as exc:
@@ -80,7 +90,10 @@ def _amplitudes(value) -> tuple[complex, ...]:
         pairs = _entries(value, list, "alpha")
         if any(len(pair) != 2 for pair in pairs):
             raise ConfigurationError(f"alpha entries must be [re, im] pairs, got {value!r}")
-        return tuple(complex(*_entries(pair, (int, float), "alpha")) for pair in pairs)
+        return tuple(
+            complex(*_floats(_entries(pair, (int, float), "alpha"), "alpha"))
+            for pair in pairs
+        )
     out = []
     for part in value.split(","):
         try:
@@ -206,6 +219,8 @@ def _check_config_value(flag: Field, value) -> None:
     if isinstance(value, bool) or not isinstance(value, json_type):
         raise ConfigurationError(
             f"config value for {flag.name!r} has the wrong type: {value!r}")
+    if meta["type"] is float:
+        _floats([value], flag.name)
     if meta["choices"] is not None and value not in meta["choices"]:
         raise ConfigurationError(
             f"config value for {flag.name!r} must be one of "

@@ -1,4 +1,4 @@
-"""Exact ladder dynamics via spectral decomposition.
+"""Exact ladder dynamics via spectral decomposition, for stacks of ladders.
 
 The evolution operator on a ladder is exp(-i theta t G) with G the real
 symmetric tridiagonal generator.  G has a zero diagonal, so it only
@@ -9,6 +9,12 @@ B gives the eigenpairs +s and -s with eigenvectors (u, +v)/sqrt(2) and
 eigenvector (u_null, 0) at eigenvalue 0 (Golub & Kahan, 1965).  One SVD
 of B therefore diagonalizes G, with numpy alone.
 
+Every array here may carry leading stack axes in front of its ladder
+axes: m ladders of one dimension d have (m, d-1) generator elements,
+(m, d) eigenvalues and (m, d, d) eigenvectors.  A stack goes through one
+stacked SVD, and each slice of it through one stacked real product per
+call; a single ladder is the same code with no leading axis.
+
 Diagonalizing G once gives the evolved amplitudes together with their
 first and second derivatives in the coupling theta as exact analytic
 expressions,
@@ -17,88 +23,113 @@ expressions,
     dc_k/dtheta = sum_j V_kj (V^T psi0)_j (-i t lambda_j) exp(...),
 
 which keeps Fisher-information limits at theta -> 0 free of
-finite-difference noise.
+finite-difference noise.  The spectral weights V^T psi0 depend on the
+initial vector only, so they are formed once per probe.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError
-from .ladder import Ladder
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a ladder generator, eigenvalues ascending."""
+class Spectrum(NamedTuple):
+    """Eigendecomposition of ladder generators, eigenvalues ascending.
+
+    ``eigenvalues`` is (..., d) and ``eigenvectors`` (..., d, d), with the
+    same leading stack axes; column j of a ladder's eigenvector matrix
+    belongs to its eigenvalue j.  A tuple, so that a slice of a stack
+    costs little to wrap.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column j belongs to eigenvalues[j]
+    eigenvectors: np.ndarray
 
 
-def diagonalize(ladder: Ladder) -> Spectrum:
-    """Eigendecomposition of the tridiagonal generator through the SVD of B.
+def diagonalize(ladder) -> Spectrum:
+    """Eigendecomposition of tridiagonal generators through the SVD of B.
 
-    B is the ceil(d/2) x floor(d/2) block that couples even rungs (rows)
-    to odd rungs (columns): B[i, i] = offdiag[2i] and
-    B[i+1, i] = offdiag[2i+1].  With B = U S V^T and s descending, the
-    eigenvalues are -s, then 0 when d is odd, then s reversed, so they
-    ascend and pair exactly as -lambda.  The eigenvector of +-s_k is
-    (u_k, +-v_k)/sqrt(2) spread over the even and odd rungs; for odd d
-    the last column of U, which B^T annihilates, gives the null vector
-    (u_null, 0), with no weight on any odd rung.
+    ``ladder`` is a :class:`Ladder` or a stack of ladders: anything with
+    an ``offdiag`` array of shape (..., d-1).  B is the ceil(d/2) x
+    floor(d/2) block that couples even rungs (rows) to odd rungs
+    (columns): B[i, i] = offdiag[2i] and B[i+1, i] = offdiag[2i+1]; the
+    blocks of a stack go through one ``np.linalg.svd``.  With B = U S V^T
+    and s descending, the eigenvalues are -s, then 0 when d is odd, then
+    s reversed, so they ascend and pair exactly as -lambda.  The
+    eigenvector of +-s_k is (u_k, +-v_k)/sqrt(2) spread over the even and
+    odd rungs; for odd d the last column of U, which B^T annihilates,
+    gives the null vector (u_null, 0), with no weight on any odd rung.
     """
-    d = ladder.d
-    if d == 1:
-        return Spectrum(eigenvalues=np.zeros(1), eigenvectors=np.eye(1))
     e = ladder.offdiag
+    lead, d = e.shape[:-1], e.shape[-1] + 1
+    if d == 1:
+        return Spectrum(eigenvalues=np.zeros((*lead, 1)), eigenvectors=np.ones((*lead, 1, 1)))
     n = d // 2
-    b = np.zeros(((d + 1) // 2, n))
+    b = np.zeros((*lead, (d + 1) // 2, n))
     # B[i, i] and B[i+1, i] sit n+1 apart in B's row-major storage
-    b.reshape(-1)[0 :: n + 1] = e[0::2]
-    b.reshape(-1)[n :: n + 1] = e[1::2]
+    flat = b.reshape(*lead, -1)
+    flat[..., 0 :: n + 1] = e[..., 0::2]
+    flat[..., n :: n + 1] = e[..., 1::2]
     try:
         u, s, vt = np.linalg.svd(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"bidiagonal SVD failed: {exc}") from exc
-    lam = np.concatenate([-s, np.zeros(d % 2), s[::-1]])
+    lam = np.concatenate([-s, np.zeros((*lead, d % 2)), s[..., ::-1]], axis=-1)
     # columns: the -s pairs, the null vector when d is odd, the +s pairs
-    u[:, :n] *= np.sqrt(0.5)
-    vt *= np.sqrt(0.5)
-    vec = np.zeros((d, d))
-    vec[0::2, :n] = u[:, :n]
-    np.negative(vt.T, out=vec[1::2, :n])
-    vec[0::2, d - n :] = u[:, n - 1 :: -1]
-    vec[1::2, d - n :] = vt[::-1].T
+    v = vt.swapaxes(-1, -2)
+    vec = np.zeros((*lead, d, d))
+    vec[..., 0::2, :n] = u[..., :n]
+    np.negative(v, out=vec[..., 1::2, :n])
+    vec[..., 0::2, d - n :] = u[..., n - 1 :: -1]
+    vec[..., 1::2, d - n :] = v[..., ::-1]
+    vec *= _SQRT_HALF
     if d % 2:
-        vec[0::2, n] = u[:, n]
+        # the null vector (u_null, 0) is not shared between two halves
+        vec[..., 0::2, n] = u[..., n]
     return Spectrum(eigenvalues=lam, eigenvectors=vec)
 
 
+def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> np.ndarray:
+    """V^T psi0: the (..., d) initial vectors ``psi0``, in rung order, on
+    the eigenbasis of each ladder of the stack."""
+    psi = np.ascontiguousarray(psi0, dtype=complex)
+    # complex vectors enter real products as (real, imaginary) column pairs
+    rows = psi.view(float).reshape(*psi.shape, 2)
+    return (spectrum.eigenvectors.swapaxes(-1, -2) @ rows).view(complex)[..., 0]
+
+
 def evolve_vector(
-    spectrum: Spectrum, psi0: np.ndarray, couplings: np.ndarray, time: float
+    spectrum: Spectrum, weights: np.ndarray, couplings: np.ndarray, time: float
 ) -> np.ndarray:
     """Evolved amplitudes c and their coupling derivatives c', c''.
 
-    ``psi0`` is any initial vector on the ladder, in rung order, and
-    ``couplings`` a 1-D grid of G couplings.  The result is a (3 x G x d)
-    array that unpacks as ``c, dc, d2c``, with one row per coupling.
-    The eigenvectors are real, so the phase-weighted spectral vectors go
-    through one real product over their real and imaginary parts.
+    ``weights`` are the initial vectors' spectral weights V^T psi0 (see
+    :func:`spectral_weights`), one (..., d) row per ladder of the stack,
+    and ``couplings`` a 1-D grid of G couplings.  The result is a
+    (3 x ... x G x d) array that unpacks as ``c, dc, d2c``, each with the
+    stack's leading axes, one row per coupling and one column per rung.
+    The eigenvectors are real, so the phase-weighted spectral vectors of
+    the whole stack and grid go through one stacked real product over
+    their real and imaginary parts.
     """
     lam = spectrum.eigenvalues
-    v = spectrum.eigenvectors
-    # complex vectors enter real products as (real, imaginary) column pairs
-    psi = np.ascontiguousarray(psi0, dtype=complex)
-    w = (v.T @ psi.view(float).reshape(-1, 2)).view(complex)
+    *lead, d = lam.shape
     th = np.asarray(couplings, dtype=float)
     n = len(th)
-    gen = (-1j * time) * lam[:, None]
+    # one row per rung of every ladder of the stack
+    gen = (-1j * time) * lam.reshape(-1, 1)
     # column blocks: the spectral weights of c, c' and c'' at each coupling
-    cols = np.empty((len(lam), 3 * n), dtype=complex)
-    np.multiply(np.exp(gen * th), w, out=cols[:, :n])
+    cols = np.empty((len(gen), 3 * n), dtype=complex)
+    np.multiply(np.exp(gen * th), weights.reshape(-1, 1), out=cols[:, :n])
     np.multiply(cols[:, :n], gen, out=cols[:, n : 2 * n])
     np.multiply(cols[:, n : 2 * n], gen, out=cols[:, 2 * n :])
-    moved = (v @ cols.view(float)).view(complex)
-    return moved.reshape(len(lam), 3, n).transpose(1, 2, 0)
+    moved = spectrum.eigenvectors @ cols.view(float).reshape(*lead, d, 6 * n)
+    # stored as (..., d, 3, G); returned as the view (3, ..., G, d)
+    moved = moved.view(complex).reshape(*lead, d, 3, n)
+    k = lam.ndim
+    return moved.transpose(k, *range(k - 1), k + 1, k - 1)

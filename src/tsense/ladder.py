@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import ConfigurationError, ResourceError
 
-# the most rungs build_ladder will allocate: 8192 rungs already mean
-# 512 MiB of float64 eigenvectors once the ladder is diagonalized, and
-# PreparedProbe caps the sum of d**2 over a probe's ladders at the same
-# MAX_RUNGS**2.  While diagonalize runs, the SVD's outputs and workspace
-# add about 1.3 d**2 more (measured at d = 2001 and 3000)
+# the most rungs a ladder may have: 8192 rungs already mean 512 MiB of
+# float64 eigenvectors once the ladder is diagonalized, and decompose
+# caps the sum of d**2 over a probe's ladders at the same MAX_RUNGS**2.
+# While diagonalize runs, the SVD's outputs and workspace add about
+# 1.3 d**2 more (measured at d = 2001 and 3000)
 MAX_RUNGS = 8192
 
 
@@ -41,6 +41,18 @@ class InteractionKind(Enum):
     @property
     def n_modes(self) -> int:
         return 3 if self is InteractionKind.I else 2
+
+    @property
+    def rung_step(self) -> tuple[int, ...]:
+        """Change of each mode's occupation from one rung to the next."""
+        return (1, -1, -1) if self is InteractionKind.I else (1, -2)
+
+
+# occupations @ map = the rung-0 configuration (0, Q_b, Q_c) or (0, Q)
+_ROOT_MAPS = {
+    InteractionKind.I: np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1]]),
+    InteractionKind.II: np.array([[0, 2], [0, 1]]),
+}
 
 
 @dataclass(frozen=True)
@@ -101,39 +113,67 @@ def validate_config(kind: InteractionKind, config: FockConfig) -> None:
 
 
 def build_ladder(kind: InteractionKind, root: FockConfig) -> Ladder:
-    """Construct the invariant subspace reachable from ``root``.
-
-    Matrix elements follow from the explicit ladder-operator action:
-    between rungs k and k+1 the element is sqrt((k+1)(Q_b-k)(Q_c-k))
-    for kind I and sqrt((k+1)(Q-2k)(Q-2k-1)) for kind II, where the
-    occupations of the raising target enter for the measured mode and
-    those of the lower rung for the absorbed modes.
-    """
+    """Construct the invariant subspace reachable from ``root``, from the
+    closed forms that also build stacks of ladders."""
     validate_config(kind, root)
+    top = sector_roots(kind, np.array(root.occupations))
+    (d,) = checked_rungs(kind, [top.tolist()], [root.occupations])
+    return Ladder(
+        basis=ladder_basis(kind, top, d),
+        offdiag=ladder_offdiag(kind, top, d),
+        root_index=root[0],
+    )
+
+
+def sector_roots(kind: InteractionKind, occs: np.ndarray) -> np.ndarray:
+    """Rung-0 configuration of the ladder through each row of ``occs``.
+
+    Works on any (..., modes) integer array: a kind-I state (n_a, n_b, n_c)
+    lies on the ladder of (0, Q_b, Q_c), a kind-II state (n_a', n_b') on
+    that of (0, Q), both linear in the occupations.
+    """
+    return occs @ _ROOT_MAPS[kind]
+
+
+def checked_rungs(kind: InteractionKind, roots: list, labels) -> list[int]:
+    """Ladder dimension d of each rung-0 configuration in the list
+    ``roots``, min(Q_b, Q_c) + 1 for kind I and Q // 2 + 1 for kind II,
+    refused above MAX_RUNGS before anything is allocated.  ``labels[i]``
+    names ladder i in the refusal."""
     if kind is InteractionKind.I:
-        na, nb, nc = root.occupations
-        qb, qc = na + nb, na + nc
-        k = np.arange(_checked_rungs(min(qb, qc) + 1, root))
-        basis = np.stack([k, qb - k, qc - k], axis=1)
-        # float factors: each partial product is exact below 2^53, as
-        # the integer product was, and nothing can wrap around
-        lo = k[:-1]
-        off = np.sqrt((lo + 1.0) * (qb - lo) * (qc - lo))
+        d = [min(qb, qc) + 1 for _, qb, qc in roots]
     else:
-        na, nb = root.occupations
-        q = 2 * na + nb
-        k = np.arange(_checked_rungs(q // 2 + 1, root))
-        basis = np.stack([k, q - 2 * k], axis=1)
-        lo = k[:-1]
-        off = np.sqrt((lo + 1.0) * (q - 2 * lo) * (q - 2 * lo - 1))
-    return Ladder(basis=basis, offdiag=off, root_index=root[0])
-
-
-def _checked_rungs(d: int, root: FockConfig) -> int:
-    """The closed-form rung count ``d``, refused above MAX_RUNGS before
-    anything is allocated."""
-    if d > MAX_RUNGS:
+        d = [q // 2 + 1 for _, q in roots]
+    if max(d) > MAX_RUNGS:
+        i = next(i for i, n in enumerate(d) if n > MAX_RUNGS)
         raise ResourceError(
-            f"the ladder of {root.occupations} has {d} rungs (cap {MAX_RUNGS})"
+            f"the ladder of {tuple(np.asarray(labels[i]).tolist())} has {d[i]} rungs "
+            f"(cap {MAX_RUNGS})"
         )
     return d
+
+
+def ladder_basis(kind: InteractionKind, roots: np.ndarray, d: int) -> np.ndarray:
+    """(..., d, modes) occupations of every rung of d-rung ladders with the
+    (..., modes) rung-0 configurations ``roots``."""
+    return roots[..., None, :] + np.arange(d)[:, None] * kind.rung_step
+
+
+def ladder_offdiag(kind: InteractionKind, roots: np.ndarray, d: int) -> np.ndarray:
+    """Generator elements between rungs k and k+1 of d-rung ladders.
+
+    ``roots`` is a (..., modes) array of rung-0 configurations and the
+    result a (..., d-1) array.  Matrix elements follow from the explicit
+    ladder-operator action: sqrt((k+1)(Q_b-k)(Q_c-k)) for kind I and
+    sqrt((k+1)(Q-2k)(Q-2k-1)) for kind II, where the occupations of the
+    raising target enter for the measured mode and those of the lower
+    rung for the absorbed modes.
+    """
+    lo = np.arange(d - 1)
+    # float factors: each partial product is exact below 2^53, as the
+    # integer product would be, and nothing can wrap around
+    if kind is InteractionKind.I:
+        qb, qc = roots[..., 1, None], roots[..., 2, None]
+        return np.sqrt((lo + 1.0) * (qb - lo) * (qc - lo))
+    q = roots[..., 1, None] - 2 * lo
+    return np.sqrt((lo + 1.0) * q * (q - 1))

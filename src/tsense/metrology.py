@@ -24,18 +24,20 @@ import numpy as np
 
 from . import dynamics
 from .errors import ConfigurationError, ResourceError, UndefinedBoundError
-from .ladder import MAX_RUNGS, FockConfig, InteractionKind, build_ladder, validate_config
+from .ladder import FockConfig, InteractionKind, build_ladder, validate_config
 from .optimize import _score
 from .probes import CoherentProduct, Probe, PureFock, decompose
 
 ZERO_PROB = 1e-14
-# rows x ladder dimension evaluated at once along a coupling grid
+# ladders x rungs x couplings evaluated at once
 BLOCK_ELEMENTS = 4096
 # couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
 # point at the bracket's centre
 ZOOM_POINTS = 33
 # couplings on one scan grid; refused above it before any allocation
 MAX_STEPS = 2**20
+# P = |c|^2, P' = 2 Re c* c' and P'' = 2 (Re c* c'' + |c'|^2)
+_MOMENT_SCALE = np.array([[1.0], [2.0], [2.0]])
 
 
 @dataclass(frozen=True)
@@ -92,48 +94,60 @@ class SensitivityProfile:
 
 
 class PreparedProbe:
-    """Probe decomposed and diagonalized once, reusable across couplings."""
+    """Probe decomposed and diagonalized once, reusable across couplings.
+
+    Each stack of ladders (see :func:`tsense.probes.decompose`) keeps its
+    stacked spectrum, the spectral weights of its initial vectors scaled
+    by the square root of each ladder's weight, so that the populations
+    of a stack add up without weights, and the measured occupations of
+    its rungs.
+    """
 
     def __init__(self, probe: Probe, kind: InteractionKind, mode: int = 0):
         self.probe = probe
         self.kind = kind
         self.mode = mode
-        parts = decompose(probe, kind).components
-        # each ladder keeps a d x d eigenvector matrix; all of them together
-        # may hold no more than one ladder at the rung cap
-        entries = sum(c.ladder.d ** 2 for c in parts)
-        if entries > MAX_RUNGS**2:
-            raise ResourceError(
-                f"the {len(parts)} ladders of the probe need {entries} eigenvector "
-                f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2)"
-            )
-        # each component's weight on P, and twice that on P' and P''
-        self.scales = [
-            np.array([[c.weight], [2.0 * c.weight], [2.0 * c.weight]]) for c in parts
+        stacks = decompose(probe, kind, mode).components
+        self.spectra = [dynamics.diagonalize(s) for s in stacks]
+        self.spectral_weights = [
+            dynamics.spectral_weights(spec, s.amplitudes * np.sqrt(s.weights)[:, None])
+            for spec, s in zip(self.spectra, stacks)
         ]
-        self.spectra = [dynamics.diagonalize(c.ladder) for c in parts]
-        self.psi0s = [c.amplitudes for c in parts]
-        self.occs = [c.ladder.basis[:, mode] for c in parts]
-        self.n_outcomes = int(max(o.max() for o in self.occs)) + 1
-        # couplings per evaluation block, so no block exceeds BLOCK_ELEMENTS
-        self.block_rows = max(1, BLOCK_ELEMENTS // max(c.ladder.d for c in parts))
+        self.occs = [s.occupations(mode) for s in stacks]
+        # occupations run evenly along a ladder: the largest is at one end
+        self.n_outcomes = 1 + max(max(int(o[0]), int(o[-1])) for o in self.occs)
+        # couplings per evaluation block, so that one ladder's rungs x
+        # couplings stay within BLOCK_ELEMENTS
+        self.block_rows = max(1, BLOCK_ELEMENTS // max(s.d for s in stacks))
+        # (order, starts) of each scheme's outcome partition, see fisher
+        self._partitions: dict = {}
 
     def distributions(self, couplings: np.ndarray, time: float) -> np.ndarray:
         """Aggregated P, P', P'' over the measured occupation.
 
         The result is a (3 x G x n_outcomes) array that unpacks as
-        ``P, dP, d2P``, with one row per coupling.
+        ``P, dP, d2P``, with one row per coupling.  Each stack is evolved
+        in slices of as many ladders as keep ladders x rungs x couplings
+        within BLOCK_ELEMENTS (at least one), and each slice adds its sum
+        over ladders into the occupations of its rungs.
         """
+        n = len(couplings)
         # laid out as outcome x (P, P', P'') x coupling while accumulating
-        moments = np.zeros((self.n_outcomes, 3, len(couplings)))
-        for scale, spec, psi0, occ in zip(
-            self.scales, self.spectra, self.psi0s, self.occs
-        ):
-            amps = dynamics.evolve_vector(spec, psi0, couplings, time).transpose(2, 0, 1)
-            # |c|^2, Re c* c' and Re c* c'' + |c'|^2 for each rung and coupling
-            prods = (np.conj(amps[:, :1]) * amps).real
-            prods[:, 2] += np.abs(amps[:, 1]) ** 2
-            moments[occ] += scale * prods
+        moments = np.zeros((self.n_outcomes, 3, n))
+        stacks = zip(self.spectra, self.spectral_weights, self.occs)
+        for (values, vectors), weights, occ in stacks:
+            m, d = weights.shape
+            step = max(1, BLOCK_ELEMENTS // (d * n))
+            for lo in range(0, m, step):
+                part = slice(lo, lo + step)
+                spec = dynamics.Spectrum(values[part], vectors[part])
+                amps = dynamics.evolve_vector(spec, weights[part], couplings, time)
+                # ladder x rung x (c, c', c'') x coupling
+                amps = amps.transpose(1, 3, 0, 2)
+                # |c|^2, Re c* c' and Re c* c'' + |c'|^2 for each rung and coupling
+                prods = (np.conj(amps[:, :, :1]) * amps).real
+                prods[:, :, 2] += np.abs(amps[:, :, 1]) ** 2
+                moments[occ] += _MOMENT_SCALE * np.add.reduce(prods)
         return moments.transpose(1, 2, 0)
 
     def fisher(
@@ -141,11 +155,7 @@ class PreparedProbe:
     ) -> np.ndarray:
         """Classical Fisher information of one scheme at each coupling."""
         couplings = np.asarray(couplings, dtype=float)
-        # occupations ordered group by group, and where each group starts;
-        # empty groups contribute nothing and are left out
-        groups = [g for g in outcome_partition(scheme, self.n_outcomes) if g]
-        order = np.array([m for g in groups for m in g])
-        starts = np.array([0, *accumulate(len(g) for g in groups[:-1])])
+        order, starts = self._partition(scheme)
         values = np.empty(len(couplings))
         for lo in range(0, len(couplings), self.block_rows):
             block = couplings[lo : lo + self.block_rows]
@@ -153,6 +163,18 @@ class PreparedProbe:
             p, dp, d2p = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
             values[lo : lo + len(block)] = np.add.reduce(_fisher_terms(p, dp, d2p))
         return values
+
+    def _partition(self, scheme: MeasurementScheme) -> tuple[np.ndarray, np.ndarray]:
+        """Occupations ordered group by group, and where each group starts;
+        empty groups contribute nothing and are left out.  Built once per
+        scheme."""
+        cached = self._partitions.get(scheme)
+        if cached is None:
+            groups = [g for g in outcome_partition(scheme, self.n_outcomes) if g]
+            order = np.array([m for g in groups for m in g])
+            starts = np.array([0, *accumulate(len(g) for g in groups[:-1])])
+            cached = self._partitions[scheme] = (order, starts)
+        return cached
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray, d2p: np.ndarray) -> np.ndarray:

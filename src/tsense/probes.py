@@ -20,6 +20,13 @@ decompose into components that live on a single ladder each:
 Sector populations add for any measurement diagonal in the measured
 mode's number basis, so this decomposition is exact for every scheme in
 :mod:`tsense.metrology`.
+
+Components are handed out in stacks: every component whose ladder has
+the same dimension d and the same measured-mode occupations on its
+rungs joins one :class:`LadderStack`, whose generators, initial vectors
+and weights are (m x d-1), (m x d) and (m,) arrays built by table
+lookups.  A coherent probe with a few hundred sectors has a few dozen
+stacks; a pure Fock probe is one stack of one.
 """
 from __future__ import annotations
 
@@ -31,7 +38,16 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .ladder import FockConfig, InteractionKind, Ladder, build_ladder, validate_config
+from .ladder import (
+    MAX_RUNGS,
+    FockConfig,
+    InteractionKind,
+    checked_rungs,
+    ladder_basis,
+    ladder_offdiag,
+    sector_roots,
+    validate_config,
+)
 
 MAX_COHERENT_STATES = 200_000
 
@@ -85,28 +101,47 @@ Probe = Union[PureFock, NoisyFock, CoherentProduct]
 
 
 @dataclass(frozen=True)
-class Component:
-    """One ladder with an initial unit vector and an ensemble weight."""
+class LadderStack:
+    """m ladders of one dimension d, each with an initial unit vector and
+    an ensemble weight, stacked along a leading axis.
 
-    weight: float
-    ladder: Ladder
+    ``roots`` is the (m x modes) rung-0 configuration of each ladder, so
+    rung k of ladder i has the occupations ``roots[i] + k * rung_step``;
+    ``offdiag`` is (m x d-1), ``amplitudes`` (m x d) complex unit rows
+    and ``weights`` (m,).  Every ladder of a stack has the same
+    occupations of the measured mode on its rungs.
+    """
+
+    kind: InteractionKind
+    roots: np.ndarray
+    weights: np.ndarray
+    offdiag: np.ndarray
     amplitudes: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.amplitudes.shape[1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        """(m x d x modes) occupations of every rung of every ladder."""
+        return ladder_basis(self.kind, self.roots, self.d)
+
+    def occupations(self, mode: int) -> np.ndarray:
+        """The (d,) occupations of ``mode`` on the rungs, shared by the stack."""
+        first, step = int(self.roots[0, mode]), self.kind.rung_step[mode]
+        return np.arange(first, first + step * self.d, step)
 
 
 @dataclass(frozen=True)
 class WeightedComponents:
-    components: tuple[Component, ...]
+    """A probe's ladders, grouped into stacks."""
+
+    components: tuple[LadderStack, ...]
 
     @property
     def total_weight(self) -> float:
-        return sum(c.weight for c in self.components)
-
-
-def _root_component(kind: InteractionKind, occs: tuple[int, ...], weight: float) -> Component:
-    ladder = build_ladder(kind, FockConfig(occs))
-    psi = np.zeros(ladder.d, dtype=complex)
-    psi[ladder.root_index] = 1.0
-    return Component(weight=weight, ladder=ladder, amplitudes=psi)
+        return sum(float(c.weights.sum()) for c in self.components)
 
 
 def _noise_terms(n: int, e: float) -> list[tuple[int, float]]:
@@ -133,38 +168,85 @@ def _poisson_cutoffs(mus: list[float], cutoff_mass: float) -> list[int]:
     return tops
 
 
-def _sector_roots(kind: InteractionKind, occs: np.ndarray) -> np.ndarray:
-    """Rung-0 configuration of the conserved-charge sector of each row."""
-    if kind is InteractionKind.I:
-        na, nb, nc = occs.T
-        return np.stack([np.zeros_like(na), na + nb, na + nc], axis=1)
-    na, nb = occs.T
-    return np.stack([np.zeros_like(na), 2 * na + nb], axis=1)
+def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedComponents:
+    """Split a probe into weighted single-ladder parts, stacked.
 
-
-def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
-    """Split a probe into weighted single-ladder components."""
+    Ladders of one dimension whose rungs carry the same occupations of
+    the measured ``mode`` form one :class:`LadderStack`.  For mode 0 the
+    rung occupations are 0..d-1 on every ladder, so the dimension alone
+    decides.  Every dimension is known in closed form before anything is
+    built: a ladder above MAX_RUNGS rungs, or ladders that need more than
+    MAX_RUNGS**2 eigenvector entries together, are refused first.
+    """
     if isinstance(probe, PureFock):
         validate_config(kind, FockConfig(probe.occupations))
-        return WeightedComponents((_root_component(kind, probe.occupations, 1.0),))
+        return _fock_stacks(kind, [probe.occupations], [1.0], mode)
 
     if isinstance(probe, NoisyFock):
         validate_config(kind, FockConfig(probe.nominal))
         per_mode = [_noise_terms(n, e) for n, e in zip(probe.nominal, probe.eps)]
-        comps = []
-        for combo in itertools.product(*per_mode):
-            occs = tuple(term[0] for term in combo)
-            weight = math.prod(term[1] for term in combo)
-            comps.append(_root_component(kind, occs, weight))
-        return WeightedComponents(tuple(comps))
+        combos = list(itertools.product(*per_mode))
+        occs = [tuple(term[0] for term in combo) for combo in combos]
+        weights = [math.prod(term[1] for term in combo) for combo in combos]
+        return _fock_stacks(kind, occs, weights, mode)
 
     if isinstance(probe, CoherentProduct):
-        return _decompose_coherent(probe, kind)
+        return _decompose_coherent(probe, kind, mode)
 
     raise ConfigurationError(f"unknown probe type {type(probe).__name__}")
 
 
-def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> WeightedComponents:
+def _stack_members(
+    kind: InteractionKind, rows: list, labels, mode: int
+) -> list[tuple[int, list[int]]]:
+    """The dimension and the ladder numbers of each stack, once the rung
+    cap and the eigenvector budget have passed.
+
+    ``rows`` are the rung-0 configurations of the ladders, ``labels`` the
+    occupations that name each ladder in a refusal.
+    """
+    d = checked_rungs(kind, rows, labels)
+    # each ladder keeps a d x d eigenvector matrix; all of them together
+    # may hold no more than one ladder at the rung cap
+    entries = sum(n * n for n in d)
+    if entries > MAX_RUNGS**2:
+        raise ResourceError(
+            f"the {len(d)} ladders of the probe need {entries} eigenvector "
+            f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2)"
+        )
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (n, row) in enumerate(zip(d, rows)):
+        groups.setdefault((n, row[mode]), []).append(i)
+    return [(key[0], groups[key]) for key in sorted(groups)]
+
+
+def _fock_stacks(
+    kind: InteractionKind, occs: list[tuple[int, ...]], weights: list[float], mode: int
+) -> WeightedComponents:
+    """Stacks of the product Fock states ``occs``, each starting on the
+    rung of its measured-mode occupation.  Few states, so each stack's
+    arrays are made from lists."""
+    rows = sector_roots(kind, np.array(occs)).tolist()
+    stacks = []
+    for d, members in _stack_members(kind, rows, occs, mode):
+        start = np.array([occs[i][0] for i in members])
+        psi = (np.arange(d) == start[:, None]).astype(complex)
+        roots = np.array([rows[i] for i in members])
+        stacks.append(_stack(kind, roots, np.array([weights[i] for i in members]), psi))
+    return WeightedComponents(tuple(stacks))
+
+
+def _stack(
+    kind: InteractionKind, roots: np.ndarray, weights: np.ndarray, amplitudes: np.ndarray
+) -> LadderStack:
+    """The stacked build: one generator table for ladders of one dimension."""
+    offdiag = ladder_offdiag(kind, roots, amplitudes.shape[1])
+    return LadderStack(kind, roots, weights, offdiag, amplitudes)
+
+
+def _decompose_coherent(
+    probe: CoherentProduct, kind: InteractionKind, mode: int
+) -> WeightedComponents:
     alphas = probe.alphas
     if len(alphas) != kind.n_modes:
         raise ConfigurationError(
@@ -210,28 +292,26 @@ def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> Weight
 
     # each table gains a trailing zero for occupations past its cutoff
     padded = [np.append(t, 0.0) for t in tables]
-    comps = []
-    for root in np.unique(_sector_roots(kind, occs), axis=0):
-        ladder = build_ladder(kind, FockConfig(root))
-        psi = np.ones(ladder.d, dtype=complex)
-        for table, column in zip(padded, ladder.basis.T):
+    roots = np.unique(sector_roots(kind, occs), axis=0)
+    parts = []
+    for d, members in _stack_members(kind, roots.tolist(), roots, mode):
+        idx = np.array(members)
+        psi = np.ones((len(idx), d), dtype=complex)
+        columns = np.moveaxis(ladder_basis(kind, roots[idx], d), -1, 0)
+        for table, column in zip(padded, columns):
             psi *= table[np.minimum(column, len(table) - 1)]
-        w = float(np.vdot(psi, psi).real)
-        if w <= 0.0:
-            continue
-        comps.append(Component(weight=w, ladder=ladder, amplitudes=psi / math.sqrt(w)))
-
-    total = sum(c.weight for c in comps)
-    comps = [
-        Component(weight=c.weight / total, ladder=c.ladder, amplitudes=c.amplitudes)
-        for c in comps
-    ]
-    return WeightedComponents(tuple(comps))
+        w = np.einsum("ij,ij->i", psi.conj(), psi).real
+        keep = w > 0.0
+        parts.append((idx[keep], w[keep], psi[keep] / np.sqrt(w[keep])[:, None]))
+    total = sum(w.sum() for _, w, _ in parts)
+    return WeightedComponents(
+        tuple(_stack(kind, roots[idx], w / total, psi) for idx, w, psi in parts if idx.size)
+    )
 
 
 def mean_occupations(components: WeightedComponents) -> np.ndarray:
     """Ensemble mean occupation per mode (diagnostic for truncation)."""
     return sum(
-        c.weight * (np.abs(c.amplitudes) ** 2 @ c.ladder.basis)
+        c.weights @ np.einsum("ik,ikj->ij", np.abs(c.amplitudes) ** 2, c.basis)
         for c in components.components
     )

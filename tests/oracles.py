@@ -11,6 +11,12 @@ function that evaluates F on a coupling grid.  Optimal configurations
 are found by scoring one composition at a time in Python integers.  The
 Lagrange relaxation is found by a damped Newton solve of the full
 stationarity system, with no symmetry assumed.
+
+The one exception is the per-ladder Fisher loop, the reference for the
+stacked kernel: it runs the package's single-ladder build,
+diagonalization and evolution on one ladder at a time, finds the
+ladders without the package's decomposition, and adds each ladder's
+populations into the measured occupations by fancy indexing.
 """
 import heapq
 import itertools
@@ -18,7 +24,19 @@ import math
 
 import numpy as np
 
-from tsense import InteractionKind
+from tsense import (
+    BinaryFock,
+    CoherentProduct,
+    FockConfig,
+    FullPNR,
+    InteractionKind,
+    NoisyFock,
+    PureFock,
+    SequentialS0,
+    build_ladder,
+    diagonalize,
+    evolve_vector,
+)
 from tsense.optimize import _score
 from tsense.probes import _poisson_cutoffs
 
@@ -184,6 +202,86 @@ def coherent_sectors_heap(alphas, cutoff_mass: float, kind: InteractionKind):
             sectors.append((rungs[0], w, psi / math.sqrt(w)))
     total = sum(w for _, w, _ in sectors)
     return [(root, w / total, psi) for root, w, psi in sectors]
+
+
+def _probe_ladders(probe, kind: InteractionKind):
+    """(weight, ladder, initial vector) of every ladder of a probe."""
+    if isinstance(probe, CoherentProduct):
+        for root, weight, psi in coherent_sectors_heap(probe.alphas, probe.cutoff_mass, kind):
+            yield weight, build_ladder(kind, FockConfig(root)), psi
+        return
+    if isinstance(probe, PureFock):
+        terms = [[(n, 1.0)] for n in probe.occupations]
+    else:
+        # per mode (1-2e)|n> + e|n-1> + e|n+1>, the lower weight moved up at n = 0
+        terms = []
+        for n, e in zip(probe.nominal, probe.eps):
+            if e == 0.0:
+                terms.append([(n, 1.0)])
+            elif n == 0:
+                terms.append([(0, 1.0 - 2.0 * e), (1, 2.0 * e)])
+            else:
+                terms.append([(n - 1, e), (n, 1.0 - 2.0 * e), (n + 1, e)])
+    for combo in itertools.product(*terms):
+        ladder = build_ladder(kind, FockConfig(tuple(n for n, _ in combo)))
+        psi = np.zeros(ladder.d, dtype=complex)
+        psi[ladder.root_index] = 1.0
+        yield math.prod(w for _, w in combo), ladder, psi
+
+
+def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: float, mode=0):
+    """P, P', P'' as a (3 x G x outcomes) array, one ladder at a time.
+
+    Each ladder is built, diagonalized and evolved on its own, and its
+    weighted populations are added into the occupations of ``mode`` on
+    its rungs.
+    """
+    couplings = np.asarray(couplings, dtype=float)
+    parts = list(_probe_ladders(probe, kind))
+    n_outcomes = 1 + max(int(ladder.basis[:, mode].max()) for _, ladder, _ in parts)
+    moments = np.zeros((n_outcomes, 3, len(couplings)))
+    for weight, ladder, psi in parts:
+        spec = diagonalize(ladder)
+        c, dc, d2c = evolve_vector(spec, spec.eigenvectors.T @ psi, couplings, time)
+        prods = np.stack([
+            np.abs(c) ** 2,
+            2.0 * (np.conj(c) * dc).real,
+            2.0 * ((np.conj(c) * d2c).real + np.abs(dc) ** 2),
+        ])
+        moments[ladder.basis[:, mode]] += weight * prods.transpose(2, 0, 1)
+    return moments.transpose(1, 2, 0)
+
+
+def fisher_per_ladder(probe, kind: InteractionKind, scheme, couplings, time: float, mode=0):
+    """Classical Fisher information from :func:`distributions_per_ladder`.
+
+    Outcome groups are summed one by one; a group whose P and |P'| are
+    both below 1e-14 adds 2 P'' (when that is at least 1e-14) instead of
+    P'^2 / P.
+    """
+    p, dp, d2p = distributions_per_ladder(probe, kind, couplings, time, mode)
+    occs = range(p.shape[1])
+    if isinstance(scheme, FullPNR):
+        groups = [[m] for m in occs]
+    elif isinstance(scheme, BinaryFock):
+        groups = [[scheme.n], [m for m in occs if m != scheme.n]]
+    else:
+        assert isinstance(scheme, SequentialS0)
+        n = scheme.n
+        groups = [[n], [n - 1, n + 1], [n - 2, n + 2]]
+        groups.append([m for m in occs if m not in {k for g in groups for k in g}])
+    values = np.zeros(len(p))
+    for g in range(len(p)):
+        for group in groups:
+            members = [m for m in group if m in occs]
+            if not members:
+                continue
+            pg, dpg, d2pg = (float(a[g, members].sum()) for a in (p, dp, d2p))
+            if max(pg, abs(dpg)) < 1e-14:
+                values[g] += 2.0 * d2pg if d2pg >= 1e-14 else 0.0
+            else:
+                values[g] += dpg * dpg / pg
+    return values
 
 
 def _first_strict_minimum(f: np.ndarray) -> int:

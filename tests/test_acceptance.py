@@ -29,6 +29,7 @@ from tsense import (
     qfi_coherent,
     qfi_variance,
     scan,
+    spectral_weights,
 )
 
 from oracles import evolved_amplitudes_taylor
@@ -53,7 +54,7 @@ def evolve_root(lad, spec, coupling):
     """Amplitudes c, c', c'' at one coupling from the ladder's root rung, t = 1."""
     psi0 = np.zeros(lad.d, dtype=complex)
     psi0[lad.root_index] = 1.0
-    return evolve_vector(spec, psi0, np.array([coupling]), 1.0)[:, 0]
+    return evolve_vector(spec, spectral_weights(spec, psi0), np.array([coupling]), 1.0)[:, 0]
 
 
 def test_criterion_1_closed_form_limits():

@@ -439,6 +439,31 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in err
 
 
+# a JSON integer of 330 digits: a valid number, but beyond any float
+HUGE = int("9" * 330)
+
+
+@pytest.mark.parametrize(
+    "key,config",
+    [
+        ("time", {"state": "2,1,1", "time": HUGE}),
+        ("theta_max", {"state": "2,1,1", "theta_max": HUGE}),
+        ("eps", {"state": "2,1,1", "eps": [0.1, HUGE, 0.1]}),
+        ("alpha", {"alpha": [[1, 0], [HUGE, 0], [1, 0]]}),
+    ],
+)
+def test_config_numbers_beyond_a_float_are_usage_errors(key, config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(["fisher-scan", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    # the usage error and the usage hint, no traceback
+    message, hint = err.splitlines()
+    assert message == f"error: config value for {key!r} is too large for a float"
+    assert hint.startswith("run 'tsense")
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tsense import (
     build_ladder,
     diagonalize,
     evolve_vector,
+    spectral_weights,
 )
 
 from oracles import central_diff, evolved_amplitudes_taylor
@@ -32,7 +34,8 @@ def evolve_root(lad, spec, couplings, time=1.0):
     """
     psi0 = np.zeros(lad.d, dtype=complex)
     psi0[lad.root_index] = 1.0
-    return evolve_vector(spec, psi0, np.asarray(couplings, dtype=float), time)
+    weights = spectral_weights(spec, psi0)
+    return evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time)
 
 
 def test_trivial_spectrum():
@@ -227,7 +230,29 @@ def test_evolve_vector_general_initial_state():
     lad, spec = spectrum_of(II, (1, 2))
     psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: lad.d]
     psi /= np.linalg.norm(psi)
-    c = evolve_vector(spec, psi, np.array([0.4]), 1.0)[0, 0]
+    c = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.4]), 1.0)[0, 0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-12
-    back = evolve_vector(spec, c, np.array([-0.4]), 1.0)[0, 0]
+    back = evolve_vector(spec, spectral_weights(spec, c), np.array([-0.4]), 1.0)[0, 0]
     np.testing.assert_allclose(back, psi, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,roots", [
+    (I, [(0, 6, 9), (0, 7, 6), (0, 6, 6), (0, 11, 6)]),
+    (II, [(0, 12), (0, 13)]),
+])
+def test_a_stack_is_its_ladders_side_by_side(kind, roots):
+    # ladders of one dimension go through one stacked SVD and one stacked
+    # product; every ladder comes out bit for bit as it does on its own
+    ladders = [build_ladder(kind, FockConfig(r)) for r in roots]
+    stack = diagonalize(SimpleNamespace(offdiag=np.stack([lad.offdiag for lad in ladders])))
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((len(roots), ladders[0].d)) + 1j * rng.standard_normal(
+        (len(roots), ladders[0].d))
+    grid = np.linspace(-0.7, 1.1, 9)
+    stacked = evolve_vector(stack, spectral_weights(stack, psi), grid, 0.8)
+    for i, lad in enumerate(ladders):
+        spec = diagonalize(lad)
+        np.testing.assert_array_equal(stack.eigenvalues[i], spec.eigenvalues)
+        np.testing.assert_array_equal(stack.eigenvectors[i], spec.eigenvectors)
+        single = evolve_vector(spec, spectral_weights(spec, psi[i]), grid, 0.8)
+        np.testing.assert_array_equal(stacked[:, i], single)

@@ -57,11 +57,11 @@ def qfi_bound(probe, kind, t):
     if isinstance(probe, CoherentProduct):
         return qfi_coherent(probe.alphas, kind, t)
     total = 0.0
-    for comp in decompose(probe, kind).components:
-        g = comp.ladder.matrix()
-        psi = comp.amplitudes
-        mean = np.vdot(psi, g @ psi).real
-        total += comp.weight * 4.0 * t * t * (np.vdot(psi, g @ (g @ psi)).real - mean**2)
+    for stack in decompose(probe, kind).components:
+        for weight, offdiag, psi in zip(stack.weights, stack.offdiag, stack.amplitudes):
+            g = np.diag(offdiag, 1) + np.diag(offdiag, -1)
+            mean = np.vdot(psi, g @ psi).real
+            total += weight * 4.0 * t * t * (np.vdot(psi, g @ (g @ psi)).real - mean**2)
     return total
 
 
@@ -116,7 +116,7 @@ def test_grid_call_equals_one_point_calls(case, grid, t):
 def test_deep_ladder_grid_spans_blocks(scheme):
     # Q_b = Q_c = 400: one ladder of 401 rungs, several blocks per grid
     prep = PreparedProbe(PureFock((180, 220, 220)), I)
-    assert prep.spectra[0].eigenvalues.shape == (401,)
+    assert prep.spectra[0].eigenvalues.shape == (1, 401)
     grid = np.linspace(0.0, 0.02, 37)
     assert len(grid) > 3 * prep.block_rows
     batched = prep.fisher(scheme, grid, 1.0)

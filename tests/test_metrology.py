@@ -24,7 +24,7 @@ from tsense import (
     qfi_variance,
     scan,
 )
-from tsense import dynamics
+from tsense import dynamics, probes
 from tsense.ladder import MAX_RUNGS
 from tsense.metrology import ZOOM_POINTS, SensitivityProfile, outcome_partition
 
@@ -341,6 +341,27 @@ def test_probe_eigenvector_budget_is_checked_before_diagonalizing(monkeypatch):
 def test_probe_eigenvector_budget_admits_one_ladder_at_the_cap(monkeypatch):
     # d = MAX_RUNGS fills the budget exactly; the stub keeps it undiagonalized
     seen = []
-    monkeypatch.setattr(dynamics, "diagonalize", lambda ladder: seen.append(ladder.d))
-    PreparedProbe(PureFock((MAX_RUNGS - 1, 0, 0)), I)
+
+    class Admitted(Exception):
+        pass
+
+    def stop(ladder):
+        seen.append(ladder.d)
+        raise Admitted
+
+    monkeypatch.setattr(dynamics, "diagonalize", stop)
+    with pytest.raises(Admitted):
+        PreparedProbe(PureFock((MAX_RUNGS - 1, 0, 0)), I)
     assert seen == [MAX_RUNGS]
+
+
+def test_coherent_eigenvector_budget_is_checked_before_building(monkeypatch):
+    # 16596 sectors of up to ~300 rungs, about 2.1 GiB of eigenvectors
+    # together; their dimensions follow from the sector roots, so the
+    # probe is refused before `probes._stack` makes any stack
+    def refuse(kind, roots, weights, amplitudes):
+        raise AssertionError(f"built a stack of {len(roots)} ladders")
+
+    monkeypatch.setattr(probes, "_stack", refuse)
+    with pytest.raises(ResourceError, match=r"16596 ladders .* 2\.1 GiB"):
+        PreparedProbe(CoherentProduct((0.0, 12.0, 12.0)), I)

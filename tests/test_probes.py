@@ -19,46 +19,79 @@ from oracles import coherent_sectors_heap
 I, II = InteractionKind.I, InteractionKind.II
 
 
+def ladders(probe, kind, mode=0):
+    """(rung occupations, weight, amplitudes) of every ladder of every stack."""
+    return [
+        (basis, weight, psi)
+        for stack in decompose(probe, kind, mode).components
+        for basis, weight, psi in zip(stack.basis, stack.weights, stack.amplitudes)
+    ]
+
+
+def start_rung(basis, psi):
+    """Occupations of the one rung a Fock component starts on."""
+    (k,) = np.flatnonzero(psi)
+    return tuple(basis[k].tolist())
+
+
 def test_pure_fock_single_component():
-    comps = decompose(PureFock((2, 1, 1)), I).components
-    assert len(comps) == 1
-    assert comps[0].weight == 1.0
-    assert tuple(comps[0].ladder.basis[comps[0].ladder.root_index].tolist()) == (2, 1, 1)
-    psi = comps[0].amplitudes
-    assert psi[comps[0].ladder.root_index] == 1.0
+    parts = ladders(PureFock((2, 1, 1)), I)
+    assert len(parts) == 1
+    basis, weight, psi = parts[0]
+    assert weight == 1.0
+    # the rung index is the measured occupation, 2
+    assert tuple(basis[2].tolist()) == (2, 1, 1)
+    assert psi[2] == 1.0
     assert np.count_nonzero(psi) == 1
 
 
 def test_noisy_product_mixture():
-    comps = decompose(NoisyFock((1, 1, 1), (0.05, 0.05, 0.05)), I).components
-    assert len(comps) == 27
-    weights = {
-        tuple(c.ladder.basis[c.ladder.root_index].tolist()): c.weight
-        for c in comps
-    }
+    parts = ladders(NoisyFock((1, 1, 1), (0.05, 0.05, 0.05)), I)
+    assert len(parts) == 27
+    weights = {start_rung(basis, psi): weight for basis, weight, psi in parts}
     assert weights[(1, 1, 1)] == pytest.approx(0.9**3, abs=1e-15)
     assert weights[(0, 2, 1)] == pytest.approx(0.05 * 0.05 * 0.9, abs=1e-15)
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noisy_zero_occupation_reassigns_lower_neighbor():
-    comps = decompose(NoisyFock((0, 1), (0.1, 0.0)), II).components
-    weights = {
-        tuple(c.ladder.basis[c.ladder.root_index].tolist()): c.weight
-        for c in comps
-    }
+    parts = ladders(NoisyFock((0, 1), (0.1, 0.0)), II)
+    weights = {start_rung(basis, psi): weight for basis, weight, psi in parts}
     assert set(weights) == {(0, 1), (1, 1)}
     assert weights[(0, 1)] == pytest.approx(0.8)
     assert weights[(1, 1)] == pytest.approx(0.2)
 
 
 def test_zero_noise_reduces_to_pure():
-    pure = decompose(PureFock((2, 3)), II).components
-    noisy = decompose(NoisyFock((2, 3), (0.0, 0.0)), II).components
+    pure = ladders(PureFock((2, 3)), II)
+    noisy = ladders(NoisyFock((2, 3), (0.0, 0.0)), II)
     assert len(noisy) == len(pure) == 1
-    assert noisy[0].weight == pure[0].weight == 1.0
-    assert noisy[0].ladder.basis.tolist() == pure[0].ladder.basis.tolist()
-    np.testing.assert_array_equal(noisy[0].amplitudes, pure[0].amplitudes)
+    assert noisy[0][1] == pure[0][1] == 1.0
+    assert noisy[0][0].tolist() == pure[0][0].tolist()
+    np.testing.assert_array_equal(noisy[0][2], pure[0][2])
+
+
+@pytest.mark.parametrize("kind", [I, II])
+@pytest.mark.parametrize("mode", [0, 1])
+def test_stacks_share_dimension_and_measured_occupations(kind, mode):
+    probes = [
+        CoherentProduct((1.3, 0.9j, 1.1)[: kind.n_modes]),
+        NoisyFock((2, 1, 3)[: kind.n_modes], (0.1, 0.05, 0.2)[: kind.n_modes]),
+    ]
+    for probe in probes:
+        stacks = decompose(probe, kind, mode).components
+        keys = set()
+        for stack in stacks:
+            m, d = stack.amplitudes.shape
+            assert stack.offdiag.shape == (m, d - 1) and stack.weights.shape == (m,)
+            assert stack.basis.shape == (m, d, kind.n_modes)
+            # every ladder of the stack has the stack's measured occupations
+            assert np.all(stack.basis[:, :, mode] == stack.occupations(mode))
+            keys.add((d, int(stack.occupations(mode)[0])))
+        # one stack per (dimension, measured occupations)
+        assert len(keys) == len(stacks)
+        if mode == 0:
+            assert len({d for d, _ in keys}) == len(stacks)
 
 
 def test_noise_bounds_validated():
@@ -72,12 +105,9 @@ def test_noise_bounds_validated():
 
 def test_coherent_cutoff_and_unit_norm_components():
     probe = CoherentProduct((math.sqrt(2),) * 3, cutoff_mass=1 - 1e-8)
-    parts = decompose(probe, I)
-    assert parts.total_weight == pytest.approx(1.0, abs=1e-12)
-    for comp in parts.components:
-        assert np.vdot(comp.amplitudes, comp.amplitudes).real == pytest.approx(
-            1.0, abs=1e-12
-        )
+    assert decompose(probe, I).total_weight == pytest.approx(1.0, abs=1e-12)
+    for _, _, psi in ladders(probe, I):
+        assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_mean_occupation_matches_alpha():
@@ -90,10 +120,11 @@ def test_coherent_mean_occupation_matches_alpha():
 
 
 def test_coherent_vacuum_is_trivial():
-    parts = decompose(CoherentProduct((0.0, 0.0)), II).components
+    parts = ladders(CoherentProduct((0.0, 0.0)), II)
     assert len(parts) == 1
-    assert parts[0].ladder.d == 1
-    assert parts[0].weight == 1.0
+    basis, weight, _ = parts[0]
+    assert len(basis) == 1
+    assert weight == 1.0
 
 
 def test_coherent_resource_cap():
@@ -130,11 +161,14 @@ def test_coherent_sectors_match_heap_search(kind):
     """The sorted cumulative cut keeps the sectors the heap search finds."""
     rng = np.random.default_rng(7 if kind is I else 8)
     for alphas, cutoff in _coherent_cases(kind, rng, 20):
-        got = decompose(CoherentProduct(alphas, cutoff_mass=cutoff), kind).components
+        got = sorted(
+            ladders(CoherentProduct(alphas, cutoff_mass=cutoff), kind),
+            key=lambda part: part[0][0].tolist(),
+        )
         want = coherent_sectors_heap(alphas, cutoff, kind)
-        assert [tuple(c.ladder.basis[0].tolist()) for c in got] == [
+        assert [tuple(basis[0].tolist()) for basis, _, _ in got] == [
             root for root, _, _ in want
         ], alphas
-        for comp, (_, weight, psi) in zip(got, want):
-            assert comp.weight == pytest.approx(weight, rel=1e-13, abs=0)
-            np.testing.assert_allclose(comp.amplitudes, psi, rtol=0, atol=1e-15)
+        for (_, weight, amplitudes), (_, want_weight, psi) in zip(got, want):
+            assert weight == pytest.approx(want_weight, rel=1e-13, abs=0)
+            np.testing.assert_allclose(amplitudes, psi, rtol=0, atol=1e-15)
