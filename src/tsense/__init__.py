@@ -8,7 +8,7 @@ from .errors import (
     TsenseError,
     UndefinedBoundError,
 )
-from .ladder import FockConfig, InteractionKind, Ladder, build_ladder
+from .ladder import FockConfig, InteractionKind
 from .metrology import (
     BinaryFock,
     FullPNR,
@@ -40,7 +40,6 @@ from .probes import (
     PureFock,
     WeightedComponents,
     decompose,
-    mean_occupations,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +51,6 @@ __all__ = [
     "FockConfig",
     "FullPNR",
     "InteractionKind",
-    "Ladder",
     "LadderStack",
     "MeasurementScheme",
     "NoisyFock",
@@ -69,7 +67,6 @@ __all__ = [
     "UndefinedBoundError",
     "WeightedComponents",
     "asymptotic_prediction",
-    "build_ladder",
     "cramer_rao",
     "decompose",
     "diagonalize",
@@ -78,7 +75,6 @@ __all__ = [
     "evolve_vector",
     "fisher_limit_closed_form",
     "lagrange_relaxation",
-    "mean_occupations",
     "optimize_config",
     "optimize_config_weighted",
     "qfi_coherent",

@@ -51,30 +51,30 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def diagonalize(ladder) -> Spectrum:
+def diagonalize(offdiag: np.ndarray) -> Spectrum:
     """Eigendecomposition of tridiagonal generators through the SVD of B.
 
-    ``ladder`` is a :class:`Ladder` or a stack of ladders: anything with
-    an ``offdiag`` array of shape (..., d-1).  B is the ceil(d/2) x
-    floor(d/2) block that couples even rungs (rows) to odd rungs
-    (columns): B[i, i] = offdiag[2i] and B[i+1, i] = offdiag[2i+1]; the
-    blocks of a stack go through one ``np.linalg.svd``.  With B = U S V^T
-    and s descending, the eigenvalues are -s, then 0 when d is odd, then
-    s reversed, so they ascend and pair exactly as -lambda.  The
-    eigenvector of +-s_k is (u_k, +-v_k)/sqrt(2) spread over the even and
-    odd rungs; for odd d the last column of U, which B^T annihilates,
-    gives the null vector (u_null, 0), with no weight on any odd rung.
+    ``offdiag`` is the (..., d-1) array of generator elements between
+    rungs k and k+1: one row for a single ladder, one row per ladder for
+    a stack.  B is the ceil(d/2) x floor(d/2) block that couples even
+    rungs (rows) to odd rungs (columns): B[i, i] = offdiag[2i] and
+    B[i+1, i] = offdiag[2i+1]; the blocks of a stack go through one
+    ``np.linalg.svd``.  With B = U S V^T and s descending, the
+    eigenvalues are -s, then 0 when d is odd, then s reversed, so they
+    ascend and pair exactly as -lambda.  The eigenvector of +-s_k is
+    (u_k, +-v_k)/sqrt(2) spread over the even and odd rungs; for odd d
+    the last column of U, which B^T annihilates, gives the null vector
+    (u_null, 0), with no weight on any odd rung.
     """
-    e = ladder.offdiag
-    lead, d = e.shape[:-1], e.shape[-1] + 1
+    lead, d = offdiag.shape[:-1], offdiag.shape[-1] + 1
     if d == 1:
         return Spectrum(eigenvalues=np.zeros((*lead, 1)), eigenvectors=np.ones((*lead, 1, 1)))
     n = d // 2
     b = np.zeros((*lead, (d + 1) // 2, n))
     # B[i, i] and B[i+1, i] sit n+1 apart in B's row-major storage
     flat = b.reshape(*lead, -1)
-    flat[..., 0 :: n + 1] = e[..., 0::2]
-    flat[..., n :: n + 1] = e[..., 1::2]
+    flat[..., 0 :: n + 1] = offdiag[..., 0::2]
+    flat[..., n :: n + 1] = offdiag[..., 1::2]
     try:
         u, s, vt = np.linalg.svd(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -17,7 +17,7 @@ readout) relies on that ordering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,52 +77,12 @@ class FockConfig:
         return len(self.occupations)
 
 
-@dataclass(frozen=True)
-class Ladder:
-    """One invariant subspace with its tridiagonal generator.
-
-    ``basis`` is a read-only (d x modes) integer array: row ``basis[k]``
-    holds the occupations of rung k, whose measured-mode occupation is
-    k.  ``offdiag[k]`` is the generator matrix element between rungs k
-    and k+1.  The diagonal is zero (the resonant interaction picture has
-    no diagonal part).
-    """
-
-    basis: np.ndarray
-    offdiag: np.ndarray
-    root_index: int
-
-    d: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", len(self.basis))
-        self.basis.flags.writeable = False
-        self.offdiag.flags.writeable = False
-
-    def matrix(self) -> np.ndarray:
-        """Dense d x d generator matrix (small; for inspection and tests)."""
-        return np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-
-
 def validate_config(kind: InteractionKind, config: FockConfig) -> None:
     if len(config) != kind.n_modes:
         raise ConfigurationError(
             f"interaction {kind.value} needs {kind.n_modes} occupations, "
             f"got {len(config)}"
         )
-
-
-def build_ladder(kind: InteractionKind, root: FockConfig) -> Ladder:
-    """Construct the invariant subspace reachable from ``root``, from the
-    closed forms that also build stacks of ladders."""
-    validate_config(kind, root)
-    top = sector_roots(kind, np.array(root.occupations))
-    (d,) = checked_rungs(kind, [top.tolist()], [root.occupations])
-    return Ladder(
-        basis=ladder_basis(kind, top, d),
-        offdiag=ladder_offdiag(kind, top, d),
-        root_index=root[0],
-    )
 
 
 def sector_roots(kind: InteractionKind, occs: np.ndarray) -> np.ndarray:

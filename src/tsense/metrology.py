@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import ConfigurationError, ResourceError, UndefinedBoundError
-from .ladder import FockConfig, InteractionKind, build_ladder, validate_config
+from .ladder import FockConfig, InteractionKind, validate_config
 from .optimize import _score
 from .probes import CoherentProduct, Probe, PureFock, decompose
 
@@ -34,6 +34,8 @@ BLOCK_ELEMENTS = 4096
 # couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
 # point at the bracket's centre
 ZOOM_POINTS = 33
+# dynamic_range narrows a bracket [a, b] until b - a < REL_TOL (|a| + |b|)
+REL_TOL = 1e-4
 # couplings on one scan grid; refused above it before any allocation
 MAX_STEPS = 2**20
 # P = |c|^2, P' = 2 Re c* c' and P'' = 2 (Re c* c'' + |c'|^2)
@@ -104,11 +106,8 @@ class PreparedProbe:
     """
 
     def __init__(self, probe: Probe, kind: InteractionKind, mode: int = 0):
-        self.probe = probe
-        self.kind = kind
-        self.mode = mode
         stacks = decompose(probe, kind, mode).components
-        self.spectra = [dynamics.diagonalize(s) for s in stacks]
+        self.spectra = [dynamics.diagonalize(s.offdiag) for s in stacks]
         self.spectral_weights = [
             dynamics.spectral_weights(spec, s.amplitudes * np.sqrt(s.weights)[:, None])
             for spec, s in zip(self.spectra, stacks)
@@ -199,14 +198,9 @@ def qfi_variance(config: FockConfig, kind: InteractionKind, t: float = 1.0) -> f
     For a Fock rung <G> vanishes (G is strictly off-diagonal) and <G^2>
     is the sum of the squared matrix elements to the two neighbors.
     """
-    ladder = build_ladder(kind, config)
-    r = ladder.root_index
-    g2 = 0.0
-    if r > 0:
-        g2 += float(ladder.offdiag[r - 1]) ** 2
-    if r < ladder.d - 1:
-        g2 += float(ladder.offdiag[r]) ** 2
-    return 4.0 * t * t * g2
+    (stack,) = decompose(PureFock(config.occupations), kind).components
+    r = config[0]
+    return 4.0 * t * t * float(np.sum(stack.offdiag[0, max(r - 1, 0) : r + 1] ** 2))
 
 
 def qfi_coherent(
@@ -276,7 +270,7 @@ def scan(
     )
 
 
-def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optional[float]:
+def dynamic_range(profile: SensitivityProfile) -> Optional[float]:
     """Coupling at the first local minimum of F, or None if none exists.
 
     A grid point is a minimum when it is no higher than its left
@@ -286,7 +280,7 @@ def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optiona
     complete) do not report rounding wiggles as minima.  The bracket
     around the first minimum is then rescanned on ZOOM_POINTS couplings
     and narrowed to the first minimum of the rescan, with no floor,
-    until it is narrower than ``rel_tol`` relative.  Two minima closer
+    until it is narrower than REL_TOL relative.  Two minima closer
     together than about bracket / (ZOOM_POINTS - 1) can still be taken
     for one another.
     """
@@ -294,7 +288,7 @@ def dynamic_range(profile: SensitivityProfile, rel_tol: float = 1e-4) -> Optiona
     if i is None:
         return None
     a, b = profile.couplings[i - 1], profile.couplings[i + 1]
-    while (b - a) > rel_tol * max(abs(a) + abs(b), 1e-12):
+    while (b - a) > REL_TOL * max(abs(a) + abs(b), 1e-12):
         grid = np.linspace(a, b, ZOOM_POINTS)
         f = profile.prepared.fisher(profile.scheme, grid, profile.time)
         i = _first_minimum(f, 0.0)

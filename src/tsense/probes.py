@@ -139,10 +139,6 @@ class WeightedComponents:
 
     components: tuple[LadderStack, ...]
 
-    @property
-    def total_weight(self) -> float:
-        return sum(float(c.weights.sum()) for c in self.components)
-
 
 def _noise_terms(n: int, e: float) -> list[tuple[int, float]]:
     if e == 0.0:
@@ -306,12 +302,4 @@ def _decompose_coherent(
     total = sum(w.sum() for _, w, _ in parts)
     return WeightedComponents(
         tuple(_stack(kind, roots[idx], w / total, psi) for idx, w, psi in parts if idx.size)
-    )
-
-
-def mean_occupations(components: WeightedComponents) -> np.ndarray:
-    """Ensemble mean occupation per mode (diagnostic for truncation)."""
-    return sum(
-        c.weights @ np.einsum("ik,ikj->ij", np.abs(c.amplitudes) ** 2, c.basis)
-        for c in components.components
     )

@@ -1,22 +1,23 @@
 """Independent brute-force references for the test suite.
 
-Nothing here reuses the package's spectral path: generators are built on
-the full truncated tensor-product space from single-mode ladder
-matrices, reachability is a graph search over nonzero matrix entries,
-and time evolution is a scaled Taylor series of the matrix exponential.
-Coherent-probe sectors are found by a best-first heap search over the
-truncated product states, one state at a time.  The first Fisher
-minimum is found by dense rescans of its grid bracket, given any
-function that evaluates F on a coupling grid.  Optimal configurations
-are found by scoring one composition at a time in Python integers.  The
-Lagrange relaxation is found by a damped Newton solve of the full
-stationarity system, with no symmetry assumed.
+Nothing here reuses the package's ladder construction or spectral path:
+generators are built on the full truncated tensor-product space from
+single-mode ladder matrices, reachability is a graph search over nonzero
+matrix entries, single ladders are walked one rung at a time from a Fock
+state, and time evolution is a scaled Taylor series of the matrix
+exponential.  Coherent-probe sectors are found by a best-first heap
+search over the truncated product states, one state at a time.  The
+first Fisher minimum is found by dense rescans of its grid bracket,
+given any function that evaluates F on a coupling grid.  Optimal
+configurations are found by scoring one composition at a time in Python
+integers.  The Lagrange relaxation is found by a damped Newton solve of
+the full stationarity system, with no symmetry assumed.
 
 The one exception is the per-ladder Fisher loop, the reference for the
-stacked kernel: it runs the package's single-ladder build,
-diagonalization and evolution on one ladder at a time, finds the
-ladders without the package's decomposition, and adds each ladder's
-populations into the measured occupations by fancy indexing.
+stacked kernel: it runs the package's diagonalization and evolution on
+one ladder at a time, the ladders walked here and found without the
+package's decomposition, and adds each ladder's populations into the
+measured occupations by fancy indexing.
 """
 import heapq
 import itertools
@@ -27,13 +28,11 @@ import numpy as np
 from tsense import (
     BinaryFock,
     CoherentProduct,
-    FockConfig,
     FullPNR,
     InteractionKind,
     NoisyFock,
     PureFock,
     SequentialS0,
-    build_ladder,
     diagonalize,
     evolve_vector,
 )
@@ -204,11 +203,42 @@ def coherent_sectors_heap(alphas, cutoff_mass: float, kind: InteractionKind):
     return [(root, w / total, psi) for root, w, psi in sectors]
 
 
+def tridiagonal(offdiag: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrix with zero diagonal."""
+    return np.diag(offdiag, 1) + np.diag(offdiag, -1)
+
+
+def fock_ladder(kind: InteractionKind, occs: tuple[int, ...]):
+    """(rungs, generator elements) of the ladder through a Fock state.
+
+    The ladder is walked one rung at a time: down from ``occs`` (one
+    quantum less in the measured mode, one or two more in the others)
+    until the measured mode is empty, then up until an absorbed mode runs
+    out.  Rungs come as a (d x modes) array in ascending measured-mode
+    occupation, so ``occs`` sits on rung ``occs[0]``.  The element between
+    a rung with occupations (a, b, c), or (a, b), and the rung above it
+    is sqrt((a+1) b c) for kind I and sqrt((a+1) b (b-1)) for kind II.
+    """
+    step = (1, -1, -1) if kind is InteractionKind.I else (1, -2)
+    rung = tuple(occs)
+    while rung[0] > 0:
+        rung = tuple(n - s for n, s in zip(rung, step))
+    rungs = [rung]
+    while min(n + s for n, s in zip(rungs[-1], step)) >= 0:
+        rungs.append(tuple(n + s for n, s in zip(rungs[-1], step)))
+    if kind is InteractionKind.I:
+        elements = [math.sqrt((a + 1) * b * c) for a, b, c in rungs[:-1]]
+    else:
+        elements = [math.sqrt((a + 1) * b * (b - 1)) for a, b in rungs[:-1]]
+    return np.array(rungs), np.array(elements, dtype=float)
+
+
 def _probe_ladders(probe, kind: InteractionKind):
-    """(weight, ladder, initial vector) of every ladder of a probe."""
+    """(weight, rungs, generator elements, initial vector) of every ladder
+    of a probe, each ladder walked by :func:`fock_ladder`."""
     if isinstance(probe, CoherentProduct):
         for root, weight, psi in coherent_sectors_heap(probe.alphas, probe.cutoff_mass, kind):
-            yield weight, build_ladder(kind, FockConfig(root)), psi
+            yield (weight, *fock_ladder(kind, root), psi)
         return
     if isinstance(probe, PureFock):
         terms = [[(n, 1.0)] for n in probe.occupations]
@@ -223,32 +253,33 @@ def _probe_ladders(probe, kind: InteractionKind):
             else:
                 terms.append([(n - 1, e), (n, 1.0 - 2.0 * e), (n + 1, e)])
     for combo in itertools.product(*terms):
-        ladder = build_ladder(kind, FockConfig(tuple(n for n, _ in combo)))
-        psi = np.zeros(ladder.d, dtype=complex)
-        psi[ladder.root_index] = 1.0
-        yield math.prod(w for _, w in combo), ladder, psi
+        occs = tuple(n for n, _ in combo)
+        rungs, offdiag = fock_ladder(kind, occs)
+        psi = np.zeros(len(rungs), dtype=complex)
+        psi[occs[0]] = 1.0
+        yield math.prod(w for _, w in combo), rungs, offdiag, psi
 
 
 def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: float, mode=0):
     """P, P', P'' as a (3 x G x outcomes) array, one ladder at a time.
 
-    Each ladder is built, diagonalized and evolved on its own, and its
+    Each ladder is walked, diagonalized and evolved on its own, and its
     weighted populations are added into the occupations of ``mode`` on
     its rungs.
     """
     couplings = np.asarray(couplings, dtype=float)
     parts = list(_probe_ladders(probe, kind))
-    n_outcomes = 1 + max(int(ladder.basis[:, mode].max()) for _, ladder, _ in parts)
+    n_outcomes = 1 + max(int(rungs[:, mode].max()) for _, rungs, _, _ in parts)
     moments = np.zeros((n_outcomes, 3, len(couplings)))
-    for weight, ladder, psi in parts:
-        spec = diagonalize(ladder)
+    for weight, rungs, offdiag, psi in parts:
+        spec = diagonalize(offdiag)
         c, dc, d2c = evolve_vector(spec, spec.eigenvectors.T @ psi, couplings, time)
         prods = np.stack([
             np.abs(c) ** 2,
             2.0 * (np.conj(c) * dc).real,
             2.0 * ((np.conj(c) * d2c).real + np.abs(dc) ** 2),
         ])
-        moments[ladder.basis[:, mode]] += weight * prods.transpose(2, 0, 1)
+        moments[rungs[:, mode]] += weight * prods.transpose(2, 0, 1)
     return moments.transpose(1, 2, 0)
 
 

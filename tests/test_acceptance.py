@@ -18,7 +18,7 @@ from tsense import (
     PreparedProbe,
     PureFock,
     SequentialS0,
-    build_ladder,
+    decompose,
     diagonalize,
     dynamic_range,
     dynamic_range_formula,
@@ -32,7 +32,7 @@ from tsense import (
     spectral_weights,
 )
 
-from oracles import evolved_amplitudes_taylor
+from oracles import evolved_amplitudes_taylor, tridiagonal
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -50,11 +50,22 @@ def limit_fisher(occs, kind, scheme):
     return f
 
 
-def evolve_root(lad, spec, coupling):
+def fock_stack(kind, occs):
+    """The stack of one that holds the ladder of a Fock state."""
+    (stack,) = decompose(PureFock(occs), kind).components
+    return stack
+
+
+def spectrum_of(kind, occs):
+    """A Fock state's stack of one and the spectrum of its ladder."""
+    stack = fock_stack(kind, occs)
+    return stack, diagonalize(stack.offdiag[0])
+
+
+def evolve_root(stack, spec, coupling):
     """Amplitudes c, c', c'' at one coupling from the ladder's root rung, t = 1."""
-    psi0 = np.zeros(lad.d, dtype=complex)
-    psi0[lad.root_index] = 1.0
-    return evolve_vector(spec, spectral_weights(spec, psi0), np.array([coupling]), 1.0)[:, 0]
+    weights = spectral_weights(spec, stack.amplitudes[0])
+    return evolve_vector(spec, weights, np.array([coupling]), 1.0)[:, 0]
 
 
 def test_criterion_1_closed_form_limits():
@@ -259,7 +270,7 @@ def test_criterion_6_dynamic_range():
             emp = dynamic_range(profile)
             formula = dynamic_range_formula(FockConfig(occs), kind)
             empiricals.append(math.inf if emp is None else emp)
-            if build_ladder(kind, FockConfig(occs)).d == 2:
+            if fock_stack(kind, occs).d == 2:
                 # every readout resolves both rungs, so F is constant: no minimum
                 if not np.allclose(profile.fisher, profile.f_zero, rtol=1e-10, atol=0.0):
                     failures.append(f"{kind.value}{occs}: two-level F not constant")
@@ -285,10 +296,9 @@ def test_criterion_7_property_suites():
     for _ in range(1000):
         kind = I if rng.random() < 0.5 else II
         occs = tuple(int(x) for x in rng.integers(0, 8, size=kind.n_modes))
-        lad = build_ladder(kind, FockConfig(occs))
-        spec = diagonalize(lad)
+        stack, spec = spectrum_of(kind, occs)
         th = float(rng.uniform(-2.0, 2.0))
-        c, _, _ = evolve_root(lad, spec, th)
+        c, _, _ = evolve_root(stack, spec, th)
         if abs(np.vdot(c, c).real - 1.0) > 1e-10:
             failures.append(("unitarity", occs, th))
             break
@@ -297,11 +307,10 @@ def test_criterion_7_property_suites():
     for _ in range(60):
         kind = I if rng.random() < 0.5 else II
         occs = tuple(int(x) for x in rng.integers(0, 6, size=kind.n_modes))
-        lad = build_ladder(kind, FockConfig(occs))
-        spec = diagonalize(lad)
+        stack, spec = spectrum_of(kind, occs)
         th = float(rng.uniform(0.05, 1.5))
-        p_plus = np.abs(evolve_root(lad, spec, th)[0]) ** 2
-        p_minus = np.abs(evolve_root(lad, spec, -th)[0]) ** 2
+        p_plus = np.abs(evolve_root(stack, spec, th)[0]) ** 2
+        p_minus = np.abs(evolve_root(stack, spec, -th)[0]) ** 2
         if np.max(np.abs(p_plus - p_minus)) > 1e-12:
             failures.append(("evenness", occs, th))
             break
@@ -312,19 +321,18 @@ def test_criterion_7_property_suites():
     for _ in range(200):
         kind = I if rng.random() < 0.5 else II
         occs = tuple(int(x) for x in rng.integers(0, 8, size=kind.n_modes))
-        lad = build_ladder(kind, FockConfig(occs))
-        spec = diagonalize(lad)
+        stack, spec = spectrum_of(kind, occs)
         th = float(rng.uniform(0.02, 1.5))
 
         def pops(x):
-            return np.abs(evolve_root(lad, spec, x)[0]) ** 2
+            return np.abs(evolve_root(stack, spec, x)[0]) ** 2
 
         f2u, f1u, f0, f1d, f2d = (
             pops(th + 2 * h), pops(th + h), pops(th), pops(th - h), pops(th - 2 * h)
         )
         fd1 = (-f2u + 8 * f1u - 8 * f1d + f2d) / (12 * h)
         fd2 = (-f2u + 16 * f1u - 30 * f0 + 16 * f1d - f2d) / (12 * h * h)
-        c, dc, d2c = evolve_root(lad, spec, th)
+        c, dc, d2c = evolve_root(stack, spec, th)
         dp = 2 * np.real(np.conj(c) * dc)
         d2p = 2 * np.real(np.conj(c) * d2c) + 2 * np.abs(dc) ** 2
         if np.any(np.abs(dp - fd1) > 1e-5 * np.abs(dp) + 1e-8):
@@ -382,15 +390,16 @@ def test_criterion_7_property_suites():
             else [(a, b) for a in range(top) for b in range(top)]
         )
         for occs in occ_ranges:
-            lad = build_ladder(kind, FockConfig(occs))
-            key = (tuple(lad.basis[0].tolist()), lad.root_index)
-            if lad.d > 6 or key in seen:
+            stack = fock_stack(kind, occs)
+            (root,) = np.flatnonzero(stack.amplitudes[0])
+            key = (tuple(stack.basis[0, 0].tolist()), root)
+            if stack.d > 6 or key in seen:
                 continue
             seen.add(key)
-            spec = diagonalize(lad)
+            spec = diagonalize(stack.offdiag[0])
             for theta_t in (0.1, 0.5, 1.0):
-                got = evolve_root(lad, spec, theta_t)[0]
-                want = evolved_amplitudes_taylor(lad.matrix(), lad.root_index, theta_t)
+                got = evolve_root(stack, spec, theta_t)[0]
+                want = evolved_amplitudes_taylor(tridiagonal(stack.offdiag[0]), root, theta_t)
                 if np.max(np.abs(got - want)) > 1e-10:
                     failures.append(("oracle", kind.value, occs, theta_t))
 

@@ -524,8 +524,8 @@ def test_json_outputs_validate_against_schema(tmp_path, capsys):
 def test_probe_eigenvector_budget_is_a_resource_failure(monkeypatch, capsys):
     # 27 ladders, each under the rung cap, would hold about 12.9 GiB of
     # eigenvectors; the probe is refused before any of them is diagonalized
-    def refuse(ladder):
-        raise AssertionError(f"diagonalized a ladder of d = {ladder.d}")
+    def refuse(offdiag):
+        raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
 
     monkeypatch.setattr(tsense.dynamics, "diagonalize", refuse)
     code, out, err = run_cli(
@@ -542,8 +542,8 @@ def test_probe_eigenvector_budget_is_a_resource_failure(monkeypatch, capsys):
 def test_two_probe_commands_refuse_before_diagonalizing(command, monkeypatch, capsys):
     # the pure Fock probe alone is one ladder of d = 8001, under the rung cap;
     # the noisy or coherent probe beside it is refused, and is scanned first
-    def refuse(ladder):
-        raise AssertionError(f"diagonalized a ladder of d = {ladder.d}")
+    def refuse(offdiag):
+        raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
 
     monkeypatch.setattr(tsense.dynamics, "diagonalize", refuse)
     code, out, err = run_cli(

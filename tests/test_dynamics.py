@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,42 +6,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsense import (
-    FockConfig,
     InteractionKind,
     PreparedProbe,
     PureFock,
-    build_ladder,
+    decompose,
     diagonalize,
     evolve_vector,
     spectral_weights,
 )
 
-from oracles import central_diff, evolved_amplitudes_taylor
+from oracles import central_diff, evolved_amplitudes_taylor, tridiagonal
 
 I, II = InteractionKind.I, InteractionKind.II
 
 
+def fock_stack(kind, root):
+    """The stack of one that holds the ladder of the Fock state ``root``."""
+    (stack,) = decompose(PureFock(root), kind).components
+    return stack
+
+
 def spectrum_of(kind, root):
-    lad = build_ladder(kind, FockConfig(root))
-    return lad, diagonalize(lad)
+    """The ladder of the Fock state ``root`` as a stack of one, and the
+    spectrum of its generator."""
+    stack = fock_stack(kind, root)
+    return stack, diagonalize(stack.offdiag[0])
 
 
-def evolve_root(lad, spec, couplings, time=1.0):
+def root_rung(stack):
+    """The rung a Fock stack of one starts on."""
+    (k,) = np.flatnonzero(stack.amplitudes[0])
+    return int(k)
+
+
+def evolve_root(stack, spec, couplings, time=1.0):
     """Amplitudes c, c', c'' evolved from the ladder's root rung.
 
     Each is a (G x d) array, one row per coupling.
     """
-    psi0 = np.zeros(lad.d, dtype=complex)
-    psi0[lad.root_index] = 1.0
-    weights = spectral_weights(spec, psi0)
+    weights = spectral_weights(spec, stack.amplitudes[0])
     return evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time)
 
 
 def test_trivial_spectrum():
-    lad, spec = spectrum_of(I, (1, 0, 0))
-    assert lad.d == 2  # (0,1,1) and (1,0,0)
-    lad, spec = spectrum_of(I, (0, 3, 0))
-    assert lad.d == 1
+    stack, spec = spectrum_of(I, (1, 0, 0))
+    assert stack.d == 2  # (0,1,1) and (1,0,0)
+    stack, spec = spectrum_of(I, (0, 3, 0))
+    assert stack.d == 1
     np.testing.assert_allclose(spec.eigenvalues, [0.0])
     np.testing.assert_allclose(spec.eigenvectors, [[1.0]])
 
@@ -69,21 +79,21 @@ def test_spectrum_examples():
     ],
 )
 def test_spectrum_invariants(kind, root):
-    lad, spec = spectrum_of(kind, root)
+    stack, spec = spectrum_of(kind, root)
     v, lam = spec.eigenvectors, spec.eigenvalues
-    g = lad.matrix()
+    g = tridiagonal(stack.offdiag[0])
     dense = np.linalg.eigh(g)[0]
     norm = np.abs(dense).max()
     np.testing.assert_allclose(lam, dense, rtol=0, atol=1e-13 * norm)
     np.testing.assert_allclose(v @ np.diag(lam) @ v.T, g, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(v.T @ v, np.eye(lad.d), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(v.T @ v, np.eye(stack.d), rtol=0, atol=1e-10)
     assert np.all(np.diff(lam) >= -1e-12)
     # chain with zero diagonal: eigenvalues come in +/- pairs
     np.testing.assert_allclose(lam, -lam[::-1], rtol=0, atol=1e-10)
     assert np.array_equal(lam, -lam[::-1])
-    if lad.d % 2:
+    if stack.d % 2:
         # the null vector lives on the even rungs alone
-        null = lad.d // 2
+        null = stack.d // 2
         assert lam[null] == 0.0
         assert np.all(v[1::2, null] == 0.0)
 
@@ -92,27 +102,27 @@ def test_spectrum_invariants(kind, root):
 def test_spectra_ascend_and_pair_exactly(kind):
     for d in range(1, 65):
         root = (d - 1, 0, 0) if kind is I else (0, 2 * d - 1)
-        lad, spec = spectrum_of(kind, root)
+        stack, spec = spectrum_of(kind, root)
         lam = spec.eigenvalues
-        assert lad.d == d and spec.eigenvectors.shape == (d, d)
+        assert stack.d == d and spec.eigenvectors.shape == (d, d)
         assert np.all(np.diff(lam) > 0)
         assert np.array_equal(lam, -lam[::-1])
 
 
 def test_zero_coupling_is_identity():
-    lad, spec = spectrum_of(I, (2, 1, 1))
-    c, _, _ = evolve_root(lad, spec, [0.0])
-    expected = np.zeros(lad.d, complex)
-    expected[lad.root_index] = 1.0
-    assert c.shape == (1, lad.d)
+    stack, spec = spectrum_of(I, (2, 1, 1))
+    c, _, _ = evolve_root(stack, spec, [0.0])
+    expected = np.zeros(stack.d, complex)
+    expected[root_rung(stack)] = 1.0
+    assert c.shape == (1, stack.d)
     np.testing.assert_allclose(c[0], expected, atol=1e-12)
 
 
 def test_small_coupling_populations_match_neighbor_rates():
     # leading-order transfer out of (1,1,1): 4 theta^2 down, 2 theta^2 up
-    lad, spec = spectrum_of(I, (1, 1, 1))
+    stack, spec = spectrum_of(I, (1, 1, 1))
     th = 1e-3
-    c, _, _ = evolve_root(lad, spec, [th])
+    c, _, _ = evolve_root(stack, spec, [th])
     p = np.abs(c[0]) ** 2
     assert p[0] / th**2 == pytest.approx(4.0, abs=1e-4)
     assert p[2] / th**2 == pytest.approx(2.0, abs=1e-4)
@@ -124,9 +134,9 @@ def test_small_coupling_populations_match_neighbor_rates():
     "kind,root", [(I, (1, 1, 1)), (I, (2, 3, 1)), (II, (1, 3)), (II, (2, 2))]
 )
 def test_amplitudes_match_taylor_exponential(kind, root, theta_t):
-    lad, spec = spectrum_of(kind, root)
-    c, _, _ = evolve_root(lad, spec, [theta_t])
-    oracle = evolved_amplitudes_taylor(lad.matrix(), lad.root_index, theta_t)
+    stack, spec = spectrum_of(kind, root)
+    c, _, _ = evolve_root(stack, spec, [theta_t])
+    oracle = evolved_amplitudes_taylor(tridiagonal(stack.offdiag[0]), root_rung(stack), theta_t)
     np.testing.assert_allclose(c[0], oracle, rtol=0, atol=1e-10)
 
 
@@ -134,18 +144,19 @@ def test_amplitudes_match_taylor_exponential(kind, root, theta_t):
     "kind,root", [(I, (1, 1, 1)), (I, (2, 3, 1)), (II, (1, 3)), (II, (2, 2))]
 )
 def test_grid_rows_match_taylor_exponential(kind, root):
-    lad, spec = spectrum_of(kind, root)
+    stack, spec = spectrum_of(kind, root)
     grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
-    c, _, _ = evolve_root(lad, spec, grid)
-    assert c.shape == (len(grid), lad.d)
+    c, _, _ = evolve_root(stack, spec, grid)
+    assert c.shape == (len(grid), stack.d)
+    g, k = tridiagonal(stack.offdiag[0]), root_rung(stack)
     for row, theta_t in zip(c, grid):
-        oracle = evolved_amplitudes_taylor(lad.matrix(), lad.root_index, theta_t)
+        oracle = evolved_amplitudes_taylor(g, k, theta_t)
         np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-10)
 
 
 def test_outcome_probabilities_at_zero():
-    lad = build_ladder(I, FockConfig((2, 1, 1)))
-    assert lad.basis[:, 0].tolist() == [0, 1, 2, 3]
+    stack = fock_stack(I, (2, 1, 1))
+    assert stack.basis[0, :, 0].tolist() == [0, 1, 2, 3]
     probs, dprobs, _ = PreparedProbe(PureFock((2, 1, 1)), I).distributions(
         np.array([0.0]), 1.0
     )
@@ -171,32 +182,32 @@ def test_other_mode_readout():
 
 
 def test_evenness_in_coupling():
-    lad, spec = spectrum_of(I, (2, 2, 1))
+    stack, spec = spectrum_of(I, (2, 2, 1))
     grid = np.array([0.15, 0.8, 2.0])
-    plus = np.abs(evolve_root(lad, spec, grid)[0]) ** 2
-    minus = np.abs(evolve_root(lad, spec, -grid)[0]) ** 2
-    assert plus.shape == (3, lad.d)
+    plus = np.abs(evolve_root(stack, spec, grid)[0]) ** 2
+    minus = np.abs(evolve_root(stack, spec, -grid)[0]) ** 2
+    assert plus.shape == (3, stack.d)
     np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-12)
 
 
 def test_only_coupling_time_product_matters():
-    lad, spec = spectrum_of(II, (1, 4))
+    stack, spec = spectrum_of(II, (1, 4))
     rng = np.random.default_rng(7)
     for _ in range(20):
         th, t, t2 = rng.uniform(0.05, 2.0, size=3)
-        p1 = np.abs(evolve_root(lad, spec, [th], t)[0]) ** 2
-        p2 = np.abs(evolve_root(lad, spec, [th * t / t2], t2)[0]) ** 2
+        p1 = np.abs(evolve_root(stack, spec, [th], t)[0]) ** 2
+        p2 = np.abs(evolve_root(stack, spec, [th * t / t2], t2)[0]) ** 2
         np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,root", [(I, (2, 1, 3)), (II, (1, 5))])
 def test_analytic_derivatives_match_finite_differences(kind, root):
-    lad, spec = spectrum_of(kind, root)
+    stack, spec = spectrum_of(kind, root)
     prep = PreparedProbe(PureFock(root), kind)
     t = 1.0
 
     def pops(th):
-        return np.abs(evolve_root(lad, spec, [th], t)[0, 0]) ** 2
+        return np.abs(evolve_root(stack, spec, [th], t)[0, 0]) ** 2
 
     grid = np.array([0.07, 0.4, 1.1])
     # mode-0 occupation equals the rung index, so outcomes align with rungs
@@ -218,17 +229,16 @@ def test_analytic_derivatives_match_finite_differences(kind, root):
     theta_t=st.floats(-2.0, 2.0, allow_nan=False),
 )
 def test_unitarity_random(occ, theta_t):
-    lad = build_ladder(I, FockConfig(occ))
-    spec = diagonalize(lad)
-    c, dc, _ = evolve_root(lad, spec, [theta_t], 1.0)[:, 0]
+    stack, spec = spectrum_of(I, occ)
+    c, dc, _ = evolve_root(stack, spec, [theta_t], 1.0)[:, 0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-10
     # norm preservation differentiates to zero
     assert abs(np.vdot(c, dc).real) < 1e-9
 
 
 def test_evolve_vector_general_initial_state():
-    lad, spec = spectrum_of(II, (1, 2))
-    psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: lad.d]
+    stack, spec = spectrum_of(II, (1, 2))
+    psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: stack.d]
     psi /= np.linalg.norm(psi)
     c = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.4]), 1.0)[0, 0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-12
@@ -242,17 +252,17 @@ def test_evolve_vector_general_initial_state():
 ])
 def test_a_stack_is_its_ladders_side_by_side(kind, roots):
     # ladders of one dimension go through one stacked SVD and one stacked
-    # product; every ladder comes out bit for bit as it does on its own
-    ladders = [build_ladder(kind, FockConfig(r)) for r in roots]
-    stack = diagonalize(SimpleNamespace(offdiag=np.stack([lad.offdiag for lad in ladders])))
+    # product; every ladder comes out bit for bit as its slice does alone
+    offdiag = np.concatenate([fock_stack(kind, r).offdiag for r in roots])
+    spectra = diagonalize(offdiag)
     rng = np.random.default_rng(3)
-    psi = rng.standard_normal((len(roots), ladders[0].d)) + 1j * rng.standard_normal(
-        (len(roots), ladders[0].d))
+    m, d = offdiag.shape[0], offdiag.shape[1] + 1
+    psi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     grid = np.linspace(-0.7, 1.1, 9)
-    stacked = evolve_vector(stack, spectral_weights(stack, psi), grid, 0.8)
-    for i, lad in enumerate(ladders):
-        spec = diagonalize(lad)
-        np.testing.assert_array_equal(stack.eigenvalues[i], spec.eigenvalues)
-        np.testing.assert_array_equal(stack.eigenvectors[i], spec.eigenvectors)
+    stacked = evolve_vector(spectra, spectral_weights(spectra, psi), grid, 0.8)
+    for i in range(m):
+        spec = diagonalize(offdiag[i])
+        np.testing.assert_array_equal(spectra.eigenvalues[i], spec.eigenvalues)
+        np.testing.assert_array_equal(spectra.eigenvectors[i], spec.eigenvectors)
         single = evolve_vector(spec, spectral_weights(spec, psi[i]), grid, 0.8)
         np.testing.assert_array_equal(stacked[:, i], single)

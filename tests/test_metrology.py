@@ -329,8 +329,8 @@ def test_fisher_other_measured_mode():
 def test_probe_eigenvector_budget_is_checked_before_diagonalizing(monkeypatch):
     # 27 ladders of d = 7999-8003, each under the rung cap, about 12.9 GiB
     # of eigenvectors together
-    def refuse(ladder):
-        raise AssertionError(f"diagonalized a ladder of d = {ladder.d}")
+    def refuse(offdiag):
+        raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
 
     monkeypatch.setattr(dynamics, "diagonalize", refuse)
     probe = NoisyFock((2000, 6000, 6000), (0.1, 0.1, 0.1))
@@ -345,8 +345,8 @@ def test_probe_eigenvector_budget_admits_one_ladder_at_the_cap(monkeypatch):
     class Admitted(Exception):
         pass
 
-    def stop(ladder):
-        seen.append(ladder.d)
+    def stop(offdiag):
+        seen.append(offdiag.shape[-1] + 1)
         raise Admitted
 
     monkeypatch.setattr(dynamics, "diagonalize", stop)

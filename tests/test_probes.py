@@ -11,7 +11,6 @@ from tsense import (
     PureFock,
     ResourceError,
     decompose,
-    mean_occupations,
 )
 
 from oracles import coherent_sectors_heap
@@ -105,18 +104,24 @@ def test_noise_bounds_validated():
 
 def test_coherent_cutoff_and_unit_norm_components():
     probe = CoherentProduct((math.sqrt(2),) * 3, cutoff_mass=1 - 1e-8)
-    assert decompose(probe, I).total_weight == pytest.approx(1.0, abs=1e-12)
+    total = sum(stack.weights.sum() for stack in decompose(probe, I).components)
+    assert total == pytest.approx(1.0, abs=1e-12)
     for _, _, psi in ladders(probe, I):
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_mean_occupation_matches_alpha():
+    def mean_occupations(probe, kind):
+        # each ladder's rung populations |psi_k|^2 times the rungs' occupations
+        return sum(
+            stack.weights @ np.einsum("ik,ikj->ij", np.abs(stack.amplitudes) ** 2, stack.basis)
+            for stack in decompose(probe, kind).components
+        )
+
     probe = CoherentProduct((math.sqrt(2),) * 3, cutoff_mass=1 - 1e-8)
-    mean = mean_occupations(decompose(probe, I))
-    np.testing.assert_allclose(mean, [2.0, 2.0, 2.0], rtol=1e-2)
+    np.testing.assert_allclose(mean_occupations(probe, I), [2.0, 2.0, 2.0], rtol=1e-2)
     probe = CoherentProduct((math.sqrt(2), 1j * math.sqrt(3)), cutoff_mass=1 - 1e-8)
-    mean = mean_occupations(decompose(probe, II))
-    np.testing.assert_allclose(mean, [2.0, 3.0], rtol=1e-2)
+    np.testing.assert_allclose(mean_occupations(probe, II), [2.0, 3.0], rtol=1e-2)
 
 
 def test_coherent_vacuum_is_trivial():

@@ -1,9 +1,9 @@
 """The stacked kernel against the per-ladder loop of tests/oracles.py.
 
 Ladders of one dimension go through one build, one SVD and one
-evolution per slice of a stack; the oracle builds, diagonalizes and
-evolves every ladder on its own and adds its populations one ladder at
-a time.  Both must give the same P, P', P'' and Fisher information, for
+evolution per slice of a stack; the oracle walks its own ladders rung
+by rung, diagonalizes and evolves every ladder on its own and adds its
+populations one ladder at a time.  Both must give the same P, P', P'' and Fisher information, for
 every probe family, both interactions, every measured mode, and grids
 and block budgets that cut the stacks and the coupling grid into
 several blocks.
@@ -25,7 +25,14 @@ from tsense import (
     metrology,
 )
 
-from oracles import distributions_per_ladder, fisher_per_ladder
+from oracles import (
+    _probe_ladders,
+    compositions,
+    distributions_per_ladder,
+    fisher_per_ladder,
+    reachable_block,
+    tridiagonal,
+)
 
 I, II = InteractionKind.I, InteractionKind.II
 RTOL = 1e-12
@@ -111,3 +118,19 @@ def test_coherent_stacks_over_several_coupling_blocks(kind, scheme):
                             distributions_per_ladder(probe, kind, grid, 1.0)):
         assert_close(moment, want)
     assert_close(prep.fisher(scheme, grid, 1.0), fisher_per_ladder(probe, kind, scheme, grid, 1.0))
+
+
+@pytest.mark.parametrize("kind", [I, II])
+def test_oracle_ladders_are_the_dense_reachable_blocks(kind):
+    # the reference ladders share no code with the package's builder: each
+    # must be the block of the dense tensor-space generator that a graph
+    # search reaches from its Fock state, which it starts on
+    for root in (o for total in range(7) for o in compositions(kind, total)):
+        ((weight, rungs, offdiag, psi),) = _probe_ladders(PureFock(root), kind)
+        states, block = reachable_block(kind, root)
+        assert [tuple(r) for r in rungs.tolist()] == states
+        np.testing.assert_allclose(tridiagonal(offdiag), block, rtol=0, atol=1e-12)
+        start = np.zeros(len(states))
+        start[states.index(root)] = 1.0
+        assert weight == 1.0
+        np.testing.assert_array_equal(psi, start)
