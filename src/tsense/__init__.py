@@ -8,7 +8,7 @@ from .errors import (
     TsenseError,
     UndefinedBoundError,
 )
-from .ladder import FockConfig, InteractionKind
+from .ladder import InteractionKind
 from .metrology import (
     BinaryFock,
     FullPNR,
@@ -48,7 +48,6 @@ __all__ = [
     "BinaryFock",
     "CoherentProduct",
     "ConfigurationError",
-    "FockConfig",
     "FullPNR",
     "InteractionKind",
     "LadderStack",

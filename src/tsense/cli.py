@@ -29,7 +29,7 @@ from .errors import (
     ResourceError,
     UndefinedBoundError,
 )
-from .ladder import FockConfig, InteractionKind
+from .ladder import InteractionKind
 from .metrology import (
     BinaryFock,
     FullPNR,
@@ -357,7 +357,7 @@ def cmd_optimize(cfg: RunConfig) -> dict:
 
 def cmd_scaling(cfg: RunConfig) -> dict:
     kind = _kind(cfg)
-    schemes = [1, 2, 3] if kind is InteractionKind.I else [1, 2]
+    schemes = range(1, kind.n_modes + 1)
     tables = {m: dict(scaling_table(kind, cfg.n_max, m, t=cfg.time)) for m in schemes}
     names = {1: "f0_one", 2: "f0_two", 3: "f0_three"}
     columns = ["n"] + [names[m] for m in schemes] + ["asymptote"]
@@ -377,15 +377,15 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 
 
 def cmd_dynamic_range(cfg: RunConfig) -> dict:
-    state = _state(cfg)
-    profile = _scan(cfg, PureFock(occupations=state))
+    probe = PureFock(_state(cfg))
+    profile = _scan(cfg, probe)
     # the output is a summary of the grid, so check the grid itself
     if not all(map(math.isfinite, profile.fisher)):
         raise NumericError(NON_FINITE)
     empirical = dynamic_range(profile)
-    formula = dynamic_range_formula(FockConfig(state), _kind(cfg), cfg.time)
+    formula = dynamic_range_formula(probe, _kind(cfg), cfg.time)
     row = [
-        ",".join(str(n) for n in state),
+        ",".join(str(n) for n in probe.occupations),
         None if empirical is None else float(empirical),
         None if formula is None else float(formula),
     ]

@@ -17,7 +17,6 @@ readout) relies on that ordering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,40 +47,11 @@ class InteractionKind(Enum):
         return (1, -1, -1) if self is InteractionKind.I else (1, -2)
 
 
-# occupations @ map = the rung-0 configuration (0, Q_b, Q_c) or (0, Q)
-_ROOT_MAPS = {
-    InteractionKind.I: np.array([[0, 1, 1], [0, 1, 0], [0, 0, 1]]),
-    InteractionKind.II: np.array([[0, 2], [0, 1]]),
-}
-
-
-@dataclass(frozen=True)
-class FockConfig:
-    """A product Fock state, one occupation per mode."""
-
-    occupations: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        occs = tuple(int(n) for n in self.occupations)
-        object.__setattr__(self, "occupations", occs)
-        if any(n < 0 for n in occs):
-            raise ConfigurationError(f"occupations must be non-negative, got {occs}")
-        # ladder rungs and charges (up to 2 n_a' + n_b') are int64 arrays
-        if any(n >= 2**61 for n in occs):
-            raise ConfigurationError(f"occupations must be below 2**61, got {occs}")
-
-    def __getitem__(self, i: int) -> int:
-        return self.occupations[i]
-
-    def __len__(self) -> int:
-        return len(self.occupations)
-
-
-def validate_config(kind: InteractionKind, config: FockConfig) -> None:
-    if len(config) != kind.n_modes:
+def validate_config(kind: InteractionKind, occupations: tuple[int, ...]) -> None:
+    if len(occupations) != kind.n_modes:
         raise ConfigurationError(
             f"interaction {kind.value} needs {kind.n_modes} occupations, "
-            f"got {len(config)}"
+            f"got {len(occupations)}"
         )
 
 
@@ -90,9 +60,9 @@ def sector_roots(kind: InteractionKind, occs: np.ndarray) -> np.ndarray:
 
     Works on any (..., modes) integer array: a kind-I state (n_a, n_b, n_c)
     lies on the ladder of (0, Q_b, Q_c), a kind-II state (n_a', n_b') on
-    that of (0, Q), both linear in the occupations.
+    that of (0, Q), as many rungs below it as its measured mode holds quanta.
     """
-    return occs @ _ROOT_MAPS[kind]
+    return occs - occs[..., :1] * kind.rung_step
 
 
 def checked_rungs(kind: InteractionKind, roots: list, labels) -> list[int]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import ConfigurationError, ResourceError, UndefinedBoundError
-from .ladder import FockConfig, InteractionKind, validate_config
+from .ladder import InteractionKind, validate_config
 from .optimize import _score
 from .probes import CoherentProduct, Probe, PureFock, decompose
 
@@ -183,23 +183,21 @@ def _fisher_terms(p: np.ndarray, dp: np.ndarray, d2p: np.ndarray) -> np.ndarray:
     return np.divide(dp * dp, p, out=terms, where=~zero)
 
 
-def fisher_limit_closed_form(
-    config: FockConfig, kind: InteractionKind, t: float = 1.0
-) -> float:
+def fisher_limit_closed_form(probe: PureFock, kind: InteractionKind, t: float = 1.0) -> float:
     """Zero-coupling Fisher limit of a pure Fock probe: 4 t^2 times
     ``optimize._score``, the polynomial the configuration search maximizes."""
-    validate_config(kind, config)
-    return 4.0 * t * t * _score(kind, config.occupations)
+    validate_config(kind, probe.occupations)
+    return 4.0 * t * t * _score(kind, probe.occupations)
 
 
-def qfi_variance(config: FockConfig, kind: InteractionKind, t: float = 1.0) -> float:
+def qfi_variance(probe: PureFock, kind: InteractionKind, t: float = 1.0) -> float:
     """Quantum Fisher information 4 t^2 Var(G) computed on the ladder.
 
     For a Fock rung <G> vanishes (G is strictly off-diagonal) and <G^2>
     is the sum of the squared matrix elements to the two neighbors.
     """
-    (stack,) = decompose(PureFock(config.occupations), kind).components
-    r = config[0]
+    (stack,) = decompose(probe, kind).components
+    r = probe.occupations[0]
     return 4.0 * t * t * float(np.sum(stack.offdiag[0, max(r - 1, 0) : r + 1] ** 2))
 
 
@@ -256,7 +254,7 @@ def scan(
     f_zero = float(values[0])
     qfi_zero: Optional[float] = None
     if isinstance(probe, PureFock):
-        qfi_zero = fisher_limit_closed_form(FockConfig(probe.occupations), kind, t)
+        qfi_zero = fisher_limit_closed_form(probe, kind, t)
     elif isinstance(probe, CoherentProduct):
         qfi_zero = qfi_coherent(probe.alphas, kind, t)
     return SensitivityProfile(
@@ -308,7 +306,7 @@ def _first_minimum(f: np.ndarray, floor: float) -> Optional[int]:
 
 
 def dynamic_range_formula(
-    config: FockConfig, kind: InteractionKind, t: float = 1.0
+    probe: PureFock, kind: InteractionKind, t: float = 1.0
 ) -> Optional[float]:
     """Rough first-minimum location sqrt(prefactor / F(0)).
 
@@ -329,10 +327,10 @@ def dynamic_range_formula(
     interaction II or (1, 1, 0) for interaction I, have a constant F and
     no minimum at all, yet a number is still returned for them.
     """
-    f0 = fisher_limit_closed_form(config, kind, t)
+    f0 = fisher_limit_closed_form(probe, kind, t)
     if f0 <= 0.0:
         return None
-    if kind is InteractionKind.I and sum(n > 0 for n in config.occupations) < 3:
+    if kind is InteractionKind.I and sum(n > 0 for n in probe.occupations) < 3:
         prefactor = 16.0
     else:
         prefactor = 24.0

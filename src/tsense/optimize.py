@@ -3,7 +3,8 @@
 Exhaustive enumeration over integer compositions, scored at once as
 int64 columns so ties are exact, is the ground truth; it refuses more
 than ``MAX_COMPOSITIONS`` candidates (totals from 2047 for interaction I,
-from 2**21 for II).  The continuous Lagrange relaxation (stationarity of
+from 2**21 for II).  Its maximizers are :class:`~tsense.probes.PureFock`
+probes, ready to scan.  The continuous Lagrange relaxation (stationarity of
 the closed-form zero-coupling Fisher information under sum(n_i) = N)
 exists to validate the round-to-neighbors heuristic and the N^3 growth.
 It is the larger root of one quadratic (n_b = n_c at every stationary
@@ -18,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .ladder import FockConfig, InteractionKind
+from .ladder import InteractionKind
+from .probes import PureFock
 
 # Largest number of candidates one search scores, for two reasons.
 # Memory: interaction I at the cap (total 2046) lifts the peak RSS of a
@@ -33,7 +35,7 @@ MAX_COMPOSITIONS = 2**21
 class OptimalResult:
     n: int
     kind: InteractionKind
-    maximizers: tuple[FockConfig, ...]
+    maximizers: tuple[PureFock, ...]
     f0: float
     relaxation: Optional[tuple[float, ...]]
     asymptote: float
@@ -76,7 +78,7 @@ def _compositions(kind: InteractionKind, total: int, modes: Optional[int]) -> li
     return cols
 
 
-def _argmax(kind: InteractionKind, cols) -> tuple[Optional[int], tuple[FockConfig, ...]]:
+def _argmax(kind: InteractionKind, cols) -> tuple[Optional[int], tuple[PureFock, ...]]:
     """Best score among the candidate rows and every row that ties it,
     or (None, ()) if there are none."""
     scores = _score(kind, cols)
@@ -85,7 +87,7 @@ def _argmax(kind: InteractionKind, cols) -> tuple[Optional[int], tuple[FockConfi
     best = scores.max()
     hit = scores == best
     rows = np.stack([c[hit] for c in cols], axis=1).tolist()
-    return int(best), tuple(FockConfig(tuple(r)) for r in rows)
+    return int(best), tuple(PureFock(r) for r in rows)
 
 
 def optimize_config(
@@ -120,7 +122,7 @@ def optimize_config_weighted(
     weights: tuple[float, ...],
     budget: float,
     t: float = 1.0,
-) -> tuple[tuple[FockConfig, ...], float]:
+) -> tuple[tuple[PureFock, ...], float]:
     """Argmax configurations under the budget sum(w_i n_i) <= budget.
 
     Energy-style variant of :func:`optimize_config` for mode-dependent

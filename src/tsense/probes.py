@@ -2,8 +2,11 @@
 
 Three probe families are supported: ideal product Fock states, the
 symmetric preparation-noise mixture (per mode, weight eps on each of the
-two neighboring occupations), and product coherent states.  All of them
-decompose into components that live on a single ladder each:
+two neighboring occupations), and product coherent states.  A
+:class:`PureFock` is also the configuration that :mod:`tsense.optimize`
+searches and the closed forms of :mod:`tsense.metrology` take; Fock
+occupations and coherent amplitudes are checked when a probe is built.
+All of them decompose into components that live on a single ladder each:
 
 * a pure Fock product is one component rooted at its own rung;
 * the noise mixture is a product of per-mode trinomials, one component
@@ -40,7 +43,6 @@ import numpy as np
 from .errors import ConfigurationError, ResourceError
 from .ladder import (
     MAX_RUNGS,
-    FockConfig,
     InteractionKind,
     checked_rungs,
     ladder_basis,
@@ -52,11 +54,28 @@ from .ladder import (
 MAX_COHERENT_STATES = 200_000
 
 
+def _checked_occupations(values) -> tuple[int, ...]:
+    """``values`` as Python ints, refused unless each is an integer (numpy
+    integers too, bools not), non-negative and below 2**61."""
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in values):
+        raise ConfigurationError(f"occupations must be integers, got {values}")
+    occs = tuple(int(n) for n in values)
+    if any(n < 0 for n in occs):
+        raise ConfigurationError(f"occupations must be non-negative, got {occs}")
+    # ladder rungs and charges (up to 2 n_a' + n_b') are int64 arrays
+    if any(n >= 2**61 for n in occs):
+        raise ConfigurationError(f"occupations must be below 2**61, got {occs}")
+    return occs
+
+
 @dataclass(frozen=True)
 class PureFock:
-    """Ideal product Fock probe."""
+    """Ideal product Fock probe, one occupation per mode."""
 
     occupations: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "occupations", _checked_occupations(self.occupations))
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,7 @@ class NoisyFock:
     eps: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nominal", _checked_occupations(self.nominal))
         if len(self.eps) != len(self.nominal):
             raise ConfigurationError("need one eps per mode")
         if any(not 0.0 <= e <= 0.25 for e in self.eps):
@@ -95,6 +115,12 @@ class CoherentProduct:
             raise ConfigurationError(
                 f"cutoff_mass must lie in (0, 1), got {self.cutoff_mass}"
             )
+        try:
+            mus = [abs(complex(a)) ** 2 for a in self.alphas]
+        except OverflowError:  # a mean occupation past the largest float
+            raise ResourceError("coherent truncation did not close") from None
+        if not all(map(math.isfinite, mus)):
+            raise ConfigurationError(f"amplitudes must be finite, got {self.alphas}")
 
 
 Probe = Union[PureFock, NoisyFock, CoherentProduct]
@@ -175,11 +201,11 @@ def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedCom
     MAX_RUNGS**2 eigenvector entries together, are refused first.
     """
     if isinstance(probe, PureFock):
-        validate_config(kind, FockConfig(probe.occupations))
+        validate_config(kind, probe.occupations)
         return _fock_stacks(kind, [probe.occupations], [1.0], mode)
 
     if isinstance(probe, NoisyFock):
-        validate_config(kind, FockConfig(probe.nominal))
+        validate_config(kind, probe.nominal)
         per_mode = [_noise_terms(n, e) for n, e in zip(probe.nominal, probe.eps)]
         combos = list(itertools.product(*per_mode))
         occs = [tuple(term[0] for term in combo) for combo in combos]

@@ -11,7 +11,6 @@ import pytest
 from tsense import (
     BinaryFock,
     CoherentProduct,
-    FockConfig,
     FullPNR,
     InteractionKind,
     NoisyFock,
@@ -92,9 +91,9 @@ def test_criterion_1_closed_form_limits():
         for na in range(total + 1):
             for nb in range(total - na + 1):
                 occs = (na, nb, total - na - nb)
-                check(occs, I, fisher_limit_closed_form(FockConfig(occs), I))
+                check(occs, I, fisher_limit_closed_form(PureFock(occs), I))
             occs2 = (na, total - na)
-            check(occs2, II, fisher_limit_closed_form(FockConfig(occs2), II))
+            check(occs2, II, fisher_limit_closed_form(PureFock(occs2), II))
     report(1, "simulated F(theta->0) equals the closed forms (tol 1e-8)", failures)
 
 
@@ -103,12 +102,12 @@ def test_criterion_2_qfi_consistency():
     for na in range(11):
         for nb in range(11):
             for nc in range(11):
-                cfg = FockConfig((na, nb, nc))
+                cfg = PureFock((na, nb, nc))
                 plug = 4.0 * (na * (nb + 1) * (nc + 1) + (na + 1) * nb * nc)
                 got = qfi_variance(cfg, I)
                 if abs(got - plug) > 1e-10:
                     failures.append((cfg.occupations, got, plug))
-            cfg = FockConfig((na, nb))
+            cfg = PureFock((na, nb))
             plug = 4.0 * (nb * (nb - 1) * (na + 1) + (nb + 1) * (nb + 2) * na)
             got = qfi_variance(cfg, II)
             if abs(got - plug) > 1e-10:
@@ -268,7 +267,7 @@ def test_criterion_6_dynamic_range():
                 theta_max=3.0, steps=1201,
             )
             emp = dynamic_range(profile)
-            formula = dynamic_range_formula(FockConfig(occs), kind)
+            formula = dynamic_range_formula(PureFock(occs), kind)
             empiricals.append(math.inf if emp is None else emp)
             if fock_stack(kind, occs).d == 2:
                 # every readout resolves both rungs, so F is constant: no minimum
@@ -366,7 +365,7 @@ def test_criterion_7_property_suites():
             for nb in range(total - na + 1):
                 occs = (na, nb, total - na - nb)
                 f0 = limit_fisher(occs, I, FullPNR())
-                if f0 > fisher_limit_closed_form(FockConfig(occs), I) + 1e-6:
+                if f0 > fisher_limit_closed_form(PureFock(occs), I) + 1e-6:
                     failures.append(("FI>QFI", occs, f0))
 
     # b <-> c symmetry of the Fisher information
@@ -423,7 +422,7 @@ def test_criterion_8_noise_behavior():
     failures = []
     cases = ((I, (2, 2, 2)), (II, (2, 3)))
     for kind, nominal in cases:
-        window = dynamic_range_formula(FockConfig(nominal), kind)
+        window = dynamic_range_formula(PureFock(nominal), kind)
         grid = np.linspace(0.0, window, 601)
         for scheme_name in ("binary", "s0"):
             scheme = (

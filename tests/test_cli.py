@@ -294,6 +294,23 @@ def test_overflow_reports_one_line(args):
     assert proc.stderr == "numeric failure: the results contain non-finite values\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fisher-scan", "--alpha", "1e160,1,1"],
+        ["fisher-scan", "--alpha", "1e160,1,1", "--scheme", "binary"],
+        ["coherent-compare", "--state", "1,1,1", "--alpha", "1e200,1,1"],
+    ],
+)
+def test_huge_coherent_amplitudes_are_numeric_failures(args, capsys):
+    # |alpha|^2 overflows a float: refused like an amplitude whose
+    # truncation does not close, with no traceback
+    code, out, err = run_cli([*args, "--steps", "3"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
 # runs each argv of a JSON list through main() while a None entry in
 # sys.modules makes every scipy import fail, and reports the exit codes,
 # the stdout texts and any scipy submodule that got loaded

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from tsense import (
     BinaryFock,
     CoherentProduct,
-    FockConfig,
     FullPNR,
     InteractionKind,
     NoisyFock,
@@ -53,7 +52,7 @@ times = st.floats(0.25, 2.0)
 def qfi_bound(probe, kind, t):
     """The QFI of a pure probe; for a mixture, the weighted QFI of its parts."""
     if isinstance(probe, PureFock):
-        return fisher_limit_closed_form(FockConfig(probe.occupations), kind, t)
+        return fisher_limit_closed_form(probe, kind, t)
     if isinstance(probe, CoherentProduct):
         return qfi_coherent(probe.alphas, kind, t)
     total = 0.0
@@ -123,5 +122,5 @@ def test_deep_ladder_grid_spans_blocks(scheme):
     single = np.array([prep.fisher(scheme, np.array([th]), 1.0)[0] for th in grid])
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
     assert batched[0] == pytest.approx(
-        fisher_limit_closed_form(FockConfig((180, 220, 220)), I), rel=1e-9
+        fisher_limit_closed_form(PureFock((180, 220, 220)), I), rel=1e-9
     )

@@ -5,7 +5,6 @@ import pytest
 
 from tsense import (
     ConfigurationError,
-    FockConfig,
     InteractionKind,
     PureFock,
     ResourceError,
@@ -61,9 +60,9 @@ def test_invalid_inputs():
     with pytest.raises(ConfigurationError):
         fock_ladder(II, (1, 1, 1))
     with pytest.raises(ConfigurationError):
-        FockConfig((1, -1, 0))
+        PureFock((1, -1, 0))
     with pytest.raises(ConfigurationError):
-        FockConfig((0, 2**61, 0))
+        PureFock((0, 2**61, 0))
 
 
 def test_oversized_ladders_are_refused_before_allocation():

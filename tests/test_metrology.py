@@ -7,7 +7,6 @@ from tsense import (
     BinaryFock,
     CoherentProduct,
     ConfigurationError,
-    FockConfig,
     FullPNR,
     InteractionKind,
     NoisyFock,
@@ -76,7 +75,7 @@ def test_limit_examples():
 
 
 def test_closed_form_reductions():
-    cfg = lambda *o: FockConfig(o)
+    cfg = lambda *o: PureFock(o)
     for n in range(1, 8):
         assert fisher_limit_closed_form(cfg(n, 0, 0), I) == 4 * n
     assert fisher_limit_closed_form(cfg(3, 2, 0), I) == 4 * (3 * 2 + 3)
@@ -87,23 +86,23 @@ def test_closed_form_reductions():
 
 
 def test_qfi_variance_examples():
-    assert qfi_variance(FockConfig((2, 1, 1)), I) == pytest.approx(44.0, abs=1e-10)
-    assert qfi_variance(FockConfig((1, 3)), II) == pytest.approx(128.0, abs=1e-10)
-    assert qfi_variance(FockConfig((0, 0, 7)), I) == 0.0
-    assert qfi_variance(FockConfig((2, 1, 1)), I, t=2.0) == pytest.approx(176.0)
+    assert qfi_variance(PureFock((2, 1, 1)), I) == pytest.approx(44.0, abs=1e-10)
+    assert qfi_variance(PureFock((1, 3)), II) == pytest.approx(128.0, abs=1e-10)
+    assert qfi_variance(PureFock((0, 0, 7)), I) == 0.0
+    assert qfi_variance(PureFock((2, 1, 1)), I, t=2.0) == pytest.approx(176.0)
 
 
 def test_qfi_variance_equals_closed_form_everywhere():
     for na in range(6):
         for nb in range(6):
             for nc in range(6):
-                cfg = FockConfig((na, nb, nc))
+                cfg = PureFock((na, nb, nc))
                 assert qfi_variance(cfg, I) == pytest.approx(
                     fisher_limit_closed_form(cfg, I), abs=1e-10
                 )
     for na in range(6):
         for nb in range(6):
-            cfg = FockConfig((na, nb))
+            cfg = PureFock((na, nb))
             assert qfi_variance(cfg, II) == pytest.approx(
                 fisher_limit_closed_form(cfg, II), abs=1e-10
             )
@@ -218,13 +217,13 @@ def test_scan_vacuum_all_zero():
 def test_dynamic_range_single_mode_binary():
     profile = scan(PureFock((4, 0, 0)), I, BinaryFock(4), theta_max=2.5, steps=801)
     theta_min = dynamic_range(profile)
-    formula = dynamic_range_formula(FockConfig((4, 0, 0)), I)
+    formula = dynamic_range_formula(PureFock((4, 0, 0)), I)
     assert formula == pytest.approx(1.0)
     assert theta_min is not None
     assert abs(theta_min - formula) / formula < 0.25
     profile = scan(PureFock((0, 4)), II, BinaryFock(0), theta_max=2.5, steps=801)
     theta_min = dynamic_range(profile)
-    formula = dynamic_range_formula(FockConfig((0, 4)), II)
+    formula = dynamic_range_formula(PureFock((0, 4)), II)
     assert formula == pytest.approx(math.sqrt(6.0 / 12.0))
     assert theta_min is not None
     assert abs(theta_min - formula) / formula < 0.25
@@ -305,19 +304,19 @@ def test_dynamic_range_refines_in_few_grid_calls(occs, monkeypatch):
 
 def test_dynamic_range_formula_prefactors():
     # 16 below three excited modes (kind I), 24 otherwise
-    assert dynamic_range_formula(FockConfig((4, 0, 0)), I) == pytest.approx(
+    assert dynamic_range_formula(PureFock((4, 0, 0)), I) == pytest.approx(
         math.sqrt(16.0 / 16.0)
     )
-    assert dynamic_range_formula(FockConfig((2, 2, 0)), I) == pytest.approx(
+    assert dynamic_range_formula(PureFock((2, 2, 0)), I) == pytest.approx(
         math.sqrt(16.0 / (4 * (4 + 2)))
     )
-    assert dynamic_range_formula(FockConfig((2, 2, 2)), I) == pytest.approx(
+    assert dynamic_range_formula(PureFock((2, 2, 2)), I) == pytest.approx(
         math.sqrt(24.0 / 120.0)
     )
-    assert dynamic_range_formula(FockConfig((0, 4)), II) == pytest.approx(
+    assert dynamic_range_formula(PureFock((0, 4)), II) == pytest.approx(
         math.sqrt(24.0 / 48.0)
     )
-    assert dynamic_range_formula(FockConfig((0, 0, 0)), I) is None
+    assert dynamic_range_formula(PureFock((0, 0, 0)), I) is None
 
 
 def test_fisher_other_measured_mode():

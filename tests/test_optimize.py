@@ -12,13 +12,17 @@ from oracles import (
 )
 from tsense import (
     ConfigurationError,
+    FullPNR,
     InteractionKind,
+    PureFock,
     ResourceError,
     asymptotic_prediction,
+    fisher_limit_closed_form,
     lagrange_relaxation,
     optimize_config,
     optimize_config_weighted,
     scaling_table,
+    scan,
 )
 from tsense.optimize import MAX_COMPOSITIONS, _score
 
@@ -293,6 +297,30 @@ def test_array_search_matches_the_loop_oracle(kind):
                 assert res.f0 == 4.0 * best
             if modes is not None and n >= 1:
                 assert table[n] == (None if best is None else 4.0 * best)
+
+
+@pytest.mark.parametrize("kind", [I, II])
+def test_maximizers_scan_as_they_are(kind):
+    # the search's maximizers are probes: each goes straight into scan,
+    # whose zero-coupling limits are the searched optimum
+    for total in range(1, 41):
+        res = optimize_config(kind, total)
+        for m in res.maximizers:
+            profile = scan(m, kind, FullPNR(), steps=2)
+            assert profile.qfi_zero == res.f0, (kind, m)
+            assert profile.f_zero == pytest.approx(res.f0, rel=1e-9, abs=0), (kind, m)
+
+
+@pytest.mark.parametrize(
+    "kind, weights, budget",
+    [(I, (2.0, 1.0, 1.0), 6.0), (I, (1.0, 1.5, 0.5), 9.0), (II, (1.0, 3.0), 12.0)],
+)
+def test_weighted_maximizers_are_probes(kind, weights, budget):
+    maxis, f0 = optimize_config_weighted(kind, weights, budget)
+    assert maxis
+    for m in maxis:
+        assert isinstance(m, PureFock)
+        assert fisher_limit_closed_form(m, kind) == f0
 
 
 def test_weighted_search_matches_the_loop_oracle():

@@ -144,6 +144,48 @@ def test_coherent_validation():
         decompose(CoherentProduct((1.0, 1.0)), I)
 
 
+@pytest.mark.parametrize(
+    "alpha", [math.nan, complex(1.0, math.nan), math.inf], ids=["nan", "complex-nan", "inf"]
+)
+def test_non_finite_coherent_amplitudes_are_refused_when_built(alpha):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        CoherentProduct((alpha, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "alpha", [1e160, complex(1e308, 1e308), 10**400], ids=["float", "complex", "int"]
+)
+def test_overflowing_coherent_amplitudes_are_refused_when_built(alpha):
+    # |alpha|^2 is past the largest float, so no truncation can close
+    with pytest.raises(ResourceError, match="did not close"):
+        CoherentProduct((alpha, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "build", [PureFock, lambda occs: NoisyFock(occs, (0.1,) * 3)], ids=["pure", "noisy"]
+)
+@pytest.mark.parametrize(
+    "occs, message",
+    [
+        ((2.5, 1, 1), "must be integers"),
+        ((True, 1, 1), "must be integers"),
+        ((-1, 1, 1), "must be non-negative"),
+        ((2**61, 0, 0), r"must be below 2\*\*61"),
+    ],
+    ids=["fraction", "bool", "negative", "too-large"],
+)
+def test_occupations_are_checked_when_the_probe_is_built(build, occs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build(occs)
+
+
+def test_numpy_integer_occupations_become_python_ints():
+    probe = PureFock((np.int64(2), 1, 1))
+    assert probe == PureFock((2, 1, 1))
+    assert all(type(n) is int for n in probe.occupations)
+    assert NoisyFock((np.int32(1), 1), (0.1, 0.1)).nominal == (1, 1)
+
+
 def _coherent_cases(kind, rng, count):
     """All-equal amplitudes, a zero amplitude, and random ones."""
     n = kind.n_modes
