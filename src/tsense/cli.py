@@ -4,7 +4,7 @@ Subcommands: fisher-scan, optimize, scaling, dynamic-range, noise-scan,
 coherent-compare.  Grids go to CSV (meta as leading ``#`` comment
 lines), structured results to JSON; identical configurations produce
 byte-identical files.  A JSON config file can preset any flag; explicit
-flags override it.
+flags override it, and one the subcommand never reads is refused.
 """
 from __future__ import annotations
 
@@ -171,6 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: list[str]) -> RunConfig:
     """Merge defaults, an optional config file, and explicit flags."""
     ns = _build_parser().parse_args(argv)
+    # a config file may preset any flag, but typing one the subcommand never reads is a mistake
+    reads = ("interaction", "time", "out", "format", *COMMANDS[ns.subcommand][1].split())
+    unread = ["--" + key.replace("_", "-") for key in FLAGS
+              if getattr(ns, key) is not None and key not in reads]
+    if unread:
+        raise ConfigurationError(f"{ns.subcommand} does not read {', '.join(unread)}")
     merged = {name: flag.default for name, flag in FLAGS.items()}
     if ns.subcommand == "optimize":
         merged["format"] = "json"
@@ -290,13 +296,8 @@ def _scheme_label(scheme) -> str:
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:
-    meta = {
-        "subcommand": cfg.subcommand,
-        "version": __version__,
-        "interaction": cfg.interaction,
-    }
-    meta.update(extra)
-    return meta
+    return {"subcommand": cfg.subcommand, "version": __version__,
+            "interaction": cfg.interaction, **extra}
 
 
 def _scan(cfg: RunConfig, probe):
@@ -319,9 +320,7 @@ def _grid_meta(cfg: RunConfig, profile) -> dict:
 def cmd_fisher_scan(cfg: RunConfig) -> dict:
     probe = _build_probe(cfg)
     profile = _scan(cfg, probe)
-    cr = None
-    if profile.f_zero > 0.0:
-        cr = cramer_rao(profile.f_zero, cfg.trials)
+    cr = cramer_rao(profile.f_zero, cfg.trials) if profile.f_zero > 0.0 else None
     meta = _meta(
         cfg,
         probe=_probe_label(probe),
@@ -361,14 +360,11 @@ def cmd_scaling(cfg: RunConfig) -> dict:
     tables = {m: dict(scaling_table(kind, cfg.n_max, m, t=cfg.time)) for m in schemes}
     names = {1: "f0_one", 2: "f0_two", 3: "f0_three"}
     columns = ["n"] + [names[m] for m in schemes] + ["asymptote"]
-    rows = []
-    for n in range(1, cfg.n_max + 1):
-        row: list = [n]
-        for m in schemes:
-            v = tables[m][n]
-            row.append(None if v is None else float(v))
-        row.append(float(asymptotic_prediction(kind, n, cfg.time)))
-        rows.append(row)
+    # scaling_table and asymptotic_prediction give floats (or None) already
+    rows = [
+        [n, *(tables[m][n] for m in schemes), asymptotic_prediction(kind, n, cfg.time)]
+        for n in range(1, cfg.n_max + 1)
+    ]
     return {
         "meta": _meta(cfg, time=cfg.time, n_max=cfg.n_max),
         "columns": columns,
@@ -448,21 +444,20 @@ def cmd_coherent_compare(cfg: RunConfig) -> dict:
     }
 
 
+# each subcommand and the flags it reads besides interaction, time, out and format
 COMMANDS = {
-    "fisher-scan": cmd_fisher_scan,
-    "optimize": cmd_optimize,
-    "scaling": cmd_scaling,
-    "dynamic-range": cmd_dynamic_range,
-    "noise-scan": cmd_noise_scan,
-    "coherent-compare": cmd_coherent_compare,
+    "fisher-scan": (cmd_fisher_scan, "state eps alpha scheme theta_max steps trials"),
+    "optimize": (cmd_optimize, "total"),
+    "scaling": (cmd_scaling, "n_max"),
+    "dynamic-range": (cmd_dynamic_range, "state scheme theta_max steps"),
+    "noise-scan": (cmd_noise_scan, "state eps scheme theta_max steps"),
+    "coherent-compare": (cmd_coherent_compare, "state alpha scheme theta_max steps"),
 }
 
 
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -506,7 +501,7 @@ def _non_finite(value) -> bool:
 def run(cfg: RunConfig) -> str:
     # an overflowing evolution shows up as non-finite values, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        doc = COMMANDS[cfg.subcommand](cfg)
+        doc = COMMANDS[cfg.subcommand][0](cfg)
     if _non_finite(doc):
         # CSV would print nan/inf cells and JSON cannot encode them
         raise NumericError(NON_FINITE)

@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import ConfigurationError, ResourceError
 
-# the most rungs a ladder may have: 8192 rungs already mean 512 MiB of
-# float64 eigenvectors once the ladder is diagonalized, and decompose
-# caps the sum of d**2 over a probe's ladders at the same MAX_RUNGS**2.
-# While diagonalize runs, the SVD's outputs and workspace add about
-# 1.3 d**2 more (measured at d = 2001 and 3000)
+# the most rungs a ladder may have; decompose caps the sum of d**2 over a
+# probe's ladders at the same MAX_RUNGS**2.  A diagonalized ladder holds
+# about d**2/2 floats of SVD factors (256 MiB at the cap), but the SVD's
+# workspace sets the peak: 188 MB at d = 3001, as when d x d eigenvector
+# matrices were held
 MAX_RUNGS = 8192
 
 

@@ -112,9 +112,11 @@ class PreparedProbe:
             dynamics.spectral_weights(spec, s.amplitudes * np.sqrt(s.weights)[:, None])
             for spec, s in zip(self.spectra, stacks)
         ]
-        self.occs = [s.occupations(mode) for s in stacks]
-        # occupations run evenly along a ladder: the largest is at one end
-        self.n_outcomes = 1 + max(max(int(o[0]), int(o[-1])) for o in self.occs)
+        occs = [s.occupations(mode) for s in stacks]
+        # occupations run evenly along a ladder: the largest is at one end,
+        # and a stack's are the first d of a slice from its first rung's
+        self.n_outcomes = 1 + max(max(int(o[0]), int(o[-1])) for o in occs)
+        self.occs = [slice(int(o[0]), None, kind.rung_step[mode]) for o in occs]
         # couplings per evaluation block, so that one ladder's rungs x
         # couplings stay within BLOCK_ELEMENTS
         self.block_rows = max(1, BLOCK_ELEMENTS // max(s.d for s in stacks))
@@ -134,19 +136,20 @@ class PreparedProbe:
         # laid out as outcome x (P, P', P'') x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, n))
         stacks = zip(self.spectra, self.spectral_weights, self.occs)
-        for (values, vectors), weights, occ in stacks:
+        for (s, u, v), weights, occ in stacks:
             m, d = weights.shape
             step = max(1, BLOCK_ELEMENTS // (d * n))
             for lo in range(0, m, step):
                 part = slice(lo, lo + step)
-                spec = dynamics.Spectrum(values[part], vectors[part])
+                spec = dynamics.Spectrum(s[part], u[part], v[part])
                 amps = dynamics.evolve_vector(spec, weights[part], couplings, time)
                 # ladder x rung x (c, c', c'') x coupling
                 amps = amps.transpose(1, 3, 0, 2)
                 # |c|^2, Re c* c' and Re c* c'' + |c'|^2 for each rung and coupling
                 prods = (np.conj(amps[:, :, :1]) * amps).real
                 prods[:, :, 2] += np.abs(amps[:, :, 1]) ** 2
-                moments[occ] += _MOMENT_SCALE * np.add.reduce(prods)
+                moments[occ][:d] += np.add.reduce(prods)
+        moments *= _MOMENT_SCALE
         return moments.transpose(1, 2, 0)
 
     def fisher(
@@ -258,13 +261,8 @@ def scan(
     elif isinstance(probe, CoherentProduct):
         qfi_zero = qfi_coherent(probe.alphas, kind, t)
     return SensitivityProfile(
-        prepared=prepared,
-        scheme=scheme,
-        time=t,
-        couplings=grid,
-        fisher=values,
-        f_zero=f_zero,
-        qfi_zero=qfi_zero,
+        prepared=prepared, scheme=scheme, time=t, couplings=grid, fisher=values,
+        f_zero=f_zero, qfi_zero=qfi_zero,
     )
 
 

@@ -183,7 +183,9 @@ def _poisson_cutoffs(mus: list[float], cutoff_mass: float) -> list[int]:
         while cum + term < 1.0 - per_mode_tail:
             cum += term
             n += 1
-            term *= mu / n
+            # in log space: exp(-mu) is subnormal from mu ~ 708, and a
+            # product of ratios from it keeps that loss of digits
+            term = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
             if n > 10_000:  # pragma: no cover
                 raise ResourceError("coherent truncation did not close")
         tops.append(n)
@@ -228,8 +230,8 @@ def _stack_members(
     occupations that name each ladder in a refusal.
     """
     d = checked_rungs(kind, rows, labels)
-    # each ladder keeps a d x d eigenvector matrix; all of them together
-    # may hold no more than one ladder at the rung cap
+    # all the ladders together may need no more d**2 entries than one
+    # ladder at the rung cap (their SVD factors hold about half of that)
     entries = sum(n * n for n in d)
     if entries > MAX_RUNGS**2:
         raise ResourceError(
@@ -264,6 +266,13 @@ def _stack(
     """The stacked build: one generator table for ladders of one dimension."""
     offdiag = ladder_offdiag(kind, roots, amplitudes.shape[1])
     return LadderStack(kind, roots, weights, offdiag, amplitudes)
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.unique(rows, axis=0)`` for non-negative integer rows, through one
+    integer key per row, which sorts them alike without comparing rows."""
+    _, first = np.unique(np.ravel_multi_index(rows.T, rows.max(axis=0) + 1), return_index=True)
+    return rows[first]
 
 
 def _decompose_coherent(
@@ -314,7 +323,7 @@ def _decompose_coherent(
 
     # each table gains a trailing zero for occupations past its cutoff
     padded = [np.append(t, 0.0) for t in tables]
-    roots = np.unique(sector_roots(kind, occs), axis=0)
+    roots = _unique_rows(sector_roots(kind, occs))
     parts = []
     for d, members in _stack_members(kind, roots.tolist(), roots, mode):
         idx = np.array(members)

@@ -14,10 +14,10 @@ integers.  The Lagrange relaxation is found by a damped Newton solve of
 the full stationarity system, with no symmetry assumed.
 
 The one exception is the per-ladder Fisher loop, the reference for the
-stacked kernel: it runs the package's diagonalization and evolution on
-one ladder at a time, the ladders walked here and found without the
-package's decomposition, and adds each ladder's populations into the
-measured occupations by fancy indexing.
+stacked kernel: it runs the package's diagonalization, spectral weights
+and evolution on one ladder at a time, the ladders walked here and
+found without the package's decomposition, and adds each ladder's
+populations into the measured occupations by fancy indexing.
 """
 import heapq
 import itertools
@@ -35,6 +35,7 @@ from tsense import (
     SequentialS0,
     diagonalize,
     evolve_vector,
+    spectral_weights,
 )
 from tsense.optimize import _score
 from tsense.probes import _poisson_cutoffs
@@ -273,7 +274,7 @@ def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: floa
     moments = np.zeros((n_outcomes, 3, len(couplings)))
     for weight, rungs, offdiag, psi in parts:
         spec = diagonalize(offdiag)
-        c, dc, d2c = evolve_vector(spec, spec.eigenvectors.T @ psi, couplings, time)
+        c, dc, d2c = evolve_vector(spec, spectral_weights(spec, psi), couplings, time)
         prods = np.stack([
             np.abs(c) ** 2,
             2.0 * (np.conj(c) * dc).real,

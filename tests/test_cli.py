@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tsense
-from tsense import cli
+from tsense import ConfigurationError, cli
 from tsense.cli import COMMANDS, RunConfig, main, output_schema, parse_config
 
 
@@ -311,6 +311,38 @@ def test_huge_coherent_amplitudes_are_numeric_failures(args, capsys):
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["noise-scan", "--state", "1,1,1", "--eps", "0.1", "--alpha", "1,1,1", "--steps", "2"],
+         "--alpha"),
+        (["dynamic-range", "--state", "2,1,1", "--alpha", "5,1,1", "--steps", "5"], "--alpha"),
+        (["optimize", "--total", "6", "--steps", "5"], "--steps"),
+        (["scaling", "--state", "1,1,1"], "--state"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(args, flag, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert line == f"error: {args[0]} does not read {flag}"
+
+
+def test_deep_coherent_probe_meets_the_eigenvector_budget(monkeypatch, capsys):
+    # |alpha|^2 = 729: the Poisson cutoffs hold (their first term exp(-729)
+    # is subnormal), and the probe's ladders are refused together
+    def refuse(offdiag):
+        raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
+
+    monkeypatch.setattr(tsense.dynamics, "diagonalize", refuse)
+    code, out, err = run_cli(["fisher-scan", "--alpha", "27,1,1", "--steps", "2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: the ") and err.count("\n") == 1
+    assert "eigenvector entries" in err and f"(cap {tsense.ladder.MAX_RUNGS}**2)" in err
+
+
 # runs each argv of a JSON list through main() while a None entry in
 # sys.modules makes every scipy import fail, and reports the exit codes,
 # the stdout texts and any scipy submodule that got loaded
@@ -439,9 +471,19 @@ def test_config_keys_are_the_flags(sub, tmp_path, capsys):
     # and each key on its own, moved off its default through the file as by its flag
     texts = {"interaction": "II", "scheme": "s0", "state": "1,3", "eps": "0.5",
              "alpha": "1+2i", "out": "x.csv", "format": "json" if sub != "optimize" else "csv"}
+    reads = {"interaction", "time", "out", "format", *COMMANDS[sub][1].split()}
     for key in sorted(keys):
         text = texts.get(key, "7")
-        want = parse_config([sub, "--" + key.replace("_", "-"), text])
+        flag = "--" + key.replace("_", "-")
+        if key not in reads:
+            # typed, a flag the subcommand never reads is refused; preset, it is kept
+            with pytest.raises(ConfigurationError, match=f"^{sub} does not read {flag}$"):
+                parse_config([sub, flag, text])
+            value = text if key in ("state", "eps", "alpha") else cli.FLAGS[key].metadata["type"](text)
+            path.write_text(json.dumps({key: value}), encoding="utf-8")
+            assert parse_config([sub, "--config", str(path)]) != defaults, key
+            continue
+        want = parse_config([sub, flag, text])
         assert want != defaults, key
         value = text if key in ("state", "eps", "alpha") else getattr(want, key)
         path.write_text(json.dumps({key: value}), encoding="utf-8")

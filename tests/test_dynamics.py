@@ -15,7 +15,7 @@ from tsense import (
     spectral_weights,
 )
 
-from oracles import central_diff, evolved_amplitudes_taylor, tridiagonal
+from oracles import central_diff, evolved_amplitudes_taylor, expm_taylor, tridiagonal
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -31,6 +31,25 @@ def spectrum_of(kind, root):
     spectrum of its generator."""
     stack = fock_stack(kind, root)
     return stack, diagonalize(stack.offdiag[0])
+
+
+def eigenvectors(spec):
+    """The d x d eigenvector matrix of one ladder, assembled from its SVD
+    factors with columns in the order of ``spec.eigenvalues``: (u_k, -v_k)
+    over the even and odd rungs for -s_k, the null vector (u0, 0) when d
+    is odd, then (u_k, v_k) for s_k in reverse, each pair scaled by
+    1/sqrt(2)."""
+    n, u, v = len(spec.s), spec.u, spec.v
+    d = len(u) + n
+    vec = np.zeros((d, d))
+    vec[0::2, :n] = u[:, :n]
+    vec[1::2, :n] = -v
+    vec[0::2, d - n :] = u[:, :n][:, ::-1]
+    vec[1::2, d - n :] = v[:, ::-1]
+    vec *= math.sqrt(0.5)
+    if d % 2:
+        vec[0::2, n] = u[:, n]
+    return vec
 
 
 def root_rung(stack):
@@ -54,7 +73,8 @@ def test_trivial_spectrum():
     stack, spec = spectrum_of(I, (0, 3, 0))
     assert stack.d == 1
     np.testing.assert_allclose(spec.eigenvalues, [0.0])
-    np.testing.assert_allclose(spec.eigenvectors, [[1.0]])
+    np.testing.assert_allclose(spec.u, [[1.0]])
+    assert spec.s.shape == (0,) and spec.v.shape == (0, 0)
 
 
 def test_spectrum_examples():
@@ -80,7 +100,7 @@ def test_spectrum_examples():
 )
 def test_spectrum_invariants(kind, root):
     stack, spec = spectrum_of(kind, root)
-    v, lam = spec.eigenvectors, spec.eigenvalues
+    v, lam = eigenvectors(spec), spec.eigenvalues
     g = tridiagonal(stack.offdiag[0])
     dense = np.linalg.eigh(g)[0]
     norm = np.abs(dense).max()
@@ -99,12 +119,38 @@ def test_spectrum_invariants(kind, root):
 
 
 @pytest.mark.parametrize("kind", [I, II])
+def test_factors_are_the_svd_of_the_even_odd_block(kind):
+    for d in range(1, 42):
+        root = (0, d - 1, d + 4) if kind is I else (0, 2 * d - 2 + d % 2)
+        stack, spec = spectrum_of(kind, root)
+        g = tridiagonal(stack.offdiag[0])
+        b = g[0::2, 1::2]
+        n = d // 2
+        assert stack.d == d
+        assert spec.s.shape == (n,)
+        assert spec.u.shape == ((d + 1) // 2,) * 2 and spec.v.shape == (n, n)
+        np.testing.assert_allclose(spec.u.T @ spec.u, np.eye(d - n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.v.T @ spec.v, np.eye(n), rtol=0, atol=1e-12)
+        norm = np.linalg.norm(g, 2)
+        np.testing.assert_allclose(
+            spec.u[:, :n] * spec.s @ spec.v.T, b, rtol=0, atol=1e-12 * norm
+        )
+        assert np.all(np.diff(spec.s) <= 0)
+        lam = spec.eigenvalues
+        assert lam.shape == (d,)
+        # each eigenpair, assembled here from the factors, solves G x = lambda x
+        vec = eigenvectors(spec)
+        np.testing.assert_allclose(g @ vec, vec * lam, rtol=0, atol=1e-12 * norm)
+
+
+@pytest.mark.parametrize("kind", [I, II])
 def test_spectra_ascend_and_pair_exactly(kind):
     for d in range(1, 65):
         root = (d - 1, 0, 0) if kind is I else (0, 2 * d - 1)
         stack, spec = spectrum_of(kind, root)
         lam = spec.eigenvalues
-        assert stack.d == d and spec.eigenvectors.shape == (d, d)
+        assert stack.d == d and spec.u.shape == ((d + 1) // 2,) * 2
+        assert spec.v.shape == (d // 2, d // 2)
         assert np.all(np.diff(lam) > 0)
         assert np.array_equal(lam, -lam[::-1])
 
@@ -138,6 +184,27 @@ def test_amplitudes_match_taylor_exponential(kind, root, theta_t):
     c, _, _ = evolve_root(stack, spec, [theta_t])
     oracle = evolved_amplitudes_taylor(tridiagonal(stack.offdiag[0]), root_rung(stack), theta_t)
     np.testing.assert_allclose(c[0], oracle, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", [I, II])
+def test_general_vectors_and_derivatives_match_taylor_exponential(kind):
+    rng = np.random.default_rng(11)
+    grid = np.array([-0.9, 0.0, 0.35, 1.4])
+    time = 0.7
+    for d in range(1, 14):
+        root = (0, d - 1, d + 1) if kind is I else (0, 2 * d - 1)
+        stack, spec = spectrum_of(kind, root)
+        g = tridiagonal(stack.offdiag[0])
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        c, dc, d2c = evolve_vector(spec, spectral_weights(spec, psi), grid, time)
+        for i, theta in enumerate(grid):
+            want = expm_taylor(-1j * theta * time * g) @ psi
+            dwant = -1j * time * g @ want
+            np.testing.assert_allclose(c[i], want, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(dc[i], dwant, rtol=0, atol=1e-10 * max(1.0, len(g)))
+            np.testing.assert_allclose(
+                d2c[i], -1j * time * g @ dwant, rtol=0, atol=1e-9 * max(1.0, len(g)) ** 2
+            )
 
 
 @pytest.mark.parametrize(
@@ -249,6 +316,9 @@ def test_evolve_vector_general_initial_state():
 @pytest.mark.parametrize("kind,roots", [
     (I, [(0, 6, 9), (0, 7, 6), (0, 6, 6), (0, 11, 6)]),
     (II, [(0, 12), (0, 13)]),
+    # even d
+    (I, [(0, 5, 9), (0, 8, 5), (0, 5, 5)]),
+    (II, [(0, 10), (0, 11)]),
 ])
 def test_a_stack_is_its_ladders_side_by_side(kind, roots):
     # ladders of one dimension go through one stacked SVD and one stacked
@@ -263,6 +333,7 @@ def test_a_stack_is_its_ladders_side_by_side(kind, roots):
     for i in range(m):
         spec = diagonalize(offdiag[i])
         np.testing.assert_array_equal(spectra.eigenvalues[i], spec.eigenvalues)
-        np.testing.assert_array_equal(spectra.eigenvectors[i], spec.eigenvectors)
+        for stacked_factor, factor in zip(spectra, spec):
+            np.testing.assert_array_equal(stacked_factor[i], factor)
         single = evolve_vector(spec, spectral_weights(spec, psi[i]), grid, 0.8)
         np.testing.assert_array_equal(stacked[:, i], single)

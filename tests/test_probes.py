@@ -12,6 +12,8 @@ from tsense import (
     ResourceError,
     decompose,
 )
+from tsense.ladder import sector_roots
+from tsense.probes import _poisson_cutoffs, _unique_rows
 
 from oracles import coherent_sectors_heap
 
@@ -219,3 +221,28 @@ def test_coherent_sectors_match_heap_search(kind):
         for (_, weight, amplitudes), (_, want_weight, psi) in zip(got, want):
             assert weight == pytest.approx(want_weight, rel=1e-13, abs=0)
             np.testing.assert_allclose(amplitudes, psi, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [I, II])
+def test_unique_roots_are_those_of_numpy_unique(kind):
+    rng = np.random.default_rng(5)
+    for top in (1, 2, 7, 60):
+        occs = rng.integers(0, top + 1, size=(300, kind.n_modes))
+        # repeated rows, in a shuffled order
+        occs = rng.permutation(np.concatenate([occs, occs[:40], occs[:3]]))
+        roots = sector_roots(kind, occs)
+        np.testing.assert_array_equal(_unique_rows(roots), np.unique(roots, axis=0))
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0, 100.0, 729.0, 1000.0])
+def test_poisson_cutoffs_keep_each_modes_share(mu):
+    cutoff = 1.0 - 1e-8
+    (top,) = _poisson_cutoffs([mu], cutoff)
+    share = (1.0 - cutoff) / 2.0
+    if mu == 0.0:
+        assert top == 0
+    else:
+        # the tail from n on, summed upward from its first term in log space
+        terms = [math.exp(n * math.log(mu) - mu - math.lgamma(n + 1)) for n in range(top + 2000)]
+        assert math.fsum(terms[top + 1 :]) <= share < math.fsum(terms[top:])
+    assert _poisson_cutoffs([2.0, 2.0, 2.0], cutoff) == [15, 15, 15]
