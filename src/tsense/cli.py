@@ -34,6 +34,7 @@ from .metrology import (
     BinaryFock,
     FullPNR,
     SequentialS0,
+    check_positive_finite,
     cramer_rao,
     dynamic_range,
     dynamic_range_formula,
@@ -203,12 +204,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         parse = flag.metadata["parse"]
         if parse is not None and merged[key] is not None:
             merged[key] = parse(merged[key])
-    for key in ("time", "theta_max"):
-        value = merged[key]
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{key} must be finite, got {value}")
-        if value <= 0:
-            raise ConfigurationError(f"{key} must be positive, got {value}")
+    check_positive_finite(time=merged["time"], theta_max=merged["theta_max"])
     if merged["alpha"] is not None and not all(map(cmath.isfinite, merged["alpha"])):
         raise ConfigurationError(f"alpha must be finite, got {merged['alpha']}")
     return RunConfig(subcommand=ns.subcommand, **merged)
@@ -318,6 +314,9 @@ def _grid_meta(cfg: RunConfig, profile) -> dict:
 
 
 def cmd_fisher_scan(cfg: RunConfig) -> dict:
+    # cramer_rao checks trials too, but only runs when F(0) > 0
+    if cfg.trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {cfg.trials}")
     probe = _build_probe(cfg)
     profile = _scan(cfg, probe)
     cr = cramer_rao(profile.f_zero, cfg.trials) if profile.f_zero > 0.0 else None
@@ -330,10 +329,7 @@ def cmd_fisher_scan(cfg: RunConfig) -> dict:
         qfi_zero=None if profile.qfi_zero is None else float(profile.qfi_zero),
         cramer_rao_zero=cr,
     )
-    rows = [
-        [float(th), float(f)]
-        for th, f in zip(profile.couplings, profile.fisher)
-    ]
+    rows = np.column_stack([profile.couplings, profile.fisher]).tolist()
     return {"meta": meta, "columns": ["coupling", "fisher"], "rows": rows}
 
 
@@ -356,18 +352,14 @@ def cmd_optimize(cfg: RunConfig) -> dict:
 
 def cmd_scaling(cfg: RunConfig) -> dict:
     kind = _kind(cfg)
-    schemes = range(1, kind.n_modes + 1)
-    tables = {m: dict(scaling_table(kind, cfg.n_max, m, t=cfg.time)) for m in schemes}
-    names = {1: "f0_one", 2: "f0_two", 3: "f0_three"}
-    columns = ["n"] + [names[m] for m in schemes] + ["asymptote"]
     # scaling_table and asymptotic_prediction give floats (or None) already
     rows = [
-        [n, *(tables[m][n] for m in schemes), asymptotic_prediction(kind, n, cfg.time)]
-        for n in range(1, cfg.n_max + 1)
+        [*row, asymptotic_prediction(kind, row[0], cfg.time)]
+        for row in scaling_table(kind, cfg.n_max, t=cfg.time)
     ]
     return {
         "meta": _meta(cfg, time=cfg.time, n_max=cfg.n_max),
-        "columns": columns,
+        "columns": ["n", *("f0_one", "f0_two", "f0_three")[: kind.n_modes], "asymptote"],
         "rows": rows,
     }
 
@@ -401,10 +393,7 @@ def cmd_noise_scan(cfg: RunConfig) -> dict:
     probe = NoisyFock(state, eps)
     noisy = _scan(cfg, probe)
     pure = _scan(cfg, PureFock(state))
-    rows = [
-        [float(th), float(fp), float(fn)]
-        for th, fp, fn in zip(pure.couplings, pure.fisher, noisy.fisher)
-    ]
+    rows = np.column_stack([pure.couplings, pure.fisher, noisy.fisher]).tolist()
     return {
         "meta": _meta(cfg, probe=_probe_label(probe), **_grid_meta(cfg, noisy)),
         "columns": ["coupling", "fisher_pure", "fisher_noisy"],
@@ -419,24 +408,19 @@ def cmd_coherent_compare(cfg: RunConfig) -> dict:
     if alphas is None:
         alphas = tuple(complex(math.sqrt(n)) for n in state)
     if len(alphas) != n_modes:
-        raise ConfigurationError(
-            f"need {n_modes} coherent amplitudes, got {len(alphas)}"
-        )
+        raise ConfigurationError(f"need {n_modes} coherent amplitudes, got {len(alphas)}")
     # the coherent probe first: if it is refused, no time goes into the Fock one
     probe = CoherentProduct(alphas)
     coherent = _scan(cfg, probe)
     fock = _scan(cfg, PureFock(state))
-    qfi = coherent.qfi_zero
     meta = _meta(
         cfg,
         probe=_probe_label(probe),
         fock_state=",".join(str(n) for n in state),
         **_grid_meta(cfg, coherent),
     )
-    rows = [
-        [float(th), float(ff), float(fc), float(qfi)]
-        for th, ff, fc in zip(fock.couplings, fock.fisher, coherent.fisher)
-    ]
+    qfi = np.full_like(fock.couplings, coherent.qfi_zero)
+    rows = np.column_stack([fock.couplings, fock.fisher, coherent.fisher, qfi]).tolist()
     return {
         "meta": meta,
         "columns": ["coupling", "fisher_fock", "fisher_coherent", "qfi_coherent"],

@@ -26,7 +26,7 @@ from . import dynamics
 from .errors import ConfigurationError, ResourceError, UndefinedBoundError
 from .ladder import InteractionKind, validate_config
 from .optimize import _score
-from .probes import CoherentProduct, Probe, PureFock, decompose
+from .probes import CoherentProduct, Probe, PureFock, _is_integer, decompose
 
 ZERO_PROB = 1e-14
 # ladders x rungs x couplings evaluated at once
@@ -48,17 +48,24 @@ class FullPNR:
 
 
 @dataclass(frozen=True)
-class BinaryFock:
-    """Two-outcome check against the reference occupation n."""
+class _TargetScheme:
+    """A partition around the reference occupation n, an integer that may be negative."""
 
     n: int
+
+    def __post_init__(self) -> None:
+        if not _is_integer(self.n):
+            raise ConfigurationError(f"scheme target must be an integer, got {self.n!r}")
 
 
 @dataclass(frozen=True)
-class SequentialS0:
-    """Four-outcome partition around n; negative occupations drop out."""
+class BinaryFock(_TargetScheme):
+    """Two-outcome check against the reference occupation n."""
 
-    n: int
+
+@dataclass(frozen=True)
+class SequentialS0(_TargetScheme):
+    """Four-outcome partition around n; negative occupations drop out."""
 
 
 MeasurementScheme = Union[FullPNR, BinaryFock, SequentialS0]
@@ -209,13 +216,11 @@ def qfi_coherent(
 ) -> float:
     """Quantum Fisher information of a product coherent probe (closed form)."""
     n = [abs(a) ** 2 for a in alphas]
+    if len(n) != kind.n_modes:
+        raise UndefinedBoundError(f"interaction {kind.value} needs {kind.n_modes} amplitudes")
     if kind is InteractionKind.I:
-        if len(n) != 3:
-            raise UndefinedBoundError("interaction I needs three amplitudes")
         na, nb, nc = n
         return 4.0 * t * t * (na * nb + na * nc + nb * nc + na)
-    if len(n) != 2:
-        raise UndefinedBoundError("interaction II needs two amplitudes")
     na, nb = n
     return 4.0 * t * t * (nb * nb + 3.0 * na * nb + 2.0 * na)
 
@@ -227,6 +232,15 @@ def cramer_rao(f: float, trials: int) -> float:
     if f <= 0.0:
         raise UndefinedBoundError("Fisher information must be positive")
     return 1.0 / math.sqrt(trials * f)
+
+
+def check_positive_finite(**values: float) -> None:
+    """Refuse each named value that is not finite, then each that is not positive."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+        if value <= 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
 def scan(
@@ -243,10 +257,7 @@ def scan(
     A grid of more than ``MAX_STEPS`` couplings raises ResourceError
     before anything is allocated.
     """
-    if t <= 0:
-        raise ConfigurationError(f"time must be positive, got {t}")
-    if theta_max <= 0:
-        raise ConfigurationError(f"theta_max must be positive, got {theta_max}")
+    check_positive_finite(time=t, theta_max=theta_max)
     if steps < 2:
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     if steps > MAX_STEPS:

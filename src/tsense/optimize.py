@@ -4,11 +4,12 @@ Exhaustive enumeration over integer compositions, scored at once as
 int64 columns so ties are exact, is the ground truth; it refuses more
 than ``MAX_COMPOSITIONS`` candidates (totals from 2047 for interaction I,
 from 2**21 for II).  Its maximizers are :class:`~tsense.probes.PureFock`
-probes, ready to scan.  The continuous Lagrange relaxation (stationarity of
-the closed-form zero-coupling Fisher information under sum(n_i) = N)
-exists to validate the round-to-neighbors heuristic and the N^3 growth.
-It is the larger root of one quadratic (n_b = n_c at every stationary
-point of interaction I), and None where that has no real root.
+probes, ready to scan.  ``scaling_table`` scores each total once, for one
+optimum per excited-mode count.  The continuous Lagrange relaxation
+(stationarity of the closed-form zero-coupling Fisher information under
+sum(n_i) = N) exists to validate the round-to-neighbors heuristic and the
+N^3 growth.  It is the larger root of one quadratic (n_b = n_c at every
+stationary point of interaction I), and None where that has no real root.
 """
 from __future__ import annotations
 
@@ -51,39 +52,30 @@ def _score(kind: InteractionKind, occs):
     return nb * (nb - 1) * (na + 1) + (nb + 1) * (nb + 2) * na
 
 
-def _compositions(kind: InteractionKind, total: int, modes: Optional[int]) -> list:
-    """One int64 column per mode of the compositions of ``total`` with
-    ``modes`` excited modes (None: any), in lexicographic order."""
+def _check_count(count: int, what: str) -> None:
+    """Refuse a search over more than MAX_COMPOSITIONS candidates."""
+    if count > MAX_COMPOSITIONS:
+        raise ResourceError(f"{count} {what} exceed MAX_COMPOSITIONS = {MAX_COMPOSITIONS}")
+
+
+def _compositions(kind: InteractionKind, total: int) -> list:
+    """One int64 column per mode of the compositions of ``total``, in
+    lexicographic order."""
     if total < 0:
         raise ConfigurationError(f"total must be >= 0, got {total}")
-    if modes is not None and not 1 <= modes <= kind.n_modes:
-        raise ConfigurationError(
-            f"modes must lie in 1..{kind.n_modes} for interaction {kind.value}"
-        )
-    count = math.comb(total + kind.n_modes - 1, kind.n_modes - 1)
-    if count > MAX_COMPOSITIONS:
-        raise ResourceError(
-            f"{count} compositions exceed MAX_COMPOSITIONS = {MAX_COMPOSITIONS}"
-        )
+    _check_count(math.comb(total + kind.n_modes - 1, kind.n_modes - 1), "compositions")
     if kind is InteractionKind.I:
         # row na, column na + nb of the upper triangle
         na, upper = np.triu_indices(total + 1)
-        cols = [na, upper - na, total - upper]
-    else:
-        na = np.arange(total + 1)
-        cols = [na, total - na]
-    if modes is not None:
-        keep = sum(c > 0 for c in cols) == modes
-        cols = [c[keep] for c in cols]
-    return cols
+        return [na, upper - na, total - upper]
+    na = np.arange(total + 1)
+    return [na, total - na]
 
 
-def _argmax(kind: InteractionKind, cols) -> tuple[Optional[int], tuple[PureFock, ...]]:
-    """Best score among the candidate rows and every row that ties it,
-    or (None, ()) if there are none."""
+def _argmax(kind: InteractionKind, cols) -> tuple[int, tuple[PureFock, ...]]:
+    """Best score among the candidate rows, of which there is at least
+    one, and every row that ties it."""
     scores = _score(kind, cols)
-    if scores.size == 0:
-        return None, ()
     best = scores.max()
     hit = scores == best
     rows = np.stack([c[hit] for c in cols], axis=1).tolist()
@@ -102,11 +94,19 @@ def optimize_config(
     many excited modes (single-, two-, or three-mode excitation
     schemes); None searches every composition of ``total``.
     """
-    best, maximizers = _argmax(kind, _compositions(kind, total, modes))
-    if best is None:
+    if modes is not None and not 1 <= modes <= kind.n_modes:
+        raise ConfigurationError(
+            f"modes must lie in 1..{kind.n_modes} for interaction {kind.value}"
+        )
+    cols = _compositions(kind, total)
+    if modes is not None:
+        keep = sum(c > 0 for c in cols) == modes
+        cols = [c[keep] for c in cols]
+    if not cols[0].size:
         raise ConfigurationError(
             f"no configuration of {total} quanta excites exactly {modes} modes"
         )
+    best, maximizers = _argmax(kind, cols)
     return OptimalResult(
         n=total,
         kind=kind,
@@ -137,15 +137,13 @@ def optimize_config_weighted(
     if any(w <= 0 for w in weights) or budget < 0:
         raise ConfigurationError("weights must be positive and budget >= 0")
     shape = [int(budget / w) + 1 for w in weights]
-    if math.prod(shape) > MAX_COMPOSITIONS:
-        raise ResourceError(
-            f"{math.prod(shape)} candidates exceed MAX_COMPOSITIONS = {MAX_COMPOSITIONS}"
-        )
+    _check_count(math.prod(shape), "candidates")
     box = np.indices(shape).reshape(kind.n_modes, -1)
-    # summed left to right in float, as sum(w_i * n_i) over Python numbers
+    # summed left to right in float, as sum(w_i * n_i) over Python numbers;
+    # the empty configuration always fits
     keep = sum(w * n for w, n in zip(weights, box)) <= budget
     best, maximizers = _argmax(kind, [n[keep] for n in box])
-    return maximizers, 4.0 * t * t * (best or 0)
+    return maximizers, 4.0 * t * t * best
 
 
 def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[float, ...]]:
@@ -185,16 +183,18 @@ def asymptotic_prediction(kind: InteractionKind, total: int, t: float = 1.0) -> 
     return coeff * t * t * total**3 / 27.0
 
 
-def scaling_table(
-    kind: InteractionKind, n_max: int, modes: int, t: float = 1.0
-) -> list[tuple[int, Optional[float]]]:
-    """Constrained optimum F0 for every N up to n_max (None if infeasible)."""
+def scaling_table(kind: InteractionKind, n_max: int, t: float = 1.0) -> list[tuple]:
+    """One row per total N = 1..n_max: N, then the optimum F0 among the
+    compositions of N that excite exactly 1, ..., n_modes modes (None
+    where none does).  Each total is enumerated and scored once."""
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     if n_max > 200:
         raise ConfigurationError(f"n_max capped at 200, got {n_max}")
-    rows: list[tuple[int, Optional[float]]] = []
+    rows = []
     for n in range(1, n_max + 1):
-        best, _ = _argmax(kind, _compositions(kind, n, modes))
-        rows.append((n, None if best is None else 4.0 * t * t * best))
+        cols = _compositions(kind, n)
+        scores, excited = _score(kind, cols), sum(c > 0 for c in cols)
+        by_count = [scores[excited == m] for m in range(1, kind.n_modes + 1)]
+        rows.append((n, *(4.0 * t * t * int(s.max()) if s.size else None for s in by_count)))
     return rows

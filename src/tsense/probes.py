@@ -54,10 +54,15 @@ from .ladder import (
 MAX_COHERENT_STATES = 200_000
 
 
+def _is_integer(n) -> bool:
+    """Python and numpy integers are integers; bools are not."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _checked_occupations(values) -> tuple[int, ...]:
-    """``values`` as Python ints, refused unless each is an integer (numpy
-    integers too, bools not), non-negative and below 2**61."""
-    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in values):
+    """``values`` as Python ints, refused unless each is an integer (see
+    ``_is_integer``), non-negative and below 2**61."""
+    if not all(map(_is_integer, values)):
         raise ConfigurationError(f"occupations must be integers, got {values}")
     occs = tuple(int(n) for n in values)
     if any(n < 0 for n in occs):

@@ -245,6 +245,22 @@ def test_bad_scan_parameters_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize(
+    "probe", [["--state", "0,0,0"], ["--state", "2,1,1"], ["--alpha", "0,0,0"]]
+)
+def test_fisher_scan_refuses_trials_below_one(probe, trials, monkeypatch, capsys):
+    # refused for inert probes too, whose F(0) = 0 never reaches cramer_rao
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned the probe")
+
+    monkeypatch.setattr(cli, "scan", refuse)
+    code, out, err = run_cli(["fisher-scan", *probe, "--trials", trials], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"trials must be >= 1, got {trials}" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "args",

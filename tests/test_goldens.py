@@ -83,6 +83,8 @@ CASES = {
         "--theta-max", "2.5", "--steps", "41",
     ],
     "bench-optimize-scaling": ["scaling", "--interaction", "I", "--n-max", "30"],
+    # the largest n_max scaling allows
+    "scaling-n-max-200": ["scaling", "--interaction", "I", "--n-max", "200"],
     "noise-scan-json": [
         "noise-scan", "--interaction", "II", "--state", "1,3", "--eps", "0.02,0.05",
         "--scheme", "binary", "--theta-max", "1.5", "--steps", "11", "--format", "json",

@@ -23,7 +23,7 @@ from tsense import (
     qfi_variance,
     scan,
 )
-from tsense import dynamics, probes
+from tsense import dynamics, metrology, probes
 from tsense.ladder import MAX_RUNGS
 from tsense.metrology import ZOOM_POINTS, SensitivityProfile, outcome_partition
 
@@ -46,6 +46,19 @@ def test_outcome_partition_shapes():
     # negative occupations are dropped, remainder collects the rest
     assert outcome_partition(SequentialS0(1), 6) == [[1], [0, 2], [3], [4, 5]]
     assert outcome_partition(SequentialS0(3), 6) == [[3], [2, 4], [1, 5], [0]]
+
+
+@pytest.mark.parametrize("scheme_type", [BinaryFock, SequentialS0])
+@pytest.mark.parametrize("target", [2.5, 2.0, True, "2", None])
+def test_scheme_targets_must_be_integers(scheme_type, target):
+    # the integer rule of PureFock: no floats, even integral ones, and no bools
+    with pytest.raises(ConfigurationError, match="scheme target must be an integer"):
+        scheme_type(target)
+
+
+@pytest.mark.parametrize("scheme_type", [BinaryFock, SequentialS0])
+def test_numpy_integer_targets_are_accepted(scheme_type):
+    assert scheme_type(np.int64(-2)) == scheme_type(-2)
 
 
 @pytest.mark.parametrize("scheme", [FullPNR(), BinaryFock(1), SequentialS0(1)])
@@ -206,6 +219,17 @@ def test_scan_metadata_and_invariants():
     assert np.all(profile.fisher <= profile.qfi_zero + 1e-6)
     with pytest.raises(ConfigurationError, match="time must be positive, got 0.0"):
         scan(PureFock((1, 1, 1)), I, FullPNR(), t=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, keyword", [("time", "t"), ("theta_max", "theta_max")])
+def test_scan_refuses_non_finite_time_and_range(name, keyword, value, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prepared the probe")
+
+    monkeypatch.setattr(metrology, "PreparedProbe", refuse)
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite, got {value}"):
+        scan(PureFock((2, 1, 1)), I, FullPNR(), **{keyword: value})
 
 
 def test_scan_vacuum_all_zero():

@@ -24,6 +24,7 @@ from tsense import (
     scaling_table,
     scan,
 )
+from tsense import optimize
 from tsense.optimize import MAX_COMPOSITIONS, _score
 
 I, II = InteractionKind.I, InteractionKind.II
@@ -35,6 +36,11 @@ def occupations(configs):
 
 def maximizer_set(kind, n, modes=None):
     return {m.occupations for m in optimize_config(kind, n, modes=modes).maximizers}
+
+
+def count_columns(table):
+    """{N: F0} for 1, ..., n_modes excited modes, from a scaling table."""
+    return [{row[0]: row[m] for row in table} for m in range(1, len(table[0]))]
 
 
 def test_paper_benchmark_optima():
@@ -82,6 +88,10 @@ def test_mode_count_constraint():
         optimize_config(I, 2, modes=3)
     with pytest.raises(ConfigurationError):
         optimize_config(II, 3, modes=3)
+    with pytest.raises(ConfigurationError, match="modes must lie in 1..3"):
+        optimize_config(I, 4, modes=4)
+    with pytest.raises(ConfigurationError, match="modes must lie in 1..2"):
+        optimize_config(II, 4, modes=0)
 
 
 def test_three_mode_patterns_up_to_60():
@@ -211,24 +221,39 @@ def test_asymptote_ratio_decreases_from_above():
 
 
 def test_scaling_tables():
-    one = dict(scaling_table(I, 30, modes=1))
+    table = scaling_table(I, 30)
+    assert [row[0] for row in table] == list(range(1, 31))
+    assert all(len(row) == 4 for row in table)
+    one, two, three = count_columns(table)
     assert all(one[n] == 4.0 * n for n in range(1, 31))
-    two = dict(scaling_table(I, 30, modes=2))
     for n in range(2, 31, 2):
         assert two[n] == pytest.approx(4.0 * (n * n / 4.0 + n / 2.0))
     assert two[1] is None  # two excited modes need at least two quanta
-    three = dict(scaling_table(I, 10, modes=3))
     assert three[1] is None and three[2] is None
     assert three[6] == pytest.approx(120.0)
 
-    one_ii = dict(scaling_table(II, 12, modes=1))
+    one_ii, _ = count_columns(scaling_table(II, 12))
     assert one_ii[1] == 8.0
     assert one_ii[2] == 16.0
     for n in range(3, 13):
         assert one_ii[n] == pytest.approx(4.0 * n * (n - 1))
 
     with pytest.raises(ConfigurationError):
-        scaling_table(I, 500, modes=1)
+        scaling_table(I, 500)
+
+
+@pytest.mark.parametrize("kind", [I, II])
+def test_scaling_table_enumerates_each_total_once(kind, monkeypatch):
+    calls = []
+
+    def counted(kind, total):
+        calls.append(total)
+        return compositions(kind, total)
+
+    compositions = optimize._compositions
+    monkeypatch.setattr(optimize, "_compositions", counted)
+    scaling_table(kind, 25)
+    assert calls == list(range(1, 26))
 
 
 def test_weighted_budget_constraint():
@@ -284,8 +309,9 @@ def test_optimize_result_fields():
 
 @pytest.mark.parametrize("kind", [I, II])
 def test_array_search_matches_the_loop_oracle(kind):
+    columns = count_columns(scaling_table(kind, 60))
     for modes in (None, *range(1, kind.n_modes + 1)):
-        table = dict(scaling_table(kind, 60, modes)) if modes else {}
+        table = columns[modes - 1] if modes else {}
         for n in range(61):
             best, arg = optimal_configs_loop(kind, n, modes)
             if best is None:
@@ -365,10 +391,6 @@ def test_oversized_searches_are_refused_before_allocating(monkeypatch):
 
 
 def test_scaling_table_rejects_bad_arguments():
-    with pytest.raises(ConfigurationError, match="modes"):
-        scaling_table(I, 4, modes=4)
-    with pytest.raises(ConfigurationError, match="modes"):
-        scaling_table(II, 4, modes=0)
     for n_max in (0, -3):
         with pytest.raises(ConfigurationError, match="n_max"):
-            scaling_table(I, n_max, modes=1)
+            scaling_table(I, n_max)
