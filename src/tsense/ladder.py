@@ -47,11 +47,11 @@ class InteractionKind(Enum):
         return (1, -1, -1) if self is InteractionKind.I else (1, -2)
 
 
-def validate_config(kind: InteractionKind, occupations: tuple[int, ...]) -> None:
-    if len(occupations) != kind.n_modes:
+def validate_config(kind: InteractionKind, values: tuple, noun: str) -> None:
+    """Refuse per-mode ``values``, named ``noun``, unless one per mode."""
+    if len(values) != kind.n_modes:
         raise ConfigurationError(
-            f"interaction {kind.value} needs {kind.n_modes} occupations, "
-            f"got {len(occupations)}"
+            f"interaction {kind.value} needs {kind.n_modes} {noun}, got {len(values)}"
         )
 
 

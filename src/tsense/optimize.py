@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .ladder import InteractionKind
-from .probes import PureFock
+from .ladder import InteractionKind, validate_config
+from .probes import PureFock, _is_integer
 
 # Largest number of candidates one search scores, for two reasons.
 # Memory: interaction I at the cap (total 2046) lifts the peak RSS of a
@@ -61,6 +61,8 @@ def _check_count(count: int, what: str) -> None:
 def _compositions(kind: InteractionKind, total: int) -> list:
     """One int64 column per mode of the compositions of ``total``, in
     lexicographic order."""
+    if not _is_integer(total):
+        raise ConfigurationError(f"total must be an integer, got {total!r}")
     if total < 0:
         raise ConfigurationError(f"total must be >= 0, got {total}")
     _check_count(math.comb(total + kind.n_modes - 1, kind.n_modes - 1), "compositions")
@@ -94,7 +96,7 @@ def optimize_config(
     many excited modes (single-, two-, or three-mode excitation
     schemes); None searches every composition of ``total``.
     """
-    if modes is not None and not 1 <= modes <= kind.n_modes:
+    if modes is not None and not (_is_integer(modes) and 1 <= modes <= kind.n_modes):
         raise ConfigurationError(
             f"modes must lie in 1..{kind.n_modes} for interaction {kind.value}"
         )
@@ -128,10 +130,7 @@ def optimize_config_weighted(
     Energy-style variant of :func:`optimize_config` for mode-dependent
     quantum costs (e.g. trap frequencies); returns (maximizers, f0).
     """
-    if len(weights) != kind.n_modes:
-        raise ConfigurationError(
-            f"interaction {kind.value} needs {kind.n_modes} weights"
-        )
+    validate_config(kind, weights, "weights")
     if not all(math.isfinite(v) for v in (*weights, budget)):
         raise ConfigurationError("weights and budget must be finite")
     if any(w <= 0 for w in weights) or budget < 0:
@@ -187,6 +186,8 @@ def scaling_table(kind: InteractionKind, n_max: int, t: float = 1.0) -> list[tup
     """One row per total N = 1..n_max: N, then the optimum F0 among the
     compositions of N that excite exactly 1, ..., n_modes modes (None
     where none does).  Each total is enumerated and scored once."""
+    if not _is_integer(n_max):
+        raise ConfigurationError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     if n_max > 200:

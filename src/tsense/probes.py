@@ -205,14 +205,20 @@ def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedCom
     rung occupations are 0..d-1 on every ladder, so the dimension alone
     decides.  Every dimension is known in closed form before anything is
     built: a ladder above MAX_RUNGS rungs, or ladders that need more than
-    MAX_RUNGS**2 eigenvector entries together, are refused first.
+    MAX_RUNGS**2 eigenvector entries together, are refused first, and so
+    is a ``mode`` that is not an integer in 0..n_modes-1.
     """
+    if not (_is_integer(mode) and 0 <= mode < kind.n_modes):
+        raise ConfigurationError(
+            f"mode must be an integer in 0..{kind.n_modes - 1} for interaction "
+            f"{kind.value}, got {mode!r}"
+        )
     if isinstance(probe, PureFock):
-        validate_config(kind, probe.occupations)
+        validate_config(kind, probe.occupations, "occupations")
         return _fock_stacks(kind, [probe.occupations], [1.0], mode)
 
     if isinstance(probe, NoisyFock):
-        validate_config(kind, probe.nominal)
+        validate_config(kind, probe.nominal, "occupations")
         per_mode = [_noise_terms(n, e) for n, e in zip(probe.nominal, probe.eps)]
         combos = list(itertools.product(*per_mode))
         occs = [tuple(term[0] for term in combo) for combo in combos]
@@ -284,10 +290,7 @@ def _decompose_coherent(
     probe: CoherentProduct, kind: InteractionKind, mode: int
 ) -> WeightedComponents:
     alphas = probe.alphas
-    if len(alphas) != kind.n_modes:
-        raise ConfigurationError(
-            f"interaction {kind.value} needs {kind.n_modes} coherent amplitudes"
-        )
+    validate_config(kind, alphas, "coherent amplitudes")
     mus = [abs(a) ** 2 for a in alphas]
     tops = _poisson_cutoffs(mus, probe.cutoff_mass)
     n_states = math.prod(t + 1 for t in tops)

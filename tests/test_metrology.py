@@ -19,13 +19,15 @@ from tsense import (
     dynamic_range,
     dynamic_range_formula,
     fisher_limit_closed_form,
+    optimize_config,
     qfi_coherent,
     qfi_variance,
+    scaling_table,
     scan,
 )
 from tsense import dynamics, metrology, probes
 from tsense.ladder import MAX_RUNGS
-from tsense.metrology import ZOOM_POINTS, SensitivityProfile, outcome_partition
+from tsense.metrology import REL_TOL, ZOOM_POINTS, SensitivityProfile, outcome_partition
 
 from oracles import first_minimum_dense
 
@@ -126,6 +128,27 @@ def test_qfi_coherent_closed_forms():
     s2 = math.sqrt(2)
     assert qfi_coherent((s2, s2, s2), I) == pytest.approx(56.0, abs=1e-12)
     assert qfi_coherent((s2, math.sqrt(3)), II) == pytest.approx(124.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda v: optimize_config(I, v), ConfigurationError, "total must be an integer"),
+        (lambda v: optimize_config(I, 4, modes=v), ConfigurationError, "modes must lie in"),
+        (lambda v: scaling_table(I, v), ConfigurationError, "n_max must be an integer"),
+        (
+            lambda v: scan(PureFock((2, 1, 1)), I, FullPNR(), steps=v),
+            ConfigurationError,
+            "steps must be an integer",
+        ),
+        (lambda v: cramer_rao(44.0, v), UndefinedBoundError, "trials must be an integer"),
+    ],
+    ids=["total", "modes", "n_max", "steps", "trials"],
+)
+@pytest.mark.parametrize("value", [2.0, 2.5, True], ids=["whole-float", "fraction", "bool"])
+def test_integer_arguments_are_refused_unless_integers(call, error, message, value):
+    with pytest.raises(error, match=message):
+        call(value)
 
 
 def test_cramer_rao():
@@ -285,11 +308,11 @@ def _range_sweep_profile(occs):
     return scan(PureFock(occs), I, BinaryFock(occs[0]), theta_max=2.5, steps=41)
 
 
-def test_dynamic_range_matches_dense_search_on_range_sweep():
-    # every (na, nb, nc) with na + nb + nc = 20, binary readout, 41 steps
+def _dense_search_misses(profiles, rel):
+    """Profiles whose dynamic range is not within ``rel`` of the dense
+    search, and those where both find no minimum."""
     missing, off = [], []
-    for occs in [(na, nb, 20 - na - nb) for na in range(21) for nb in range(21 - na)]:
-        profile = _range_sweep_profile(occs)
+    for key, profile in profiles:
         got = dynamic_range(profile)
         want = first_minimum_dense(
             lambda grid: profile.prepared.fisher(profile.scheme, grid, profile.time),
@@ -297,11 +320,18 @@ def test_dynamic_range_matches_dense_search_on_range_sweep():
             profile.fisher,
         )
         if (got is None) != (want is None):
-            off.append((occs, got, want))
+            off.append((key, got, want))
         elif want is None:
-            missing.append(occs)
-        elif abs(got - want) > 1e-4 * want:
-            off.append((occs, got, want))
+            missing.append(key)
+        elif abs(got - want) > rel * want:
+            off.append((key, got, want))
+    return missing, off
+
+
+def test_dynamic_range_matches_dense_search_on_range_sweep():
+    # every (na, nb, nc) with na + nb + nc = 20, binary readout, 41 steps
+    states = [(na, nb, 20 - na - nb) for na in range(21) for nb in range(21 - na)]
+    missing, off = _dense_search_misses([(s, _range_sweep_profile(s)) for s in states], 1e-6)
     assert not off
     # inert probes, and ladders too short for a dip within the grid
     assert missing == [
@@ -310,20 +340,71 @@ def test_dynamic_range_matches_dense_search_on_range_sweep():
     ]
 
 
+@pytest.mark.parametrize("steps", [6, 11])
+def test_dynamic_range_matches_dense_search_on_coarse_grids(steps):
+    # grid steps of 0.5 and 0.25 leave a wide bracket to narrow; these
+    # states hold one dip in it, where the dense search finds the same
+    # minimum (it can find another where two dips or the flat start of F
+    # share a coarse bracket); full PNR has no minimum at all
+    states = [
+        (I, (3, 2, 7)), (I, (5, 3, 4)), (I, (8, 1, 3)), (I, (0, 3, 9)), (II, (6, 6)), (II, (9, 3))
+    ]
+    profiles = [
+        ((occs, scheme), scan(PureFock(occs), kind, scheme, theta_max=2.5, steps=steps))
+        for kind, occs in states
+        for scheme in [BinaryFock(occs[0]), SequentialS0(occs[0])]
+    ]
+    missing, off = _dense_search_misses(profiles, 1e-6)
+    assert not off
+    assert missing == [((0, 3, 9), SequentialS0(0))]
+
+
 @pytest.mark.parametrize("occs", [(0, 16, 4), (5, 7, 8), (4, 0, 0), (10, 5, 5)])
 def test_dynamic_range_refines_in_few_grid_calls(occs, monkeypatch):
     profile = _range_sweep_profile(occs)
-    sizes = []
+    grids = []
     fisher = profile.prepared.fisher
 
-    def counting(scheme, couplings, time):
-        sizes.append(len(couplings))
+    def recording(scheme, couplings, time):
+        grids.append(couplings)
         return fisher(scheme, couplings, time)
 
-    monkeypatch.setattr(profile.prepared, "fisher", counting)
+    monkeypatch.setattr(profile.prepared, "fisher", recording)
     assert dynamic_range(profile) is not None
-    assert 1 <= len(sizes) <= 5
-    assert sizes == [ZOOM_POINTS] * len(sizes)
+    assert 1 <= len(grids) <= 5
+    assert [len(g) for g in grids] == [ZOOM_POINTS] * len(grids)
+    # each rescan narrows a bracket still wider than REL_TOL relative
+    assert all(g[-1] - g[0] > REL_TOL * (g[0] + g[-1]) for g in grids)
+
+
+def test_dynamic_range_takes_the_vertex_on_the_grid_when_its_bracket_is_narrow(monkeypatch):
+    # a grid step of 2.5e-5 brackets the minimum near 1.17457 more
+    # narrowly than REL_TOL relative, so no rescan runs
+    profile = scan(PureFock((4, 0, 0)), I, BinaryFock(4), theta_max=2.5, steps=100_001)
+
+    def no_rescan(scheme, couplings, time):
+        raise AssertionError("rescanned")
+
+    monkeypatch.setattr(profile.prepared, "fisher", no_rescan)
+    assert dynamic_range(profile) == pytest.approx(1.174567389525, rel=1e-8)
+
+
+def test_dynamic_range_takes_the_bracket_middle_when_the_minimum_is_on_its_end(monkeypatch):
+    profile = _range_sweep_profile((4, 0, 0))
+    i = metrology._first_minimum(profile.fisher, 1e-9)
+    a, b = profile.couplings[i - 1], profile.couplings[i + 1]
+    # F rising on every rescan: each keeps its first three couplings, a
+    # bracket 16 times narrower, and the last one's middle is returned
+    grids = []
+
+    def rising(scheme, couplings, time):
+        grids.append(couplings)
+        return couplings
+
+    monkeypatch.setattr(profile.prepared, "fisher", rising)
+    got = dynamic_range(profile)
+    assert a < got < b
+    assert got == pytest.approx(a + (b - a) / 2 / 16 ** len(grids), rel=1e-12)
 
 
 def test_dynamic_range_formula_prefactors():

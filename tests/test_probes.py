@@ -181,6 +181,16 @@ def test_occupations_are_checked_when_the_probe_is_built(build, occs, message):
         build(occs)
 
 
+@pytest.mark.parametrize(
+    "kind, mode", [(I, 3), (I, -1), (I, -3), (I, 1.0), (I, True), (II, 2)]
+)
+def test_measured_mode_is_checked_in_decompose(kind, mode):
+    probe = PureFock((2, 1, 1)[: kind.n_modes])
+    message = f"mode must be an integer in 0..{kind.n_modes - 1}"
+    with pytest.raises(ConfigurationError, match=message):
+        decompose(probe, kind, mode)
+
+
 def test_numpy_integer_occupations_become_python_ints():
     probe = PureFock((np.int64(2), 1, 1))
     assert probe == PureFock((2, 1, 1))
