@@ -1,11 +1,13 @@
 """Optimal Fock configurations for a fixed total excitation number.
 
-Exhaustive enumeration over integer compositions, scored at once as
-int64 columns so ties are exact, is the ground truth; it refuses more
-than ``MAX_COMPOSITIONS`` candidates (totals from 2047 for interaction I,
-from 2**21 for II).  Its maximizers are :class:`~tsense.probes.PureFock`
-probes, ready to scan.  ``scaling_table`` scores each total once, for one
-optimum per excited-mode count.  The continuous Lagrange relaxation
+The search scores the rows of ``_candidates`` at once as int64 columns,
+so ties are exact: all N + 1 compositions for interaction II, and for I
+at most 4(N + 1) rows beside the balanced line n_b = n_c, which hold
+every maximizer.  It refuses more than ``MAX_COMPOSITIONS`` rows (totals
+from 524,288 for I, from 2**21 for II), and its maximizers are
+:class:`~tsense.probes.PureFock` probes, ready to scan.  ``scaling_table``
+builds and scores the rows of every total in one pass, for one optimum
+per excited-mode count.  The continuous Lagrange relaxation
 (stationarity of the closed-form zero-coupling Fisher information under
 sum(n_i) = N) exists to validate the round-to-neighbors heuristic and the
 N^3 growth.  It is the larger root of one quadratic (n_b = n_c at every
@@ -23,9 +25,10 @@ from .errors import ConfigurationError, ResourceError
 from .ladder import InteractionKind, validate_config
 from .probes import PureFock, _is_integer
 
-# Largest number of candidates one search scores, for two reasons.
-# Memory: interaction I at the cap (total 2046) lifts the peak RSS of a
-# run from about 30 MB to about 110 MB of int64 columns.  Exact scores:
+# Largest number of candidate rows one search scores, for two reasons.
+# Memory: interaction I at the cap (total 524,287, 1,835,004 rows) lifts
+# the peak RSS of a run from about 30 MB to about 115 MB of int64 columns
+# (the 2,096,128-row triangle of total 2046 took about 110 MB).  Exact scores:
 # the largest interaction-II score at the cap is 2.7e18, below 2**63;
 # above it scores wrap without an error (a 2**23 cap gave the wrong
 # maximizer at total 5,000,000).
@@ -58,20 +61,41 @@ def _check_count(count: int, what: str) -> None:
         raise ResourceError(f"{count} {what} exceed MAX_COMPOSITIONS = {MAX_COMPOSITIONS}")
 
 
-def _compositions(kind: InteractionKind, total: int) -> list:
-    """One int64 column per mode of the compositions of ``total``, in
-    lexicographic order."""
-    if not _is_integer(total):
-        raise ConfigurationError(f"total must be an integer, got {total!r}")
-    if total < 0:
-        raise ConfigurationError(f"total must be >= 0, got {total}")
-    _check_count(math.comb(total + kind.n_modes - 1, kind.n_modes - 1), "compositions")
-    if kind is InteractionKind.I:
-        # row na, column na + nb of the upper triangle
-        na, upper = np.triu_indices(total + 1)
-        return [na, upper - na, total - upper]
-    na = np.arange(total + 1)
-    return [na, total - na]
+def _candidates(kind: InteractionKind, totals) -> list:
+    """One int64 column per mode of the candidate rows of every total in
+    ``totals``, the rows of each total in lexicographic order.
+
+    Interaction II gets every composition.  For interaction I, with
+    M = n_b + n_c = N - n_a,
+
+        score = n_a (n_b+1)(n_c+1) + (n_a+1) n_b n_c
+              = (2 n_a + 1) n_b n_c + n_a (M + 1),
+
+    and n_b n_c = (M^2 - (n_b - n_c)^2) / 4 falls strictly with
+    |n_b - n_c|.  So at fixed n_a, the best splits of M that excite both
+    b and c are (floor(M/2), ceil(M/2)) and its swap, the splits that
+    excite one of them are (0, M) and (M, 0), which tie, and (0, 0) is
+    the only split of M = 0.  A maximizer under any excited-mode
+    restriction is best at its own n_a among the splits that excite as
+    many of b and c as it does, so it is one of these at most four rows
+    per n_a.
+    """
+    totals = np.asarray(totals)
+    per_total = totals + 1
+    na = np.arange(per_total.sum()) - np.repeat(np.cumsum(per_total) - per_total, per_total)
+    rest = np.repeat(totals, per_total) - na
+    if kind is InteractionKind.II:
+        return [na, rest]
+    half = rest // 2
+    nb = np.stack([np.zeros_like(rest), half, rest - half, rest], axis=1).ravel()
+    # the four rows of one n_a ascend in n_b; a row equal to the one before
+    # it repeats it, and the first row of each n_a is always kept
+    keep = np.empty(nb.size, dtype=bool)
+    np.not_equal(nb[1:], nb[:-1], out=keep[1:])
+    keep[::4] = True
+    row = np.flatnonzero(keep)
+    nb, group = nb[row], row // 4
+    return [na[group], nb, rest[group] - nb]
 
 
 def _argmax(kind: InteractionKind, cols) -> tuple[int, tuple[PureFock, ...]]:
@@ -100,7 +124,13 @@ def optimize_config(
         raise ConfigurationError(
             f"modes must lie in 1..{kind.n_modes} for interaction {kind.value}"
         )
-    cols = _compositions(kind, total)
+    if not _is_integer(total):
+        raise ConfigurationError(f"total must be an integer, got {total!r}")
+    if total < 0:
+        raise ConfigurationError(f"total must be >= 0, got {total}")
+    # at most four candidate rows per n_a for interaction I, one for II
+    _check_count((4 if kind is InteractionKind.I else 1) * (total + 1), "candidates")
+    cols = _candidates(kind, [total])
     if modes is not None:
         keep = sum(c > 0 for c in cols) == modes
         cols = [c[keep] for c in cols]
@@ -159,8 +189,8 @@ def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[f
     real root: N below about 0.95 for I and 1.29 for II, so among
     integers only N = 1 of interaction II.
     """
-    if total <= 0:
-        raise ConfigurationError(f"total must be positive, got {total}")
+    if not (math.isfinite(total) and total > 0):
+        raise ConfigurationError(f"total must be positive and finite, got {total}")
     if kind is InteractionKind.I:
         disc = 4.0 * total * total + 12.0 * total - 15.0
         if disc < 0:
@@ -176,8 +206,8 @@ def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[f
 
 def asymptotic_prediction(kind: InteractionKind, total: int, t: float = 1.0) -> float:
     """Leading-order optimal Fisher information, 8t^2 N^3/27 or 32t^2 N^3/27."""
-    if total < 0:
-        raise ConfigurationError(f"total must be >= 0, got {total}")
+    if not (math.isfinite(total) and total >= 0):
+        raise ConfigurationError(f"total must be >= 0 and finite, got {total}")
     coeff = 8.0 if kind is InteractionKind.I else 32.0
     return coeff * t * t * total**3 / 27.0
 
@@ -185,17 +215,24 @@ def asymptotic_prediction(kind: InteractionKind, total: int, t: float = 1.0) -> 
 def scaling_table(kind: InteractionKind, n_max: int, t: float = 1.0) -> list[tuple]:
     """One row per total N = 1..n_max: N, then the optimum F0 among the
     compositions of N that excite exactly 1, ..., n_modes modes (None
-    where none does).  Each total is enumerated and scored once."""
+    where none does).  The candidate rows of all the totals are built
+    and scored in one pass, and each (total, excited-mode count) keeps
+    its best score."""
     if not _is_integer(n_max):
         raise ConfigurationError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
     if n_max > 200:
         raise ConfigurationError(f"n_max capped at 200, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        cols = _compositions(kind, n)
-        scores, excited = _score(kind, cols), sum(c > 0 for c in cols)
-        by_count = [scores[excited == m] for m in range(1, kind.n_modes + 1)]
-        rows.append((n, *(4.0 * t * t * int(s.max()) if s.size else None for s in by_count)))
-    return rows
+    cols = _candidates(kind, np.arange(1, n_max + 1))
+    # the best score of each total and excited-mode count, at flat index
+    # total * width + count (ufunc.at is several times faster on one index
+    # array than on a pair); every score is >= 0, so -1 marks a count that
+    # no composition of the total has
+    width = kind.n_modes + 1
+    best = np.full((n_max + 1) * width, -1)
+    np.maximum.at(best, sum(cols) * width + sum(c > 0 for c in cols), _score(kind, cols))
+    return [
+        (n, *(4.0 * t * t * s if s >= 0 else None for s in row[1:]))
+        for n, row in enumerate(best.reshape(-1, width).tolist()[1:], start=1)
+    ]

@@ -300,13 +300,20 @@ def _decompose_coherent(
             f"(cap {MAX_COHERENT_STATES}); raise the cap or lower cutoff_mass"
         )
 
-    # per-mode amplitude tables <n|alpha>
+    # per-mode amplitude tables <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!),
+    # by recursion in n from the first entry whose log, as in _poisson_cutoffs,
+    # exceeds -708 (the smallest normal float is exp(-708.4)):
+    # exp(-|alpha|^2/2) is subnormal from |alpha|^2 ~ 1416 and 0 from ~1490.
+    # The entries before it weigh below 1e-600, 0 in floating point, and stay 0.
     tables = []
     for a, top in zip(alphas, tops):
-        norm = math.exp(-abs(a) ** 2 / 2.0)
-        row = np.empty(top + 1, dtype=complex)
-        row[0] = norm
-        for n in range(1, top + 1):
+        size = abs(a) or 1.0  # alpha = 0 has top 0 and the table [1]
+        log_a, phase = math.log(size), complex(a) / size
+        logs = (n * log_a - abs(a) ** 2 / 2.0 - math.lgamma(n + 1) / 2.0 for n in range(top + 1))
+        first, log_first = next((n, v) for n, v in enumerate(logs) if v > -708.0)
+        row = np.zeros(top + 1, dtype=complex)
+        row[first] = math.exp(log_first) * phase**first
+        for n in range(first + 1, top + 1):
             row[n] = row[n - 1] * a / math.sqrt(n)
         tables.append(row)
 

@@ -10,8 +10,10 @@ search over the truncated product states, one state at a time.  The
 first Fisher minimum is found by dense rescans of its grid bracket,
 given any function that evaluates F on a coupling grid.  Optimal
 configurations are found by scoring one composition at a time in Python
-integers.  The Lagrange relaxation is found by a damped Newton solve of
-the full stationarity system, with no symmetry assumed.
+integers, or, for totals too large for that, by scoring every
+composition of the interaction-I triangle at once as int64 columns.
+The Lagrange relaxation is found by a damped Newton solve of the full
+stationarity system, with no symmetry assumed.
 
 The one exception is the per-ladder Fisher loop, the reference for the
 stacked kernel: it runs the package's diagonalization, spectral weights
@@ -357,6 +359,23 @@ def compositions(kind: InteractionKind, total: int):
     else:
         for na in range(total + 1):
             yield (na, total - na)
+
+
+def triangle_optimum(total: int, modes=None):
+    """(score, maximizers) of interaction I over every composition of
+    ``total`` that excites exactly ``modes`` modes (any number if None),
+    scored as int64 columns of the whole (N+1)(N+2)/2 triangle."""
+    # row na, column na + nb of the upper triangle
+    na, upper = np.triu_indices(total + 1)
+    cols = [na, upper - na, total - upper]
+    if modes is not None:
+        keep = sum(c > 0 for c in cols) == modes
+        cols = [c[keep] for c in cols]
+    if not cols[0].size:
+        return None, ()
+    scores = _score(InteractionKind.I, cols)
+    hit = scores == scores.max()
+    return int(scores.max()), tuple(map(tuple, np.stack([c[hit] for c in cols], axis=1).tolist()))
 
 
 def argmax_loop(kind: InteractionKind, candidates):

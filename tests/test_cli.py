@@ -347,16 +347,22 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(args, flag, capsys):
 
 def test_deep_coherent_probe_meets_the_eigenvector_budget(monkeypatch, capsys):
     # |alpha|^2 = 729: the Poisson cutoffs hold (their first term exp(-729)
-    # is subnormal), and the probe's ladders are refused together
+    # is subnormal); |alpha|^2 = 1521: the amplitude table holds (its first
+    # entry exp(-760.5) is 0 in floating point).  Each probe's ladders are
+    # refused together
     def refuse(offdiag):
         raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
 
     monkeypatch.setattr(tsense.dynamics, "diagonalize", refuse)
-    code, out, err = run_cli(["fisher-scan", "--alpha", "27,1,1", "--steps", "2"], capsys)
-    assert code == 4
-    assert out == ""
-    assert err.startswith("numeric failure: the ") and err.count("\n") == 1
-    assert "eigenvector entries" in err and f"(cap {tsense.ladder.MAX_RUNGS}**2)" in err
+    for interaction, alpha in [("I", "27,1,1"), ("II", "39,1")]:
+        code, out, err = run_cli(
+            ["fisher-scan", "--interaction", interaction, "--alpha", alpha, "--steps", "2"],
+            capsys,
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numeric failure: the ") and err.count("\n") == 1
+        assert "eigenvector entries" in err and f"(cap {tsense.ladder.MAX_RUNGS}**2)" in err
 
 
 # runs each argv of a JSON list through main() while a None entry in
@@ -631,7 +637,7 @@ def test_two_probe_commands_refuse_before_diagonalizing(command, monkeypatch, ca
 
 
 @pytest.mark.parametrize(
-    "interaction, total, expected", [("I", 2046, 0), ("I", 2047, 4), ("II", 2**21, 4)]
+    "interaction, total, expected", [("I", 524287, 0), ("I", 524288, 4), ("II", 2**21, 4)]
 )
 def test_optimize_total_cap(interaction, total, expected, capsys):
     code, out, err = run_cli(
@@ -644,13 +650,13 @@ def test_optimize_total_cap(interaction, total, expected, capsys):
 
 
 def test_huge_optimize_total_is_refused_before_allocating(monkeypatch, capsys):
-    # 5.0e9 compositions
+    # 4.0e6 candidate rows
     def refuse(*args, **kwargs):
-        raise AssertionError("allocated the compositions")
+        raise AssertionError("allocated the candidates")
 
-    monkeypatch.setattr(np, "triu_indices", refuse)
+    monkeypatch.setattr(tsense.optimize, "_candidates", refuse)
     monkeypatch.setattr(np, "indices", refuse)
-    code, out, err = run_cli(["optimize", "--total", "100000"], capsys)
+    code, out, err = run_cli(["optimize", "--total", "1000000"], capsys)
     assert code == 4
     assert out == ""
     assert err.startswith("numeric failure: ") and err.count("\n") == 1

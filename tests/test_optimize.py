@@ -8,6 +8,7 @@ from oracles import (
     grad_hess,
     optimal_configs_loop,
     relaxation_newton,
+    triangle_optimum,
     weighted_configs_loop,
 )
 from tsense import (
@@ -185,7 +186,7 @@ def test_lagrange_relaxation_is_stationary(kind, totals):
 
 def test_relaxation_rounding_contains_integer_optimum():
     for kind in (I, II):
-        for n in range(3, 61):
+        for n in [*range(3, 61), 10**3, 10**4, 10**5]:
             relax = lagrange_relaxation(kind, n)
             candidates = set()
 
@@ -243,17 +244,44 @@ def test_scaling_tables():
 
 
 @pytest.mark.parametrize("kind", [I, II])
-def test_scaling_table_enumerates_each_total_once(kind, monkeypatch):
+def test_scaling_table_builds_the_candidates_once(kind, monkeypatch):
     calls = []
 
-    def counted(kind, total):
-        calls.append(total)
-        return compositions(kind, total)
+    def counted(kind, totals):
+        calls.append(list(totals))
+        return candidates(kind, totals)
 
-    compositions = optimize._compositions
-    monkeypatch.setattr(optimize, "_compositions", counted)
+    candidates = optimize._candidates
+    monkeypatch.setattr(optimize, "_candidates", counted)
     scaling_table(kind, 25)
-    assert calls == list(range(1, 26))
+    assert calls == [list(range(1, 26))]
+
+
+def test_balanced_line_candidates_hold_every_optimum():
+    # the same best score and the same lexicographic tie set as the whole
+    # triangle, under every excited-mode restriction
+    for total in [*range(301), 1000, 2046]:
+        for modes in (None, 1, 2, 3):
+            best, arg = triangle_optimum(total, modes)
+            if best is None:
+                with pytest.raises(ConfigurationError):
+                    optimize_config(I, total, modes=modes)
+                continue
+            res = optimize_config(I, total, modes=modes)
+            assert occupations(res.maximizers) == arg, (total, modes)
+            assert res.f0 == 4.0 * best, (total, modes)
+
+
+def test_balanced_line_candidates_are_lexicographic_and_distinct():
+    totals = [0, 1, 2, 7, 10]
+    cols = optimize._candidates(I, totals)
+    rows = list(map(tuple, np.stack(cols, axis=1).tolist()))
+    by_total = [[r for r in rows if sum(r) == n] for n in totals]
+    assert [r for group in by_total for r in group] == rows
+    for n, group in zip(totals, by_total):
+        assert group == sorted(set(group)), n
+        assert len(group) <= 4 * (n + 1)
+    assert by_total[2] == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
 
 
 def test_weighted_budget_constraint():
@@ -375,19 +403,36 @@ def test_largest_interaction_ii_total_scores_exactly():
     assert res.f0 == 4.0 * _score(II, (699050, 1398101))
 
 
+def test_largest_interaction_i_total_has_the_priority_optimum():
+    # 4(N + 1) candidate rows fill the cap at N = 3k + 1 with k = 174762
+    total = MAX_COMPOSITIONS // 4 - 1
+    res = optimize_config(I, total)
+    assert occupations(res.maximizers) == ((174763, 174762, 174762),)
+    assert res.f0 == 4.0 * _score(I, (174763, 174762, 174762))
+
+
 def test_oversized_searches_are_refused_before_allocating(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated the candidates")
 
-    monkeypatch.setattr(np, "triu_indices", refuse)
+    monkeypatch.setattr(optimize, "_candidates", refuse)
     monkeypatch.setattr(np, "indices", refuse)
     with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
-        optimize_config(I, 2047)
+        optimize_config(I, MAX_COMPOSITIONS // 4)
     with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
         optimize_config(II, MAX_COMPOSITIONS)
     # a box of about 10^12 candidates
     with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
         optimize_config_weighted(I, (1e-3,) * 3, 10.0)
+
+
+@pytest.mark.parametrize("kind", [I, II])
+@pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf])
+def test_closed_forms_refuse_non_finite_totals(kind, total):
+    with pytest.raises(ConfigurationError, match="finite"):
+        lagrange_relaxation(kind, total)
+    with pytest.raises(ConfigurationError, match="finite"):
+        asymptotic_prediction(kind, total)
 
 
 def test_scaling_table_rejects_bad_arguments():

@@ -126,6 +126,21 @@ def test_coherent_mean_occupation_matches_alpha():
     np.testing.assert_allclose(mean_occupations(probe, II), [2.0, 3.0], rtol=1e-2)
 
 
+@pytest.mark.parametrize("alpha", [3.0, -2.5j, 39.0, 40.0 * np.exp(0.3j)])
+def test_coherent_weights_are_poisson_past_the_underflow(alpha):
+    # in the kind-I probe (0, alpha, 0) every product state is a one-rung
+    # ladder, weighted by its Poisson probability and carrying the phase of
+    # alpha^n; exp(-|alpha|^2/2) is 0 in floating point from |alpha|^2 ~ 1490
+    mu = abs(alpha) ** 2
+    parts = ladders(CoherentProduct((0, alpha, 0)), I)
+    n = np.array([basis[0][1] for basis, _, _ in parts])
+    weights = np.array([weight for _, weight, _ in parts])
+    poisson = np.exp(n * math.log(mu) - mu - np.array([math.lgamma(k + 1) for k in n]))
+    np.testing.assert_allclose(weights, poisson / poisson.sum(), rtol=1e-9)
+    phases = np.array([psi[0] for _, _, psi in parts])
+    np.testing.assert_allclose(phases, np.exp(1j * n * np.angle(alpha)), atol=1e-9)
+
+
 def test_coherent_vacuum_is_trivial():
     parts = ladders(CoherentProduct((0.0, 0.0)), II)
     assert len(parts) == 1
