@@ -185,7 +185,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         try:
             with open(ns.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer of too many digits
             raise ConfigurationError(f"invalid config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError("a config file must hold one JSON object")
@@ -314,12 +314,13 @@ def _grid_meta(cfg: RunConfig, profile) -> dict:
 
 
 def cmd_fisher_scan(cfg: RunConfig) -> dict:
-    # cramer_rao checks trials too, but only runs when F(0) > 0
+    # cramer_rao checks trials too, but only runs when F(0) is positive and
+    # finite; an infinite F(0) is refused below as a non-finite result
     if cfg.trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {cfg.trials}")
     probe = _build_probe(cfg)
     profile = _scan(cfg, probe)
-    cr = cramer_rao(profile.f_zero, cfg.trials) if profile.f_zero > 0.0 else None
+    cr = cramer_rao(profile.f_zero, cfg.trials) if 0.0 < profile.f_zero < math.inf else None
     meta = _meta(
         cfg,
         probe=_probe_label(probe),
@@ -403,16 +404,18 @@ def cmd_noise_scan(cfg: RunConfig) -> dict:
 
 def cmd_coherent_compare(cfg: RunConfig) -> dict:
     n_modes = _kind(cfg).n_modes
-    state = _state(cfg)
+    # checked before its occupations set the default amplitudes
+    fock_probe = PureFock(_state(cfg))
+    state = fock_probe.occupations
     alphas = cfg.alpha
     if alphas is None:
         alphas = tuple(complex(math.sqrt(n)) for n in state)
     if len(alphas) != n_modes:
         raise ConfigurationError(f"need {n_modes} coherent amplitudes, got {len(alphas)}")
-    # the coherent probe first: if it is refused, no time goes into the Fock one
+    # the coherent probe scans first: if it is refused, no time goes into the Fock one
     probe = CoherentProduct(alphas)
     coherent = _scan(cfg, probe)
-    fock = _scan(cfg, PureFock(state))
+    fock = _scan(cfg, fock_probe)
     meta = _meta(
         cfg,
         probe=_probe_label(probe),
@@ -507,7 +510,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
         return code if isinstance(code, int) else 2
-    except (ConfigurationError, UndefinedBoundError, ValueError) as exc:
+    except (ConfigurationError, UndefinedBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("run 'tsense <subcommand> --help' for usage", file=sys.stderr)
         return 2

@@ -21,14 +21,28 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceError
+from .errors import ConfigurationError
 
-# the most rungs a ladder may have; decompose caps the sum of d**2 over a
-# probe's ladders at the same MAX_RUNGS**2.  A diagonalized ladder holds
-# about d**2/2 floats of SVD factors (256 MiB at the cap), but the SVD's
-# workspace sets the peak: 188 MB at d = 3001, as when d x d eigenvector
-# matrices were held
+# the eigenvector budget, the one limit on a probe's size: decompose
+# refuses a probe whose ladders have sum(d**2) > MAX_RUNGS**2, so no ladder
+# has more than MAX_RUNGS rungs.  A diagonalized ladder holds about d**2/2
+# floats of SVD factors (256 MiB at the cap), but the SVD's workspace sets
+# the peak: 188 MB at d = 3001.  The budget refuses symmetric coherent
+# probes from |alpha|**2 ~ 43 per mode (I) and ~ 250 (II); the largest kind-I
+# probe it admits, alpha = 6.5, peaks at 309 MB in a 3-coupling fisher-scan
 MAX_RUNGS = 8192
+
+# the most rows of a table built before the check it serves: the candidates
+# an optimal-configuration search scores, and the coherent product box that
+# is cut down to the sectors the eigenvector budget then weighs.  Measured
+# peak RSS at the cap: optimize at total 524,287 (I, 1,835,004 rows) 114 MB,
+# scaling at n_max 1022 (I) and 2046 (II) 124 and 126 MB, against about
+# 30 MB for a small job.  A symmetric coherent box reaches the cap only from
+# |alpha|**2 ~ 72 (I) and ~ 1237 (II), where the budget has long refused.
+# Interaction-II scores at the cap reach 2.7e18, below 2**63; above it they
+# wrap without an error (a 2**23 cap gave the wrong maximizer at total
+# 5,000,000)
+MAX_ROWS = 2**21
 
 
 class InteractionKind(Enum):
@@ -65,22 +79,12 @@ def sector_roots(kind: InteractionKind, occs: np.ndarray) -> np.ndarray:
     return occs - occs[..., :1] * kind.rung_step
 
 
-def checked_rungs(kind: InteractionKind, roots: list, labels) -> list[int]:
+def ladder_dims(kind: InteractionKind, roots: list) -> list[int]:
     """Ladder dimension d of each rung-0 configuration in the list
-    ``roots``, min(Q_b, Q_c) + 1 for kind I and Q // 2 + 1 for kind II,
-    refused above MAX_RUNGS before anything is allocated.  ``labels[i]``
-    names ladder i in the refusal."""
+    ``roots``: min(Q_b, Q_c) + 1 for kind I and Q // 2 + 1 for kind II."""
     if kind is InteractionKind.I:
-        d = [min(qb, qc) + 1 for _, qb, qc in roots]
-    else:
-        d = [q // 2 + 1 for _, q in roots]
-    if max(d) > MAX_RUNGS:
-        i = next(i for i, n in enumerate(d) if n > MAX_RUNGS)
-        raise ResourceError(
-            f"the ladder of {tuple(np.asarray(labels[i]).tolist())} has {d[i]} rungs "
-            f"(cap {MAX_RUNGS})"
-        )
-    return d
+        return [min(qb, qc) + 1 for _, qb, qc in roots]
+    return [q // 2 + 1 for _, q in roots]
 
 
 def ladder_basis(kind: InteractionKind, roots: np.ndarray, d: int) -> np.ndarray:

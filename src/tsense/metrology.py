@@ -230,8 +230,8 @@ def cramer_rao(f: float, trials: int) -> float:
         raise UndefinedBoundError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise UndefinedBoundError(f"trials must be >= 1, got {trials}")
-    if f <= 0.0:
-        raise UndefinedBoundError("Fisher information must be positive")
+    if not 0.0 < f < math.inf:
+        raise UndefinedBoundError(f"Fisher information must be positive and finite, got {f}")
     return 1.0 / math.sqrt(trials * f)
 
 

@@ -3,11 +3,12 @@
 The search scores the rows of ``_candidates`` at once as int64 columns,
 so ties are exact: all N + 1 compositions for interaction II, and for I
 at most 4(N + 1) rows beside the balanced line n_b = n_c, which hold
-every maximizer.  It refuses more than ``MAX_COMPOSITIONS`` rows (totals
-from 524,288 for I, from 2**21 for II), and its maximizers are
-:class:`~tsense.probes.PureFock` probes, ready to scan.  ``scaling_table``
-builds and scores the rows of every total in one pass, for one optimum
-per excited-mode count.  The continuous Lagrange relaxation
+every maximizer.  Its maximizers are :class:`~tsense.probes.PureFock`
+probes, ready to scan.  ``scaling_table`` builds and scores the rows of
+every total 1..n_max in one pass, for one optimum per excited-mode
+count.  Both count their rows before building them and refuse more than
+``ladder.MAX_ROWS``: totals from 524,288 (I) and 2**21 (II), and n_max
+from 1023 (I) and 2047 (II).  The continuous Lagrange relaxation
 (stationarity of the closed-form zero-coupling Fisher information under
 sum(n_i) = N) exists to validate the round-to-neighbors heuristic and the
 N^3 growth.  It is the larger root of one quadratic (n_b = n_c at every
@@ -22,17 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ResourceError
-from .ladder import InteractionKind, validate_config
+from .ladder import MAX_ROWS, InteractionKind, validate_config
 from .probes import PureFock, _is_integer
-
-# Largest number of candidate rows one search scores, for two reasons.
-# Memory: interaction I at the cap (total 524,287, 1,835,004 rows) lifts
-# the peak RSS of a run from about 30 MB to about 115 MB of int64 columns
-# (the 2,096,128-row triangle of total 2046 took about 110 MB).  Exact scores:
-# the largest interaction-II score at the cap is 2.7e18, below 2**63;
-# above it scores wrap without an error (a 2**23 cap gave the wrong
-# maximizer at total 5,000,000).
-MAX_COMPOSITIONS = 2**21
 
 
 @dataclass(frozen=True)
@@ -55,10 +47,23 @@ def _score(kind: InteractionKind, occs):
     return nb * (nb - 1) * (na + 1) + (nb + 1) * (nb + 2) * na
 
 
-def _check_count(count: int, what: str) -> None:
-    """Refuse a search over more than MAX_COMPOSITIONS candidates."""
-    if count > MAX_COMPOSITIONS:
-        raise ResourceError(f"{count} {what} exceed MAX_COMPOSITIONS = {MAX_COMPOSITIONS}")
+def _check_count(count: int) -> None:
+    """Refuse a search over more than MAX_ROWS candidates."""
+    if count > MAX_ROWS:
+        raise ResourceError(f"{count} candidates exceed MAX_ROWS = {MAX_ROWS}")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is finite; an integer past the largest float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _rows_per_n_a(kind: InteractionKind) -> int:
+    """The most candidate rows ``_candidates`` gives one n_a of one total."""
+    return 4 if kind is InteractionKind.I else 1
 
 
 def _candidates(kind: InteractionKind, totals) -> list:
@@ -128,8 +133,7 @@ def optimize_config(
         raise ConfigurationError(f"total must be an integer, got {total!r}")
     if total < 0:
         raise ConfigurationError(f"total must be >= 0, got {total}")
-    # at most four candidate rows per n_a for interaction I, one for II
-    _check_count((4 if kind is InteractionKind.I else 1) * (total + 1), "candidates")
+    _check_count(_rows_per_n_a(kind) * (int(total) + 1))
     cols = _candidates(kind, [total])
     if modes is not None:
         keep = sum(c > 0 for c in cols) == modes
@@ -161,12 +165,15 @@ def optimize_config_weighted(
     quantum costs (e.g. trap frequencies); returns (maximizers, f0).
     """
     validate_config(kind, weights, "weights")
-    if not all(math.isfinite(v) for v in (*weights, budget)):
+    if not all(map(_finite, (*weights, budget))):
         raise ConfigurationError("weights and budget must be finite")
     if any(w <= 0 for w in weights) or budget < 0:
         raise ConfigurationError("weights must be positive and budget >= 0")
-    shape = [int(budget / w) + 1 for w in weights]
-    _check_count(math.prod(shape), "candidates")
+    tops = [budget / w for w in weights]
+    if not all(map(math.isfinite, tops)):
+        raise ConfigurationError(f"budget / weight exceeds the largest float, weights {weights}")
+    shape = [int(top) + 1 for top in tops]
+    _check_count(math.prod(shape))
     box = np.indices(shape).reshape(kind.n_modes, -1)
     # summed left to right in float, as sum(w_i * n_i) over Python numbers;
     # the empty configuration always fits
@@ -189,7 +196,7 @@ def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[f
     real root: N below about 0.95 for I and 1.29 for II, so among
     integers only N = 1 of interaction II.
     """
-    if not (math.isfinite(total) and total > 0):
+    if not (_finite(total) and total > 0):
         raise ConfigurationError(f"total must be positive and finite, got {total}")
     if kind is InteractionKind.I:
         disc = 4.0 * total * total + 12.0 * total - 15.0
@@ -206,10 +213,13 @@ def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[f
 
 def asymptotic_prediction(kind: InteractionKind, total: int, t: float = 1.0) -> float:
     """Leading-order optimal Fisher information, 8t^2 N^3/27 or 32t^2 N^3/27."""
-    if not (math.isfinite(total) and total >= 0):
+    if not (_finite(total) and total >= 0):
         raise ConfigurationError(f"total must be >= 0 and finite, got {total}")
     coeff = 8.0 if kind is InteractionKind.I else 32.0
-    return coeff * t * t * total**3 / 27.0
+    try:
+        return coeff * t * t * total**3 / 27.0
+    except OverflowError:  # N**3 past the largest float
+        raise ConfigurationError(f"total**3 exceeds the largest float, got {total}") from None
 
 
 def scaling_table(kind: InteractionKind, n_max: int, t: float = 1.0) -> list[tuple]:
@@ -222,8 +232,8 @@ def scaling_table(kind: InteractionKind, n_max: int, t: float = 1.0) -> list[tup
         raise ConfigurationError(f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    if n_max > 200:
-        raise ConfigurationError(f"n_max capped at 200, got {n_max}")
+    # N + 1 values of n_a for each total N = 1..n_max
+    _check_count(_rows_per_n_a(kind) * (int(n_max) * (int(n_max) + 3) // 2))
     cols = _candidates(kind, np.arange(1, n_max + 1))
     # the best score of each total and excited-mode count, at flat index
     # total * width + count (ufunc.at is several times faster on one index

@@ -42,16 +42,15 @@ import numpy as np
 
 from .errors import ConfigurationError, ResourceError
 from .ladder import (
+    MAX_ROWS,
     MAX_RUNGS,
     InteractionKind,
-    checked_rungs,
     ladder_basis,
+    ladder_dims,
     ladder_offdiag,
     sector_roots,
     validate_config,
 )
-
-MAX_COHERENT_STATES = 200_000
 
 
 def _is_integer(n) -> bool:
@@ -204,9 +203,9 @@ def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedCom
     the measured ``mode`` form one :class:`LadderStack`.  For mode 0 the
     rung occupations are 0..d-1 on every ladder, so the dimension alone
     decides.  Every dimension is known in closed form before anything is
-    built: a ladder above MAX_RUNGS rungs, or ladders that need more than
-    MAX_RUNGS**2 eigenvector entries together, are refused first, and so
-    is a ``mode`` that is not an integer in 0..n_modes-1.
+    built: ladders that need more than MAX_RUNGS**2 eigenvector entries
+    together are refused first, and so is a ``mode`` that is not an
+    integer in 0..n_modes-1.
     """
     if not (_is_integer(mode) and 0 <= mode < kind.n_modes):
         raise ConfigurationError(
@@ -231,23 +230,19 @@ def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedCom
     raise ConfigurationError(f"unknown probe type {type(probe).__name__}")
 
 
-def _stack_members(
-    kind: InteractionKind, rows: list, labels, mode: int
-) -> list[tuple[int, list[int]]]:
-    """The dimension and the ladder numbers of each stack, once the rung
-    cap and the eigenvector budget have passed.
-
-    ``rows`` are the rung-0 configurations of the ladders, ``labels`` the
-    occupations that name each ladder in a refusal.
-    """
-    d = checked_rungs(kind, rows, labels)
+def _stack_members(kind: InteractionKind, rows: list, mode: int) -> list[tuple[int, list[int]]]:
+    """The dimension and the ladder numbers of each stack of the ladders
+    with the rung-0 configurations ``rows``, once the eigenvector budget
+    has passed."""
+    d = ladder_dims(kind, rows)
     # all the ladders together may need no more d**2 entries than one
-    # ladder at the rung cap (their SVD factors hold about half of that)
+    # ladder of MAX_RUNGS rungs (their SVD factors hold about half of that)
     entries = sum(n * n for n in d)
     if entries > MAX_RUNGS**2:
         raise ResourceError(
             f"the {len(d)} ladders of the probe need {entries} eigenvector "
-            f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2)"
+            f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2); "
+            f"the largest has {max(d)} rungs"
         )
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (n, row) in enumerate(zip(d, rows)):
@@ -263,7 +258,7 @@ def _fock_stacks(
     arrays are made from lists."""
     rows = sector_roots(kind, np.array(occs)).tolist()
     stacks = []
-    for d, members in _stack_members(kind, rows, occs, mode):
+    for d, members in _stack_members(kind, rows, mode):
         start = np.array([occs[i][0] for i in members])
         psi = (np.arange(d) == start[:, None]).astype(complex)
         roots = np.array([rows[i] for i in members])
@@ -294,10 +289,10 @@ def _decompose_coherent(
     mus = [abs(a) ** 2 for a in alphas]
     tops = _poisson_cutoffs(mus, probe.cutoff_mass)
     n_states = math.prod(t + 1 for t in tops)
-    if n_states > MAX_COHERENT_STATES:
+    if n_states > MAX_ROWS:
         raise ResourceError(
             f"coherent decomposition needs {n_states} basis states "
-            f"(cap {MAX_COHERENT_STATES}); raise the cap or lower cutoff_mass"
+            f"(cap MAX_ROWS = {MAX_ROWS}); lower cutoff_mass"
         )
 
     # per-mode amplitude tables <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!),
@@ -340,7 +335,7 @@ def _decompose_coherent(
     padded = [np.append(t, 0.0) for t in tables]
     roots = _unique_rows(sector_roots(kind, occs))
     parts = []
-    for d, members in _stack_members(kind, roots.tolist(), roots, mode):
+    for d, members in _stack_members(kind, roots.tolist(), mode):
         idx = np.array(members)
         psi = np.ones((len(idx), d), dtype=complex)
         columns = np.moveaxis(ladder_basis(kind, roots[idx], d), -1, 0)

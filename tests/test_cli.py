@@ -546,6 +546,34 @@ def test_config_numbers_beyond_a_float_are_usage_errors(key, config, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "subcommand, config, flags, message",
+    [
+        ("fisher-scan", b'{"state": "2,1,1\xff"}', [], "invalid config file: 'utf-8' codec"),
+        (
+            "fisher-scan", b'{"state": "2,1,1", "steps": ' + b"9" * 5000 + b"}", [],
+            "invalid config file: Exceeds the limit (4300 digits)",
+        ),
+        # checked as a Fock state before its square roots become amplitudes
+        ("coherent-compare", None, ["--state=-1,2,2"], "occupations must be non-negative"),
+    ],
+    ids=["not-utf-8", "5000-digits", "negative-coherent-default"],
+)
+def test_input_past_python_limits_is_a_usage_error(
+    subcommand, config, flags, message, tmp_path, capsys
+):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(config)
+        flags = [*flags, "--config", str(path)]
+    code, out, err = run_cli([subcommand, *flags], capsys)
+    assert code == 2
+    assert out == ""
+    line, hint = err.splitlines()
+    assert line.startswith(f"error: {message}")
+    assert hint.startswith("run 'tsense")
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {"state": "2,1,1", "time": "abc"},
@@ -603,7 +631,7 @@ def test_json_outputs_validate_against_schema(tmp_path, capsys):
 
 
 def test_probe_eigenvector_budget_is_a_resource_failure(monkeypatch, capsys):
-    # 27 ladders, each under the rung cap, would hold about 12.9 GiB of
+    # 27 ladders, each under MAX_RUNGS rungs, would hold about 12.9 GiB of
     # eigenvectors; the probe is refused before any of them is diagonalized
     def refuse(offdiag):
         raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
@@ -621,7 +649,7 @@ def test_probe_eigenvector_budget_is_a_resource_failure(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", [["noise-scan", "--eps", "0.1"], ["coherent-compare"]])
 def test_two_probe_commands_refuse_before_diagonalizing(command, monkeypatch, capsys):
-    # the pure Fock probe alone is one ladder of d = 8001, under the rung cap;
+    # the pure Fock probe alone is one ladder of d = 8001, within the budget;
     # the noisy or coherent probe beside it is refused, and is scanned first
     def refuse(offdiag):
         raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")

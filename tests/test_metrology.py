@@ -431,7 +431,7 @@ def test_fisher_other_measured_mode():
 
 
 def test_probe_eigenvector_budget_is_checked_before_diagonalizing(monkeypatch):
-    # 27 ladders of d = 7999-8003, each under the rung cap, about 12.9 GiB
+    # 27 ladders of d = 7999-8003, each under MAX_RUNGS rungs, about 12.9 GiB
     # of eigenvectors together
     def refuse(offdiag):
         raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")

@@ -17,7 +17,9 @@ from tsense import (
     InteractionKind,
     PureFock,
     ResourceError,
+    UndefinedBoundError,
     asymptotic_prediction,
+    cramer_rao,
     fisher_limit_closed_form,
     lagrange_relaxation,
     optimize_config,
@@ -26,7 +28,8 @@ from tsense import (
     scan,
 )
 from tsense import optimize
-from tsense.optimize import MAX_COMPOSITIONS, _score
+from tsense.ladder import MAX_ROWS
+from tsense.optimize import _score
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -221,7 +224,7 @@ def test_asymptote_ratio_decreases_from_above():
     assert optimize_config(I, 60, modes=3).f0 / asymptotic_prediction(I, 60) < 1.12
 
 
-def test_scaling_tables():
+def test_scaling_tables(monkeypatch):
     table = scaling_table(I, 30)
     assert [row[0] for row in table] == list(range(1, 31))
     assert all(len(row) == 4 for row in table)
@@ -239,8 +242,23 @@ def test_scaling_tables():
     for n in range(3, 13):
         assert one_ii[n] == pytest.approx(4.0 * n * (n - 1))
 
-    with pytest.raises(ConfigurationError):
-        scaling_table(I, 500)
+    # the largest tables under MAX_ROWS: 2 n (n + 3) rows for I, n (n + 3) / 2 for II
+    *_, (n, one, two, three) = scaling_table(I, 1022)
+    k = 340  # N = 3k + 2: (k + 1, k, k + 1) and its swap
+    assert (n, one, two) == (1022, 4.0 * n, 4.0 * (n * n / 4 + n / 2))
+    assert three == 4.0 * (k + 1) * (k + 2) * (2 * k + 1) == 317678328
+    *_, (n, one, two) = scaling_table(II, 2046)
+    assert (n, one) == (2046, 4.0 * n * (n - 1))
+    assert two == 4.0 * _score(II, (682, 1364))  # N = 3k: (k, 2k)
+
+    # one more total and the rows are counted and refused, not built
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the candidates")
+
+    monkeypatch.setattr(optimize, "_candidates", refuse)
+    for kind, n_max, rows in [(I, 1023, 2099196), (II, 2047, 2098175)]:
+        with pytest.raises(ResourceError, match=f"^{rows} candidates exceed MAX_ROWS"):
+            scaling_table(kind, n_max)
 
 
 @pytest.mark.parametrize("kind", [I, II])
@@ -398,14 +416,14 @@ def test_weighted_search_matches_the_loop_oracle():
 
 def test_largest_interaction_ii_total_scores_exactly():
     # N = 3k + 1 with k = 699050; an int64 overflow would move the optimum
-    res = optimize_config(II, MAX_COMPOSITIONS - 1)
+    res = optimize_config(II, MAX_ROWS - 1)
     assert occupations(res.maximizers) == ((699050, 1398101),)
     assert res.f0 == 4.0 * _score(II, (699050, 1398101))
 
 
 def test_largest_interaction_i_total_has_the_priority_optimum():
     # 4(N + 1) candidate rows fill the cap at N = 3k + 1 with k = 174762
-    total = MAX_COMPOSITIONS // 4 - 1
+    total = MAX_ROWS // 4 - 1
     res = optimize_config(I, total)
     assert occupations(res.maximizers) == ((174763, 174762, 174762),)
     assert res.f0 == 4.0 * _score(I, (174763, 174762, 174762))
@@ -417,12 +435,12 @@ def test_oversized_searches_are_refused_before_allocating(monkeypatch):
 
     monkeypatch.setattr(optimize, "_candidates", refuse)
     monkeypatch.setattr(np, "indices", refuse)
-    with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
-        optimize_config(I, MAX_COMPOSITIONS // 4)
-    with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
-        optimize_config(II, MAX_COMPOSITIONS)
+    with pytest.raises(ResourceError, match="MAX_ROWS"):
+        optimize_config(I, MAX_ROWS // 4)
+    with pytest.raises(ResourceError, match="MAX_ROWS"):
+        optimize_config(II, MAX_ROWS)
     # a box of about 10^12 candidates
-    with pytest.raises(ResourceError, match="MAX_COMPOSITIONS"):
+    with pytest.raises(ResourceError, match="MAX_ROWS"):
         optimize_config_weighted(I, (1e-3,) * 3, 10.0)
 
 
@@ -433,6 +451,27 @@ def test_closed_forms_refuse_non_finite_totals(kind, total):
         lagrange_relaxation(kind, total)
     with pytest.raises(ConfigurationError, match="finite"):
         asymptotic_prediction(kind, total)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: lagrange_relaxation(I, 10**400), ConfigurationError),
+        (lambda: asymptotic_prediction(I, 10**400), ConfigurationError),
+        # N is a float, N**3 is not
+        (lambda: asymptotic_prediction(I, 10**200), ConfigurationError),
+        # budget / weight overflows to inf, where the box would be sized
+        (lambda: optimize_config_weighted(I, (1e-320, 1, 1), 1e10), ConfigurationError),
+        (lambda: optimize_config_weighted(I, (1, 1, 1), 10**400), ConfigurationError),
+        (lambda: cramer_rao(math.nan, 1), UndefinedBoundError),
+        (lambda: cramer_rao(math.inf, 1), UndefinedBoundError),
+    ],
+    ids=["relaxation", "asymptote", "asymptote-cube", "weighted-ratio", "weighted-budget",
+         "cramer-rao-nan", "cramer-rao-inf"],
+)
+def test_numbers_past_a_float_are_refused_not_raised(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_scaling_table_rejects_bad_arguments():

@@ -154,6 +154,18 @@ def test_coherent_resource_cap():
         decompose(CoherentProduct((100.0, 100.0, 100.0)), I)
 
 
+@pytest.mark.parametrize(
+    "kind, accepted, refused", [(I, 6.5, (6.8, 8.3)), (II, 14.0, (17.0, 35.0))]
+)
+def test_coherent_probes_are_bounded_by_the_eigenvector_budget(kind, accepted, refused):
+    # walking the amplitudes upward, the first limit met is the budget,
+    # whose ladders are counted from the box that MAX_ROWS still admits
+    assert decompose(CoherentProduct((accepted,) * kind.n_modes), kind).components
+    for alpha in refused:
+        with pytest.raises(ResourceError, match="eigenvector entries"):
+            decompose(CoherentProduct((alpha,) * kind.n_modes), kind)
+
+
 def test_coherent_validation():
     with pytest.raises(ConfigurationError):
         CoherentProduct((1.0, 1.0), cutoff_mass=1.0)
