@@ -259,16 +259,14 @@ def _build_probe(cfg: RunConfig):
     return PureFock(occupations=state)
 
 
-def _reference_occupation(cfg: RunConfig) -> int:
-    if cfg.state is None and cfg.alpha is not None:
-        return round(abs(cfg.alpha[0]) ** 2)
-    return _state(cfg)[0]
-
-
 def _build_scheme(cfg: RunConfig):
     if cfg.scheme == "pnr":
         return FullPNR()
-    n = _reference_occupation(cfg)
+    # the target is the first mode's occupation, or its rounded coherent mean
+    if cfg.state is None and cfg.alpha is not None:
+        n = round(abs(cfg.alpha[0]) ** 2)
+    else:
+        n = _state(cfg)[0]
     return BinaryFock(n=n) if cfg.scheme == "binary" else SequentialS0(n=n)
 
 

@@ -37,11 +37,9 @@ MAX_RUNGS = 8192
 # is cut down to the sectors the eigenvector budget then weighs.  Measured
 # peak RSS at the cap: optimize at total 524,287 (I, 1,835,004 rows) 114 MB,
 # scaling at n_max 1022 (I) and 2046 (II) 124 and 126 MB, against about
-# 30 MB for a small job.  A symmetric coherent box reaches the cap only from
-# |alpha|**2 ~ 72 (I) and ~ 1237 (II), where the budget has long refused.
-# Interaction-II scores at the cap reach 2.7e18, below 2**63; above it they
-# wrap without an error (a 2**23 cap gave the wrong maximizer at total
-# 5,000,000)
+# 30 MB for a small job.  Interaction-II scores at the cap reach 2.7e18,
+# below 2**63; above it they wrap without an error (a 2**23 cap gave the
+# wrong maximizer at total 5,000,000)
 MAX_ROWS = 2**21
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceError
+from .errors import ConfigurationError, NumericError, ResourceError
 from .ladder import MAX_ROWS, InteractionKind, validate_config
 from .probes import PureFock, _is_integer
 
@@ -194,32 +194,35 @@ def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[f
     The other root is negative for N > 1 (I) and N > 3/2 (II); below
     N = 1 both roots of I are negative.  None when the quadratic has no
     real root: N below about 0.95 for I and 1.29 for II, so among
-    integers only N = 1 of interaction II.
+    integers only N = 1 of interaction II.  NumericError once 4N^2
+    overflows a float (N from about 6.7e153).
     """
     if not (_finite(total) and total > 0):
         raise ConfigurationError(f"total must be positive and finite, got {total}")
-    if kind is InteractionKind.I:
-        disc = 4.0 * total * total + 12.0 * total - 15.0
-        if disc < 0:
-            return None
-        m = (2.0 * total - 3.0 + math.sqrt(disc)) / 12.0
-        return (total - 2.0 * m, m, m)
-    disc = 4.0 * total * total + 8.0 * total - 17.0
+    one = kind is InteractionKind.I
+    p, q, r, den = (3.0, 12.0, 15.0, 12.0) if one else (1.0, 8.0, 17.0, 6.0)
+    disc = 4.0 * total * total + q * total - r
     if disc < 0:
         return None
-    nb = (2.0 * total - 1.0 + math.sqrt(disc)) / 6.0
-    return (total - nb, nb)
+    x = (2.0 * total - p + math.sqrt(disc)) / den  # m for I, n_b for II
+    occs = (total - 2.0 * x, x, x) if one else (total - x, x)
+    if not all(map(math.isfinite, occs)):
+        raise NumericError(f"the relaxation at total {total} is not finite")
+    return occs
 
 
 def asymptotic_prediction(kind: InteractionKind, total: int, t: float = 1.0) -> float:
-    """Leading-order optimal Fisher information, 8t^2 N^3/27 or 32t^2 N^3/27."""
+    """Leading-order optimal F0, 8t^2 N^3/27 or 32t^2 N^3/27; NumericError past a float."""
     if not (_finite(total) and total >= 0):
         raise ConfigurationError(f"total must be >= 0 and finite, got {total}")
     coeff = 8.0 if kind is InteractionKind.I else 32.0
     try:
-        return coeff * t * t * total**3 / 27.0
+        value = coeff * t * t * total**3 / 27.0
     except OverflowError:  # N**3 past the largest float
         raise ConfigurationError(f"total**3 exceeds the largest float, got {total}") from None
+    if not math.isfinite(value):
+        raise NumericError(f"the asymptote at total {total}, t = {t} is not finite")
+    return value
 
 
 def scaling_table(kind: InteractionKind, n_max: int, t: float = 1.0) -> list[tuple]:

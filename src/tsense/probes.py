@@ -15,10 +15,10 @@ All of them decompose into components that live on a single ladder each:
   sector its restriction is a fixed complex vector over the full sector
   ladder, and the sector enters as one component with the squared norm
   of that restriction as weight.  The sectors are those of the product
-  states that carry the probe's mass: the truncated product box is
-  sorted once by descending Poisson weight (ties by per-mode weight
-  rank), and cut at the first state where the cumulative weight reaches
-  ``cutoff_mass``.
+  states that carry the probe's mass: the box of per-mode <n|alpha>
+  tables (see :class:`CoherentProduct`) is sorted once by descending
+  weight (ties by per-mode weight rank), and cut at the first state
+  where the cumulative weight reaches ``cutoff_mass``.
 
 Sector populations add for any measurement diagonal in the measured
 mode's number basis, so this decomposition is exact for every scheme in
@@ -106,9 +106,12 @@ class NoisyFock:
 class CoherentProduct:
     """Product coherent probe |alpha_1> x ... with a mass cutoff.
 
-    The Fock expansion is truncated once the retained probability mass
-    reaches ``cutoff_mass``; the truncation error is therefore bounded
-    by 1 - cutoff_mass regardless of |alpha|.
+    The Fock expansion keeps a probability mass of at least
+    ``cutoff_mass``.  Each mode's table stops where its own mass reaches
+    1 - (1 - cutoff_mass) / (2 modes), past floor(|alpha|^2), so a box
+    whose lower bound prod(floor(|alpha_i|^2) + 1) exceeds MAX_ROWS is
+    refused before any table is built.  "did not close" means a table's
+    mass stalled short of that in rounding, or |alpha|^2 overflows.
     """
 
     alphas: tuple[complex, ...]
@@ -176,24 +179,6 @@ def _noise_terms(n: int, e: float) -> list[tuple[int, float]]:
     if n == 0:
         return [(0, 1.0 - 2.0 * e), (1, 2.0 * e)]
     return [(n - 1, e), (n, 1.0 - 2.0 * e), (n + 1, e)]
-
-
-def _poisson_cutoffs(mus: list[float], cutoff_mass: float) -> list[int]:
-    """Per-mode occupation bounds leaving total neglected mass below target."""
-    per_mode_tail = (1.0 - cutoff_mass) / (2.0 * len(mus))
-    tops = []
-    for mu in mus:
-        n, cum, term = 0, 0.0, math.exp(-mu)
-        while cum + term < 1.0 - per_mode_tail:
-            cum += term
-            n += 1
-            # in log space: exp(-mu) is subnormal from mu ~ 708, and a
-            # product of ratios from it keeps that loss of digits
-            term = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-            if n > 10_000:  # pragma: no cover
-                raise ResourceError("coherent truncation did not close")
-        tops.append(n)
-    return tops
 
 
 def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedComponents:
@@ -281,36 +266,51 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
+def _amplitude_table(alpha, share: float) -> np.ndarray:
+    """<n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!) up to the first n
+    where its own squares reach 1 - share, by recursion from the first
+    entry whose log exceeds -708 (exp(-708.4) is the smallest normal float;
+    the entries before it weigh below 1e-600 and stay 0).  Past the peak
+    (n > |alpha|^2) the entries only shrink: one that no longer moves the
+    running mass stalls it."""
+    mu, size = abs(alpha) ** 2, abs(alpha) or 1.0  # alpha = 0 gives the table [1]
+    log_a, phase = math.log(size), complex(alpha) / size
+    logs = (n * log_a - mu / 2.0 - math.lgamma(n + 1) / 2.0 for n in itertools.count())
+    first, log_first = next((n, v) for n, v in enumerate(logs) if v > -708.0)
+    entry = np.complex128(math.exp(log_first) * phase**first)
+    entries, mass, n = [entry], abs(entry) ** 2, first
+    while mass < 1.0 - share:
+        n += 1
+        entry = entry * alpha / math.sqrt(n)
+        weight = abs(entry) ** 2
+        if n > mu and mass + weight == mass:
+            raise ResourceError("coherent truncation did not close")
+        entries.append(entry)
+        mass += weight
+    return np.concatenate([np.zeros(first, dtype=complex), entries])
+
+
 def _decompose_coherent(
     probe: CoherentProduct, kind: InteractionKind, mode: int
 ) -> WeightedComponents:
     alphas = probe.alphas
     validate_config(kind, alphas, "coherent amplitudes")
-    mus = [abs(a) ** 2 for a in alphas]
-    tops = _poisson_cutoffs(mus, probe.cutoff_mass)
-    n_states = math.prod(t + 1 for t in tops)
+    # a table reaches 1 - share > 3/4, but its squares below floor(|alpha|^2)
+    # weigh under 1/2, since the Poisson median is at least |alpha|^2 - ln 2
+    least = math.prod(math.floor(abs(a) ** 2) + 1 for a in alphas)
+    if least > MAX_ROWS:
+        raise ResourceError(
+            f"coherent decomposition needs at least {least} basis states, "
+            f"floor(|alpha|**2) + 1 per mode (cap MAX_ROWS = {MAX_ROWS})"
+        )
+    share = (1.0 - probe.cutoff_mass) / (2.0 * len(alphas))
+    tables = [_amplitude_table(a, share) for a in alphas]
+    n_states = math.prod(map(len, tables))
     if n_states > MAX_ROWS:
         raise ResourceError(
             f"coherent decomposition needs {n_states} basis states "
             f"(cap MAX_ROWS = {MAX_ROWS}); lower cutoff_mass"
         )
-
-    # per-mode amplitude tables <n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!),
-    # by recursion in n from the first entry whose log, as in _poisson_cutoffs,
-    # exceeds -708 (the smallest normal float is exp(-708.4)):
-    # exp(-|alpha|^2/2) is subnormal from |alpha|^2 ~ 1416 and 0 from ~1490.
-    # The entries before it weigh below 1e-600, 0 in floating point, and stay 0.
-    tables = []
-    for a, top in zip(alphas, tops):
-        size = abs(a) or 1.0  # alpha = 0 has top 0 and the table [1]
-        log_a, phase = math.log(size), complex(a) / size
-        logs = (n * log_a - abs(a) ** 2 / 2.0 - math.lgamma(n + 1) / 2.0 for n in range(top + 1))
-        first, log_first = next((n, v) for n, v in enumerate(logs) if v > -708.0)
-        row = np.zeros(top + 1, dtype=complex)
-        row[first] = math.exp(log_first) * phase**first
-        for n in range(first + 1, top + 1):
-            row[n] = row[n - 1] * a / math.sqrt(n)
-        tables.append(row)
 
     # product states by descending Poisson weight, ties by their tuple of
     # per-mode weight ranks, kept until the retained mass reaches the cutoff

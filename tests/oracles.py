@@ -40,7 +40,6 @@ from tsense import (
     spectral_weights,
 )
 from tsense.optimize import _score
-from tsense.probes import _poisson_cutoffs
 
 
 def _a_op(dim: int) -> np.ndarray:
@@ -139,6 +138,18 @@ def central_diff(fn, x: float, step: float = 1e-5):
     return (up - dn) / (2 * step), (up - 2 * mid + dn) / (step * step)
 
 
+def poisson_top(mu: float, share: float) -> int:
+    """The first n where the Poisson mass of 0..n reaches 1 - share, each
+    term formed in log space and the sum taken exactly by ``math.fsum``."""
+    if mu == 0.0:
+        return 0
+    terms = [math.exp(-mu)]
+    while math.fsum(terms) < 1.0 - share:
+        n = len(terms)
+        terms.append(math.exp(n * math.log(mu) - mu - math.lgamma(n + 1)))
+    return len(terms) - 1
+
+
 def coherent_sectors_heap(alphas, cutoff_mass: float, kind: InteractionKind):
     """Sectors of a product coherent probe by best-first heap search.
 
@@ -149,7 +160,8 @@ def coherent_sectors_heap(alphas, cutoff_mass: float, kind: InteractionKind):
     sector weight and the unit amplitude vector over the sector's rungs,
     each amplitude a product of per-mode <n|alpha> built rung by rung.
     """
-    tops = _poisson_cutoffs([abs(a) ** 2 for a in alphas], cutoff_mass)
+    share = (1.0 - cutoff_mass) / (2.0 * len(alphas))
+    tops = [poisson_top(abs(a) ** 2, share) for a in alphas]
     tables = []
     for a, top in zip(alphas, tops):
         # numpy complex arithmetic, as the package's tables use: ties in

@@ -67,10 +67,23 @@ def test_single_quantum_degenerate_probe_is_inert(capsys):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
-def test_missing_state_is_usage_error(capsys):
-    code, _, err = run_cli(["fisher-scan", "--interaction", "I"], capsys)
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["fisher-scan", "--interaction", "I"], "--state"),
+        (["noise-scan", "--state", "1,1,1"], "--eps"),
+        (["noise-scan", "--state", "1,1,1", "--eps", "0.1,0.1"], "need 1 or 3 eps values, got 2"),
+        (["coherent-compare", "--state", "1,1,1", "--alpha", "1,1"],
+         "need 3 coherent amplitudes, got 2"),
+        (["optimize", "--interaction", "I"], "--total"),
+    ],
+    ids=["fisher-scan-state", "noise-scan-eps", "noise-scan-eps-count",
+         "coherent-compare-alpha-count", "optimize-total"],
+)
+def test_missing_state_is_usage_error(args, named, capsys):
+    code, _, err = run_cli(args, capsys)
     assert code == 2
-    assert "--state" in err
+    assert named in err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -300,6 +313,7 @@ def test_non_finite_results_are_numeric_failures(fmt, tmp_path, capsys):
         ["fisher-scan", "--state", "2,1,1", "--time", "1e300", "--steps", "3"],
         ["dynamic-range", "--state", "4,0,0", "--scheme", "binary", "--time", "1e300",
          "--steps", "5", "--format", "json"],
+        ["scaling", "--n-max", "3", "--time", "1e200"],
     ],
 )
 def test_overflow_reports_one_line(args):
@@ -307,7 +321,11 @@ def test_overflow_reports_one_line(args):
     proc = run_fresh(["-m", "tsense.cli", *args])
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert proc.stderr == "numeric failure: the results contain non-finite values\n"
+    # scaling overflows in asymptotic_prediction, the others in their results
+    if args[0] == "scaling":
+        assert proc.stderr == "numeric failure: the asymptote at total 1, t = 1e+200 is not finite\n"
+    else:
+        assert proc.stderr == "numeric failure: the results contain non-finite values\n"
 
 
 @pytest.mark.parametrize(
@@ -346,10 +364,9 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(args, flag, capsys):
 
 
 def test_deep_coherent_probe_meets_the_eigenvector_budget(monkeypatch, capsys):
-    # |alpha|^2 = 729: the Poisson cutoffs hold (their first term exp(-729)
-    # is subnormal); |alpha|^2 = 1521: the amplitude table holds (its first
-    # entry exp(-760.5) is 0 in floating point).  Each probe's ladders are
-    # refused together
+    # |alpha|^2 = 729 and 1521: each amplitude table starts from its first
+    # normal entry (at 1521, exp(-760.5) is 0 in floating point).  Each
+    # probe's ladders are refused together
     def refuse(offdiag):
         raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
 
@@ -363,6 +380,34 @@ def test_deep_coherent_probe_meets_the_eigenvector_budget(monkeypatch, capsys):
         assert out == ""
         assert err.startswith("numeric failure: the ") and err.count("\n") == 1
         assert "eigenvector entries" in err and f"(cap {tsense.ladder.MAX_RUNGS}**2)" in err
+
+
+def test_one_excited_mode_runs_past_ten_thousand_quanta(capsys):
+    # |alpha|^2 = 10,000 on mode b alone: every ladder has one rung
+    code, out, err = run_cli(
+        ["fisher-scan", "--interaction", "I", "--alpha", "0,100,0", "--steps", "3"], capsys
+    )
+    assert (code, err) == (0, "")
+    _, rows = csv_body(out)
+    assert rows == ["0.0,0.0", "0.5,0.0", "1.0,0.0"]
+
+
+def test_coherent_box_is_refused_from_its_lower_bound(monkeypatch, capsys):
+    # each table holds more than floor(|alpha|^2) entries, so 4,000,001 * 2 * 2
+    # states are refused before any table is built
+    def refuse(alpha, share):
+        raise AssertionError(f"built the amplitude table of {alpha}")
+
+    monkeypatch.setattr(tsense.probes, "_amplitude_table", refuse)
+    code, out, err = run_cli(
+        ["fisher-scan", "--interaction", "I", "--alpha", "2000,1,1", "--steps", "3"], capsys
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "numeric failure: coherent decomposition needs at least 16000004 basis states, "
+        f"floor(|alpha|**2) + 1 per mode (cap MAX_ROWS = {tsense.ladder.MAX_ROWS})\n"
+    )
+    assert "cutoff_mass" not in err
 
 
 # runs each argv of a JSON list through main() while a None entry in
@@ -443,6 +488,26 @@ def test_coherent_probe_flag_parsing(capsys):
     assert code == 0
     _, rows = csv_body(out)
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "scheme, target", [("binary", tsense.BinaryFock(2)), ("s0", tsense.SequentialS0(2))]
+)
+def test_coherent_scheme_targets_the_rounded_first_mean(scheme, target, capsys):
+    # round(|1.5|^2) = 2
+    code, out, _ = run_cli(
+        ["fisher-scan", "--interaction", "I", "--alpha", "1.5,1,1", "--scheme", scheme,
+         "--steps", "11", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["scheme"] == f"{scheme}(n=2)"
+    profile = tsense.scan(
+        tsense.CoherentProduct((1.5 + 0j, 1 + 0j, 1 + 0j)), tsense.InteractionKind.I, target,
+        steps=11,
+    )
+    assert doc["rows"] == np.column_stack([profile.couplings, profile.fisher]).tolist()
 
 
 def test_config_file_roundtrip_and_override(tmp_path, capsys):

@@ -15,6 +15,7 @@ from tsense import (
     ConfigurationError,
     FullPNR,
     InteractionKind,
+    NumericError,
     PureFock,
     ResourceError,
     UndefinedBoundError,
@@ -465,9 +466,14 @@ def test_closed_forms_refuse_non_finite_totals(kind, total):
         (lambda: optimize_config_weighted(I, (1, 1, 1), 10**400), ConfigurationError),
         (lambda: cramer_rao(math.nan, 1), UndefinedBoundError),
         (lambda: cramer_rao(math.inf, 1), UndefinedBoundError),
+        # 4 N^2 overflows in the relaxation, 8 t^2 N^3 / 27 in the asymptote
+        (lambda: lagrange_relaxation(I, 1e200), NumericError),
+        (lambda: lagrange_relaxation(II, 1e300), NumericError),
+        (lambda: asymptotic_prediction(I, 1e100, t=1e200), NumericError),
     ],
     ids=["relaxation", "asymptote", "asymptote-cube", "weighted-ratio", "weighted-budget",
-         "cramer-rao-nan", "cramer-rao-inf"],
+         "cramer-rao-nan", "cramer-rao-inf", "relaxation-square-I", "relaxation-square-II",
+         "asymptote-time"],
 )
 def test_numbers_past_a_float_are_refused_not_raised(call, error):
     with pytest.raises(error):

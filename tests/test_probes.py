@@ -13,7 +13,7 @@ from tsense import (
     decompose,
 )
 from tsense.ladder import sector_roots
-from tsense.probes import _poisson_cutoffs, _unique_rows
+from tsense.probes import _amplitude_table, _unique_rows
 
 from oracles import coherent_sectors_heap
 
@@ -190,6 +190,15 @@ def test_overflowing_coherent_amplitudes_are_refused_when_built(alpha):
         CoherentProduct((alpha, 1, 1))
 
 
+def test_a_table_whose_mass_stalls_does_not_close():
+    # the squares of the |alpha|^2 = 500 table add up to 1 - 1.4e-14 in
+    # floating point (sqrt(500)**2 rounds up by 6e-14, and so shrinks them),
+    # short of 1 - 1e-14 / 6: past the peak the running mass stops moving
+    probe = CoherentProduct((0, math.sqrt(500), 0), cutoff_mass=1 - 1e-14)
+    with pytest.raises(ResourceError, match="coherent truncation did not close"):
+        decompose(probe, I)
+
+
 @pytest.mark.parametrize(
     "build", [PureFock, lambda occs: NoisyFock(occs, (0.1,) * 3)], ids=["pure", "noisy"]
 )
@@ -273,13 +282,16 @@ def test_unique_roots_are_those_of_numpy_unique(kind):
 
 @pytest.mark.parametrize("mu", [0.0, 2.0, 100.0, 729.0, 1000.0])
 def test_poisson_cutoffs_keep_each_modes_share(mu):
+    # the amplitude table stops at the first occupation, top, where its own
+    # squares reach 1 - share
     cutoff = 1.0 - 1e-8
-    (top,) = _poisson_cutoffs([mu], cutoff)
     share = (1.0 - cutoff) / 2.0
+    top = len(_amplitude_table(math.sqrt(mu), share)) - 1
     if mu == 0.0:
         assert top == 0
     else:
         # the tail from n on, summed upward from its first term in log space
         terms = [math.exp(n * math.log(mu) - mu - math.lgamma(n + 1)) for n in range(top + 2000)]
         assert math.fsum(terms[top + 1 :]) <= share < math.fsum(terms[top:])
-    assert _poisson_cutoffs([2.0, 2.0, 2.0], cutoff) == [15, 15, 15]
+    # each of three modes of |alpha|^2 = 2
+    assert len(_amplitude_table(math.sqrt(2.0), (1.0 - cutoff) / 6.0)) - 1 == 15
