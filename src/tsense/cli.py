@@ -29,7 +29,7 @@ from .errors import (
     ResourceError,
     UndefinedBoundError,
 )
-from .ladder import InteractionKind
+from .ladder import InteractionKind, validate_config
 from .metrology import (
     BinaryFock,
     FullPNR,
@@ -243,8 +243,10 @@ def _broadcast_eps(eps: tuple[float, ...], n_modes: int) -> tuple[float, ...]:
 
 
 def _state(cfg: RunConfig) -> tuple[int, ...]:
+    """``--state``, refused unless it has one occupation per mode."""
     if cfg.state is None:
         raise ConfigurationError("--state is required (occupations, e.g. 2,1,1)")
+    validate_config(_kind(cfg), cfg.state, "occupations")
     return cfg.state
 
 

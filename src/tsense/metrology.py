@@ -6,9 +6,9 @@ probability has a structural quadratic zero (P and P' both below 1e-14)
 contribute their analytic limit 2 P'' instead, which is what makes the
 theta -> 0 values exact rather than evaluated at a small offset.
 
-Measurement schemes are outcome partitions of the measured mode's
-number basis: full number resolution, the binary check {|n><n|, rest},
-and the four-outcome sequential partition
+Measurement schemes are outcome partitions of the number basis of
+mode a (a' for interaction II): full number resolution, the binary
+check {|n><n|, rest}, and the four-outcome sequential partition
 {|n>, |n-1>+|n+1>, |n-2>+|n+2>, rest} standing in for a two-shot
 qubit-coupling readout.  Coarser partitions never gain information, so
 F_binary <= F_s0 <= F_pnr pointwise.
@@ -44,7 +44,7 @@ _MOMENT_SCALE = np.array([[1.0], [2.0], [2.0]])
 
 @dataclass(frozen=True)
 class FullPNR:
-    """Full number-resolving readout of the measured mode."""
+    """Full number-resolving readout of mode a (a')."""
 
 
 @dataclass(frozen=True)
@@ -106,44 +106,40 @@ class PreparedProbe:
     """Probe decomposed and diagonalized once, reusable across couplings.
 
     Each stack of ladders (see :func:`tsense.probes.decompose`) keeps its
-    stacked spectrum, the spectral weights of its initial vectors scaled
-    by the square root of each ladder's weight, so that the populations
-    of a stack add up without weights, and the measured occupations of
-    its rungs.
+    stacked spectrum and the spectral weights of its initial vectors
+    scaled by the square root of each ladder's weight, so that the
+    populations of a stack add up without weights.  Rung k of every
+    ladder is outcome k, so there are as many outcomes as the largest
+    ladder has rungs.
     """
 
-    def __init__(self, probe: Probe, kind: InteractionKind, mode: int = 0):
-        stacks = decompose(probe, kind, mode).components
+    def __init__(self, probe: Probe, kind: InteractionKind):
+        stacks = decompose(probe, kind).components
         self.spectra = [dynamics.diagonalize(s.offdiag) for s in stacks]
         self.spectral_weights = [
             dynamics.spectral_weights(spec, s.amplitudes * np.sqrt(s.weights)[:, None])
             for spec, s in zip(self.spectra, stacks)
         ]
-        occs = [s.occupations(mode) for s in stacks]
-        # occupations run evenly along a ladder: the largest is at one end,
-        # and a stack's are the first d of a slice from its first rung's
-        self.n_outcomes = 1 + max(max(int(o[0]), int(o[-1])) for o in occs)
-        self.occs = [slice(int(o[0]), None, kind.rung_step[mode]) for o in occs]
+        self.n_outcomes = max(s.d for s in stacks)
         # couplings per evaluation block, so that one ladder's rungs x
         # couplings stay within BLOCK_ELEMENTS
-        self.block_rows = max(1, BLOCK_ELEMENTS // max(s.d for s in stacks))
+        self.block_rows = max(1, BLOCK_ELEMENTS // self.n_outcomes)
         # (order, starts) of each scheme's outcome partition, see fisher
         self._partitions: dict = {}
 
     def distributions(self, couplings: np.ndarray, time: float) -> np.ndarray:
-        """Aggregated P, P', P'' over the measured occupation.
+        """Aggregated P, P', P'' over the occupation of mode a (a').
 
         The result is a (3 x G x n_outcomes) array that unpacks as
         ``P, dP, d2P``, with one row per coupling.  Each stack is evolved
         in slices of as many ladders as keep ladders x rungs x couplings
         within BLOCK_ELEMENTS (at least one), and each slice adds its sum
-        over ladders into the occupations of its rungs.
+        over ladders into the first d outcomes, one per rung.
         """
         n = len(couplings)
         # laid out as outcome x (P, P', P'') x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, n))
-        stacks = zip(self.spectra, self.spectral_weights, self.occs)
-        for (s, u, v), weights, occ in stacks:
+        for (s, u, v), weights in zip(self.spectra, self.spectral_weights):
             m, d = weights.shape
             step = max(1, BLOCK_ELEMENTS // (d * n))
             for lo in range(0, m, step):
@@ -155,7 +151,7 @@ class PreparedProbe:
                 # |c|^2, Re c* c' and Re c* c'' + |c'|^2 for each rung and coupling
                 prods = (np.conj(amps[:, :, :1]) * amps).real
                 prods[:, :, 2] += np.abs(amps[:, :, 1]) ** 2
-                moments[occ][:d] += np.add.reduce(prods)
+                moments[:d] += np.add.reduce(prods)
         moments *= _MOMENT_SCALE
         return moments.transpose(1, 2, 0)
 
@@ -251,7 +247,6 @@ def scan(
     t: float = 1.0,
     theta_max: float = 1.0,
     steps: int = 401,
-    mode: int = 0,
 ) -> SensitivityProfile:
     """Fisher information on a uniform coupling grid [0, theta_max].
 
@@ -265,7 +260,7 @@ def scan(
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     if steps > MAX_STEPS:
         raise ResourceError(f"{steps} steps exceed MAX_STEPS = {MAX_STEPS}")
-    prepared = PreparedProbe(probe, kind, mode)
+    prepared = PreparedProbe(probe, kind)
     grid = np.linspace(0.0, theta_max, steps)
     values = prepared.fisher(scheme, grid, t)
     f_zero = float(values[0])

@@ -20,16 +20,16 @@ All of them decompose into components that live on a single ladder each:
   weight (ties by per-mode weight rank), and cut at the first state
   where the cumulative weight reaches ``cutoff_mass``.
 
-Sector populations add for any measurement diagonal in the measured
-mode's number basis, so this decomposition is exact for every scheme in
-:mod:`tsense.metrology`.
+Every readout is diagonal in the number basis of mode a (a' for
+interaction II), where sector populations add, so this decomposition is
+exact for every scheme in :mod:`tsense.metrology`.
 
 Components are handed out in stacks: every component whose ladder has
-the same dimension d and the same measured-mode occupations on its
-rungs joins one :class:`LadderStack`, whose generators, initial vectors
-and weights are (m x d-1), (m x d) and (m,) arrays built by table
-lookups.  A coherent probe with a few hundred sectors has a few dozen
-stacks; a pure Fock probe is one stack of one.
+dimension d joins one :class:`LadderStack`, whose generators, initial
+vectors and weights are (m x d-1), (m x d) and (m,) arrays built by
+table lookups.  Rung k of every ladder carries k quanta of mode a (a'),
+so it is readout outcome k.  A coherent probe with a few hundred
+sectors has a few dozen stacks; a pure Fock probe is one stack of one.
 """
 from __future__ import annotations
 
@@ -139,13 +139,12 @@ class LadderStack:
     an ensemble weight, stacked along a leading axis.
 
     ``roots`` is the (m x modes) rung-0 configuration of each ladder, so
-    rung k of ladder i has the occupations ``roots[i] + k * rung_step``;
+    rung k of ladder i has the occupations ``roots[i] + k * rung_step``
+    (see :func:`tsense.ladder.ladder_basis`) and k quanta of mode a (a');
     ``offdiag`` is (m x d-1), ``amplitudes`` (m x d) complex unit rows
-    and ``weights`` (m,).  Every ladder of a stack has the same
-    occupations of the measured mode on its rungs.
+    and ``weights`` (m,).
     """
 
-    kind: InteractionKind
     roots: np.ndarray
     weights: np.ndarray
     offdiag: np.ndarray
@@ -154,16 +153,6 @@ class LadderStack:
     @property
     def d(self) -> int:
         return self.amplitudes.shape[1]
-
-    @property
-    def basis(self) -> np.ndarray:
-        """(m x d x modes) occupations of every rung of every ladder."""
-        return ladder_basis(self.kind, self.roots, self.d)
-
-    def occupations(self, mode: int) -> np.ndarray:
-        """The (d,) occupations of ``mode`` on the rungs, shared by the stack."""
-        first, step = int(self.roots[0, mode]), self.kind.rung_step[mode]
-        return np.arange(first, first + step * self.d, step)
 
 
 @dataclass(frozen=True)
@@ -181,25 +170,17 @@ def _noise_terms(n: int, e: float) -> list[tuple[int, float]]:
     return [(n - 1, e), (n, 1.0 - 2.0 * e), (n + 1, e)]
 
 
-def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedComponents:
+def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
     """Split a probe into weighted single-ladder parts, stacked.
 
-    Ladders of one dimension whose rungs carry the same occupations of
-    the measured ``mode`` form one :class:`LadderStack`.  For mode 0 the
-    rung occupations are 0..d-1 on every ladder, so the dimension alone
-    decides.  Every dimension is known in closed form before anything is
-    built: ladders that need more than MAX_RUNGS**2 eigenvector entries
-    together are refused first, and so is a ``mode`` that is not an
-    integer in 0..n_modes-1.
+    Ladders of one dimension d form one :class:`LadderStack`; their rungs
+    carry 0..d-1 quanta of mode a (a').  Every dimension is known in
+    closed form before anything is built: ladders that need more than
+    MAX_RUNGS**2 eigenvector entries together are refused first.
     """
-    if not (_is_integer(mode) and 0 <= mode < kind.n_modes):
-        raise ConfigurationError(
-            f"mode must be an integer in 0..{kind.n_modes - 1} for interaction "
-            f"{kind.value}, got {mode!r}"
-        )
     if isinstance(probe, PureFock):
         validate_config(kind, probe.occupations, "occupations")
-        return _fock_stacks(kind, [probe.occupations], [1.0], mode)
+        return _fock_stacks(kind, [probe.occupations], [1.0])
 
     if isinstance(probe, NoisyFock):
         validate_config(kind, probe.nominal, "occupations")
@@ -207,15 +188,15 @@ def decompose(probe: Probe, kind: InteractionKind, mode: int = 0) -> WeightedCom
         combos = list(itertools.product(*per_mode))
         occs = [tuple(term[0] for term in combo) for combo in combos]
         weights = [math.prod(term[1] for term in combo) for combo in combos]
-        return _fock_stacks(kind, occs, weights, mode)
+        return _fock_stacks(kind, occs, weights)
 
     if isinstance(probe, CoherentProduct):
-        return _decompose_coherent(probe, kind, mode)
+        return _decompose_coherent(probe, kind)
 
     raise ConfigurationError(f"unknown probe type {type(probe).__name__}")
 
 
-def _stack_members(kind: InteractionKind, rows: list, mode: int) -> list[tuple[int, list[int]]]:
+def _stack_members(kind: InteractionKind, rows: list) -> list[tuple[int, list[int]]]:
     """The dimension and the ladder numbers of each stack of the ladders
     with the rung-0 configurations ``rows``, once the eigenvector budget
     has passed."""
@@ -229,21 +210,21 @@ def _stack_members(kind: InteractionKind, rows: list, mode: int) -> list[tuple[i
             f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2); "
             f"the largest has {max(d)} rungs"
         )
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (n, row) in enumerate(zip(d, rows)):
-        groups.setdefault((n, row[mode]), []).append(i)
-    return [(key[0], groups[key]) for key in sorted(groups)]
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(d):
+        groups.setdefault(n, []).append(i)
+    return sorted(groups.items())
 
 
 def _fock_stacks(
-    kind: InteractionKind, occs: list[tuple[int, ...]], weights: list[float], mode: int
+    kind: InteractionKind, occs: list[tuple[int, ...]], weights: list[float]
 ) -> WeightedComponents:
     """Stacks of the product Fock states ``occs``, each starting on the
-    rung of its measured-mode occupation.  Few states, so each stack's
+    rung of its occupation of mode a (a').  Few states, so each stack's
     arrays are made from lists."""
     rows = sector_roots(kind, np.array(occs)).tolist()
     stacks = []
-    for d, members in _stack_members(kind, rows, mode):
+    for d, members in _stack_members(kind, rows):
         start = np.array([occs[i][0] for i in members])
         psi = (np.arange(d) == start[:, None]).astype(complex)
         roots = np.array([rows[i] for i in members])
@@ -256,7 +237,7 @@ def _stack(
 ) -> LadderStack:
     """The stacked build: one generator table for ladders of one dimension."""
     offdiag = ladder_offdiag(kind, roots, amplitudes.shape[1])
-    return LadderStack(kind, roots, weights, offdiag, amplitudes)
+    return LadderStack(roots, weights, offdiag, amplitudes)
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -290,9 +271,7 @@ def _amplitude_table(alpha, share: float) -> np.ndarray:
     return np.concatenate([np.zeros(first, dtype=complex), entries])
 
 
-def _decompose_coherent(
-    probe: CoherentProduct, kind: InteractionKind, mode: int
-) -> WeightedComponents:
+def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> WeightedComponents:
     alphas = probe.alphas
     validate_config(kind, alphas, "coherent amplitudes")
     # a table reaches 1 - share > 3/4, but its squares below floor(|alpha|^2)
@@ -335,7 +314,7 @@ def _decompose_coherent(
     padded = [np.append(t, 0.0) for t in tables]
     roots = _unique_rows(sector_roots(kind, occs))
     parts = []
-    for d, members in _stack_members(kind, roots.tolist(), mode):
+    for d, members in _stack_members(kind, roots.tolist()):
         idx = np.array(members)
         psi = np.ones((len(idx), d), dtype=complex)
         columns = np.moveaxis(ladder_basis(kind, roots[idx], d), -1, 0)

@@ -275,16 +275,16 @@ def _probe_ladders(probe, kind: InteractionKind):
         yield math.prod(w for _, w in combo), rungs, offdiag, psi
 
 
-def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: float, mode=0):
+def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: float):
     """P, P', P'' as a (3 x G x outcomes) array, one ladder at a time.
 
     Each ladder is walked, diagonalized and evolved on its own, and its
-    weighted populations are added into the occupations of ``mode`` on
-    its rungs.
+    weighted populations are added into the occupations of mode a (a')
+    on its rungs.
     """
     couplings = np.asarray(couplings, dtype=float)
     parts = list(_probe_ladders(probe, kind))
-    n_outcomes = 1 + max(int(rungs[:, mode].max()) for _, rungs, _, _ in parts)
+    n_outcomes = 1 + max(int(rungs[:, 0].max()) for _, rungs, _, _ in parts)
     moments = np.zeros((n_outcomes, 3, len(couplings)))
     for weight, rungs, offdiag, psi in parts:
         spec = diagonalize(offdiag)
@@ -294,18 +294,18 @@ def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: floa
             2.0 * (np.conj(c) * dc).real,
             2.0 * ((np.conj(c) * d2c).real + np.abs(dc) ** 2),
         ])
-        moments[rungs[:, mode]] += weight * prods.transpose(2, 0, 1)
+        moments[rungs[:, 0]] += weight * prods.transpose(2, 0, 1)
     return moments.transpose(1, 2, 0)
 
 
-def fisher_per_ladder(probe, kind: InteractionKind, scheme, couplings, time: float, mode=0):
+def fisher_per_ladder(probe, kind: InteractionKind, scheme, couplings, time: float):
     """Classical Fisher information from :func:`distributions_per_ladder`.
 
     Outcome groups are summed one by one; a group whose P and |P'| are
     both below 1e-14 adds 2 P'' (when that is at least 1e-14) instead of
     P'^2 / P.
     """
-    p, dp, d2p = distributions_per_ladder(probe, kind, couplings, time, mode)
+    p, dp, d2p = distributions_per_ladder(probe, kind, couplings, time)
     occs = range(p.shape[1])
     if isinstance(scheme, FullPNR):
         groups = [[m] for m in occs]

@@ -391,7 +391,7 @@ def test_criterion_7_property_suites():
         for occs in occ_ranges:
             stack = fock_stack(kind, occs)
             (root,) = np.flatnonzero(stack.amplitudes[0])
-            key = (tuple(stack.basis[0, 0].tolist()), root)
+            key = (tuple(stack.roots[0].tolist()), root)
             if stack.d > 6 or key in seen:
                 continue
             seen.add(key)

@@ -86,6 +86,27 @@ def test_missing_state_is_usage_error(args, named, capsys):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coherent-compare", "--state", "2,2", "--alpha", "3,3,3", "--steps", "401"],
+        ["coherent-compare", "--state", "2,2"],
+        ["noise-scan", "--state", "2,2", "--eps", "0.1"],
+        ["fisher-scan", "--state", "2,2", "--eps", "0.1"],
+    ],
+    ids=["coherent-compare-alpha", "coherent-compare", "noise-scan", "fisher-scan-eps"],
+)
+def test_wrong_length_state_is_refused_before_any_scan(args, monkeypatch, capsys):
+    def refuse(offdiag):
+        raise AssertionError(f"diagonalized a ladder of d = {offdiag.shape[-1] + 1}")
+
+    monkeypatch.setattr(tsense.dynamics, "diagonalize", refuse)
+    code, out, err = run_cli([*args, "--interaction", "I"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: interaction I needs 3 occupations, got 2\n")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code = main(["fisher-scan", "--bogus", "1"])
     capsys.readouterr()

@@ -14,6 +14,7 @@ from tsense import (
     evolve_vector,
     spectral_weights,
 )
+from tsense.ladder import ladder_basis
 
 from oracles import central_diff, evolved_amplitudes_taylor, expm_taylor, tridiagonal
 
@@ -223,7 +224,7 @@ def test_grid_rows_match_taylor_exponential(kind, root):
 
 def test_outcome_probabilities_at_zero():
     stack = fock_stack(I, (2, 1, 1))
-    assert stack.basis[0, :, 0].tolist() == [0, 1, 2, 3]
+    assert ladder_basis(I, stack.roots, stack.d)[0, :, 0].tolist() == [0, 1, 2, 3]
     probs, dprobs, _ = PreparedProbe(PureFock((2, 1, 1)), I).distributions(
         np.array([0.0]), 1.0
     )
@@ -240,12 +241,6 @@ def test_probabilities_sum_to_one():
     for p, dp in zip(probs, dprobs):
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
         assert dp.sum() == pytest.approx(0.0, abs=1e-9)
-
-
-def test_other_mode_readout():
-    prep = PreparedProbe(PureFock((1, 2, 1)), I, mode=1)
-    probs, _, _ = prep.distributions(np.array([0.0]), 1.0)
-    assert probs[0, 2] == pytest.approx(1.0, abs=1e-12)  # n_b of the root
 
 
 def test_evenness_in_coupling():
@@ -277,7 +272,7 @@ def test_analytic_derivatives_match_finite_differences(kind, root):
         return np.abs(evolve_root(stack, spec, [th], t)[0, 0]) ** 2
 
     grid = np.array([0.07, 0.4, 1.1])
-    # mode-0 occupation equals the rung index, so outcomes align with rungs
+    # the occupation of mode a (a') is the rung index, so outcomes align with rungs
     _, dprobs_grid, d2probs_grid = prep.distributions(grid, t)
     for th, dprobs, d2probs in zip(grid, dprobs_grid, d2probs_grid):
         fd1, fd2 = central_diff(pops, th)

@@ -10,7 +10,7 @@ from tsense import (
     ResourceError,
     decompose,
 )
-from tsense.ladder import MAX_RUNGS
+from tsense.ladder import MAX_RUNGS, ladder_basis
 
 from oracles import reachable_block, tridiagonal
 
@@ -22,7 +22,7 @@ def fock_ladder(kind, occupations):
     through a Fock state, read from its stack of one."""
     (stack,) = decompose(PureFock(occupations), kind).components
     (root,) = np.flatnonzero(stack.amplitudes[0])
-    return stack.basis[0], stack.offdiag[0], int(root)
+    return ladder_basis(kind, stack.roots, stack.d)[0], stack.offdiag[0], int(root)
 
 
 def occs(basis):

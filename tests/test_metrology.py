@@ -34,8 +34,8 @@ from oracles import first_minimum_dense
 I, II = InteractionKind.I, InteractionKind.II
 
 
-def limit_fisher(probe, kind, scheme, mode=0):
-    (f,) = PreparedProbe(probe, kind, mode).fisher(scheme, np.array([0.0]), 1.0)
+def limit_fisher(probe, kind, scheme):
+    (f,) = PreparedProbe(probe, kind).fisher(scheme, np.array([0.0]), 1.0)
     return f
 
 
@@ -422,12 +422,6 @@ def test_dynamic_range_formula_prefactors():
         math.sqrt(24.0 / 48.0)
     )
     assert dynamic_range_formula(PureFock((0, 0, 0)), I) is None
-
-
-def test_fisher_other_measured_mode():
-    # readout on mode b of kind I carries the same zero-coupling limit
-    f_b = limit_fisher(PureFock((2, 1, 1)), I, FullPNR(), mode=1)
-    assert f_b == pytest.approx(44.0, abs=1e-8)
 
 
 def test_probe_eigenvector_budget_is_checked_before_diagonalizing(monkeypatch):

@@ -12,7 +12,7 @@ from tsense import (
     ResourceError,
     decompose,
 )
-from tsense.ladder import sector_roots
+from tsense.ladder import ladder_basis, sector_roots
 from tsense.probes import _amplitude_table, _unique_rows
 
 from oracles import coherent_sectors_heap
@@ -20,12 +20,14 @@ from oracles import coherent_sectors_heap
 I, II = InteractionKind.I, InteractionKind.II
 
 
-def ladders(probe, kind, mode=0):
+def ladders(probe, kind):
     """(rung occupations, weight, amplitudes) of every ladder of every stack."""
     return [
         (basis, weight, psi)
-        for stack in decompose(probe, kind, mode).components
-        for basis, weight, psi in zip(stack.basis, stack.weights, stack.amplitudes)
+        for stack in decompose(probe, kind).components
+        for basis, weight, psi in zip(
+            ladder_basis(kind, stack.roots, stack.d), stack.weights, stack.amplitudes
+        )
     ]
 
 
@@ -73,26 +75,23 @@ def test_zero_noise_reduces_to_pure():
 
 
 @pytest.mark.parametrize("kind", [I, II])
-@pytest.mark.parametrize("mode", [0, 1])
-def test_stacks_share_dimension_and_measured_occupations(kind, mode):
+def test_stacks_share_dimension_and_measured_occupations(kind):
     probes = [
         CoherentProduct((1.3, 0.9j, 1.1)[: kind.n_modes]),
         NoisyFock((2, 1, 3)[: kind.n_modes], (0.1, 0.05, 0.2)[: kind.n_modes]),
     ]
     for probe in probes:
-        stacks = decompose(probe, kind, mode).components
-        keys = set()
+        stacks = decompose(probe, kind).components
         for stack in stacks:
             m, d = stack.amplitudes.shape
             assert stack.offdiag.shape == (m, d - 1) and stack.weights.shape == (m,)
-            assert stack.basis.shape == (m, d, kind.n_modes)
-            # every ladder of the stack has the stack's measured occupations
-            assert np.all(stack.basis[:, :, mode] == stack.occupations(mode))
-            keys.add((d, int(stack.occupations(mode)[0])))
-        # one stack per (dimension, measured occupations)
-        assert len(keys) == len(stacks)
-        if mode == 0:
-            assert len({d for d, _ in keys}) == len(stacks)
+            basis = ladder_basis(kind, stack.roots, d)
+            assert basis.shape == (m, d, kind.n_modes)
+            # rung k of every ladder carries k quanta of mode a (a')
+            assert np.all(basis[:, :, 0] == np.arange(d))
+        # one stack per dimension, in ascending order
+        dims = [stack.d for stack in stacks]
+        assert dims == sorted(set(dims))
 
 
 def test_noise_bounds_validated():
@@ -116,7 +115,11 @@ def test_coherent_mean_occupation_matches_alpha():
     def mean_occupations(probe, kind):
         # each ladder's rung populations |psi_k|^2 times the rungs' occupations
         return sum(
-            stack.weights @ np.einsum("ik,ikj->ij", np.abs(stack.amplitudes) ** 2, stack.basis)
+            stack.weights @ np.einsum(
+                "ik,ikj->ij",
+                np.abs(stack.amplitudes) ** 2,
+                ladder_basis(kind, stack.roots, stack.d),
+            )
             for stack in decompose(probe, kind).components
         )
 
@@ -215,16 +218,6 @@ def test_a_table_whose_mass_stalls_does_not_close():
 def test_occupations_are_checked_when_the_probe_is_built(build, occs, message):
     with pytest.raises(ConfigurationError, match=message):
         build(occs)
-
-
-@pytest.mark.parametrize(
-    "kind, mode", [(I, 3), (I, -1), (I, -3), (I, 1.0), (I, True), (II, 2)]
-)
-def test_measured_mode_is_checked_in_decompose(kind, mode):
-    probe = PureFock((2, 1, 1)[: kind.n_modes])
-    message = f"mode must be an integer in 0..{kind.n_modes - 1}"
-    with pytest.raises(ConfigurationError, match=message):
-        decompose(probe, kind, mode)
 
 
 def test_numpy_integer_occupations_become_python_ints():

@@ -3,9 +3,9 @@
 Ladders of one dimension go through one build, one SVD and one
 evolution per slice of a stack; the oracle walks its own ladders rung
 by rung, diagonalizes and evolves every ladder on its own and adds its
-populations one ladder at a time.  Both must give the same P, P', P'' and Fisher information, for
-every probe family, both interactions, every measured mode, and grids
-and block budgets that cut the stacks and the coupling grid into
+populations one ladder at a time.  Both must give the same P, P', P''
+and Fisher information, for every probe family, both interactions, and
+grids and block budgets that cut the stacks and the coupling grid into
 several blocks.
 """
 import numpy as np
@@ -46,7 +46,7 @@ noise = st.one_of(st.just(0.0), st.floats(1e-3, 0.25))
 
 @st.composite
 def cases(draw):
-    """A probe with its interaction, a measured mode and a readout."""
+    """A probe with its interaction and a readout."""
     kind = draw(st.sampled_from([I, II]))
     family = draw(st.sampled_from(["fock", "noisy", "coherent"]))
     if family == "fock":
@@ -60,10 +60,9 @@ def cases(draw):
         probe = CoherentProduct(
             tuple(complex(draw(parts), draw(parts)) for _ in range(kind.n_modes))
         )
-    mode = draw(st.integers(0, kind.n_modes - 1))
     n = draw(st.integers(0, 4))
     scheme = draw(st.sampled_from([FullPNR(), BinaryFock(n), SequentialS0(n)]))
-    return kind, probe, mode, scheme
+    return kind, probe, scheme
 
 
 # couplings of 0, where F is its analytic limit, or of at least 1e-2 in
@@ -93,16 +92,16 @@ def assert_close(got, want):
     block=st.sampled_from([1, 24, 200, metrology.BLOCK_ELEMENTS]),
 )
 def test_stacked_kernel_matches_per_ladder_loop(case, grid, t, block):
-    kind, probe, mode, scheme = case
+    kind, probe, scheme = case
     with pytest.MonkeyPatch.context() as patch:
         # small budgets cut every stack, and the grid, into several blocks
         patch.setattr(metrology, "BLOCK_ELEMENTS", block)
-        prep = PreparedProbe(probe, kind, mode)
+        prep = PreparedProbe(probe, kind)
         got = prep.distributions(grid, t)
         fisher = prep.fisher(scheme, grid, t)
-    for moment, want in zip(got, distributions_per_ladder(probe, kind, grid, t, mode)):
+    for moment, want in zip(got, distributions_per_ladder(probe, kind, grid, t)):
         assert_close(moment, want)
-    assert_close(fisher, fisher_per_ladder(probe, kind, scheme, grid, t, mode))
+    assert_close(fisher, fisher_per_ladder(probe, kind, scheme, grid, t))
 
 
 @pytest.mark.parametrize("kind", [I, II])
