@@ -97,8 +97,10 @@ def _amplitudes(value) -> tuple[complex, ...]:
         )
     out = []
     for part in value.split(","):
+        text = part.strip()
         try:
-            out.append(complex(part.strip().replace("i", "j")))
+            # a trailing i is the imaginary unit; the i of inf is not
+            out.append(complex(text[:-1] + "j" if text.endswith("i") else text))
         except ValueError as exc:
             raise ConfigurationError(f"cannot parse amplitude {part!r}") from exc
     return tuple(out)

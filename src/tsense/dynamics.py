@@ -22,8 +22,8 @@ over the paired columns, and E = exp(-i x s), the evolved vector is
     V^T c_odd  = E p - conj(E) q,
 
 and as dE/dtheta = -i t s E, the theta-derivative of either half is
--i t s times the other half, which gives c' and c'' as exact analytic
-expressions: Fisher-information limits at theta -> 0 carry no
+-i t s times the other half, which gives c' as an exact analytic
+expression: Fisher-information limits at theta -> 0 carry no
 finite-difference noise.
 """
 from __future__ import annotations
@@ -91,15 +91,15 @@ def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> np.ndarray:
 def evolve_vector(
     spectrum: Spectrum, weights: np.ndarray, couplings: np.ndarray, time: float
 ) -> np.ndarray:
-    """Evolved amplitudes c and their coupling derivatives c', c''.
+    """Evolved amplitudes c and their coupling derivatives c'.
 
     ``weights`` are the initial vectors' (..., d) weights (see
     :func:`spectral_weights`) and ``couplings`` a 1-D grid of G couplings.
-    The result is a (3 x ... x G x d) array that unpacks as ``c, dc,
-    d2c``, each with the stack's leading axes, one row per coupling and
-    one column per rung.  The factors are real, so the whole stack and
-    grid go through one real product with U, written into the even
-    rungs, and one with V, written into the odd rungs.
+    The result is a (2 x ... x G x d) array that unpacks as ``c, dc``,
+    each with the stack's leading axes, one row per coupling and one
+    column per rung.  The factors are real, so the whole stack and grid
+    go through one real product with U, written into the even rungs, and
+    one with V, written into the odd rungs.
     """
     s, u, v = spectrum
     *lead, d = weights.shape
@@ -112,20 +112,19 @@ def evolve_vector(
     gen = (-1j * time) * s.reshape(m, n, 1)
     phase = np.exp(gen * th)
     ep, eq = phase * w[:, :n], phase.conj() * w[:, n : 2 * n]
-    # rows V^T c_odd, then U^T c_even (a0 last); columns (c, c', c'') x coupling
-    z = np.zeros((m, d, 3, g), dtype=complex)
-    halves = z[:, : 2 * n].reshape(m, 2, n, 3, g)
+    # rows V^T c_odd, then U^T c_even (a0 last); columns (c, c') x coupling
+    z = np.zeros((m, d, 2, g), dtype=complex)
+    halves = z[:, : 2 * n].reshape(m, 2, n, 2, g)
     np.subtract(ep, eq, out=halves[:, 0, :, 0])
     np.add(ep, eq, out=halves[:, 1, :, 0])
-    # each derivative is -i t s times the other half's previous one
+    # the derivative of either half is -i t s times the other half
     np.multiply(gen[:, None], halves[:, ::-1, :, 0], out=halves[:, :, :, 1])
-    np.multiply(gen[:, None], halves[:, ::-1, :, 1], out=halves[:, :, :, 2])
     z[:, 2 * n :, 0] = w[:, 2 * n :]
-    cols = z.view(float).reshape(*lead, d, 6 * g)
-    moved = np.empty((*lead, d, 6 * g))
+    cols = z.view(float).reshape(*lead, d, 4 * g)
+    moved = np.empty((*lead, d, 4 * g))
     np.matmul(u, cols[..., n:, :], out=moved[..., 0::2, :])
     np.matmul(v, cols[..., :n, :], out=moved[..., 1::2, :])
-    # stored as (..., d, 3, G); returned as the view (3, ..., G, d)
-    moved = moved.view(complex).reshape(*lead, d, 3, g)
+    # stored as (..., d, 2, G); returned as the view (2, ..., G, d)
+    moved = moved.view(complex).reshape(*lead, d, 2, g)
     k = len(lead)
     return moved.transpose(k + 1, *range(k), k + 2, k)

@@ -1,10 +1,10 @@
 """Classical and quantum Fisher information for coupling estimation.
 
 The classical Fisher information of a measurement with outcome
-probabilities P(x|theta) is sum_x P'(x)^2 / P(x).  Outcomes whose
-probability has a structural quadratic zero (P and P' both below 1e-14)
-contribute their analytic limit 2 P'' instead, which is what makes the
-theta -> 0 values exact rather than evaluated at a small offset.
+probabilities P(x|theta) is sum_x P'(x)^2 / P(x).  Each term is at most
+2 S(x), S = 2 sum |c'|^2 over the outcome's amplitudes (Cauchy-Schwarz;
+equal where c || c', as on rungs empty at theta = 0), and an outcome whose
+P and |P'| are below 1e-14 contributes that limit 2 S, at any coupling.
 
 Measurement schemes are outcome partitions of the number basis of
 mode a (a' for interaction II): full number resolution, the binary
@@ -29,8 +29,8 @@ from .optimize import _score
 from .probes import CoherentProduct, Probe, PureFock, _is_integer, decompose
 
 ZERO_PROB = 1e-14
-# ladders x rungs x couplings evaluated at once
-BLOCK_ELEMENTS = 4096
+# ladders x rungs x couplings evaluated at once; an element carries c and c'
+BLOCK_ELEMENTS = 6144
 # couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
 # point at the bracket's centre and narrows the bracket 16-fold
 ZOOM_POINTS = 33
@@ -38,7 +38,7 @@ ZOOM_POINTS = 33
 REL_TOL = 1e-4
 # couplings on one scan grid; refused above it before any allocation
 MAX_STEPS = 2**20
-# P = |c|^2, P' = 2 Re c* c' and P'' = 2 (Re c* c'' + |c'|^2)
+# P = |c|^2, P' = 2 Re c* c' and S = 2 |c'|^2
 _MOMENT_SCALE = np.array([[1.0], [2.0], [2.0]])
 
 
@@ -128,16 +128,17 @@ class PreparedProbe:
         self._partitions: dict = {}
 
     def distributions(self, couplings: np.ndarray, time: float) -> np.ndarray:
-        """Aggregated P, P', P'' over the occupation of mode a (a').
+        """Aggregated P, P' and S over the occupation of mode a (a').
 
         The result is a (3 x G x n_outcomes) array that unpacks as
-        ``P, dP, d2P``, with one row per coupling.  Each stack is evolved
-        in slices of as many ladders as keep ladders x rungs x couplings
-        within BLOCK_ELEMENTS (at least one), and each slice adds its sum
-        over ladders into the first d outcomes, one per rung.
+        ``P, dP, S``, one row per coupling, S = 2 sum |c'|^2 (equal to P''
+        where P vanishes).  Each stack is evolved in slices of as many
+        ladders as keep ladders x rungs x couplings within BLOCK_ELEMENTS
+        (at least one), and each slice adds its sum over ladders into the
+        first d outcomes, one per rung.
         """
         n = len(couplings)
-        # laid out as outcome x (P, P', P'') x coupling while accumulating
+        # laid out as outcome x (P, P', S) x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, n))
         for (s, u, v), weights in zip(self.spectra, self.spectral_weights):
             m, d = weights.shape
@@ -146,12 +147,11 @@ class PreparedProbe:
                 part = slice(lo, lo + step)
                 spec = dynamics.Spectrum(s[part], u[part], v[part])
                 amps = dynamics.evolve_vector(spec, weights[part], couplings, time)
-                # ladder x rung x (c, c', c'') x coupling
+                # ladder x rung x (c, c') x coupling
                 amps = amps.transpose(1, 3, 0, 2)
-                # |c|^2, Re c* c' and Re c* c'' + |c'|^2 for each rung and coupling
-                prods = (np.conj(amps[:, :, :1]) * amps).real
-                prods[:, :, 2] += np.abs(amps[:, :, 1]) ** 2
-                moments[:d] += np.add.reduce(prods)
+                # |c|^2 and Re c* c', then |c'|^2, for each rung and coupling
+                moments[:d, :2] += np.add.reduce((np.conj(amps[:, :, :1]) * amps).real)
+                moments[:d, 2] += np.add.reduce(np.abs(amps[:, :, 1]) ** 2)
         moments *= _MOMENT_SCALE
         return moments.transpose(1, 2, 0)
 
@@ -165,8 +165,8 @@ class PreparedProbe:
         for lo in range(0, len(couplings), self.block_rows):
             block = couplings[lo : lo + self.block_rows]
             moments = self.distributions(block, time).transpose(2, 0, 1)
-            p, dp, d2p = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
-            values[lo : lo + len(block)] = np.add.reduce(_fisher_terms(p, dp, d2p))
+            p, dp, s = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
+            values[lo : lo + len(block)] = np.add.reduce(_fisher_terms(p, dp, s))
         return values
 
     def _partition(self, scheme: MeasurementScheme) -> tuple[np.ndarray, np.ndarray]:
@@ -182,11 +182,10 @@ class PreparedProbe:
         return cached
 
 
-def _fisher_terms(p: np.ndarray, dp: np.ndarray, d2p: np.ndarray) -> np.ndarray:
-    """Fisher contribution P'^2 / P of each outcome group, 2 P'' at structural zeros."""
+def _fisher_terms(p: np.ndarray, dp: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Fisher term P'^2 / P of each outcome group, its bound 2 S at structural zeros."""
     zero = np.maximum(p, np.abs(dp)) < ZERO_PROB
-    terms = np.where(d2p >= ZERO_PROB, 2.0 * d2p, 0.0)
-    return np.divide(dp * dp, p, out=terms, where=~zero)
+    return np.divide(dp * dp, p, out=2.0 * s, where=~zero)
 
 
 def fisher_limit_closed_form(probe: PureFock, kind: InteractionKind, t: float = 1.0) -> float:

@@ -138,6 +138,12 @@ def central_diff(fn, x: float, step: float = 1e-5):
     return (up - dn) / (2 * step), (up - 2 * mid + dn) / (step * step)
 
 
+def second_diff_5(fn, x: float, step: float = 1e-5):
+    """Five-point central second difference."""
+    f2u, f1u, f0, f1d, f2d = (fn(x + k * step) for k in (2, 1, 0, -1, -2))
+    return (-f2u + 16 * f1u - 30 * f0 + 16 * f1d - f2d) / (12 * step * step)
+
+
 def poisson_top(mu: float, share: float) -> int:
     """The first n where the Poisson mass of 0..n reaches 1 - share, each
     term formed in log space and the sum taken exactly by ``math.fsum``."""
@@ -276,7 +282,7 @@ def _probe_ladders(probe, kind: InteractionKind):
 
 
 def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: float):
-    """P, P', P'' as a (3 x G x outcomes) array, one ladder at a time.
+    """P, P' and S = 2 |c'|^2 as a (3 x G x outcomes) array, one ladder at a time.
 
     Each ladder is walked, diagonalized and evolved on its own, and its
     weighted populations are added into the occupations of mode a (a')
@@ -288,24 +294,33 @@ def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: floa
     moments = np.zeros((n_outcomes, 3, len(couplings)))
     for weight, rungs, offdiag, psi in parts:
         spec = diagonalize(offdiag)
-        c, dc, d2c = evolve_vector(spec, spectral_weights(spec, psi), couplings, time)
-        prods = np.stack([
-            np.abs(c) ** 2,
-            2.0 * (np.conj(c) * dc).real,
-            2.0 * ((np.conj(c) * d2c).real + np.abs(dc) ** 2),
-        ])
+        c, dc = evolve_vector(spec, spectral_weights(spec, psi), couplings, time)
+        prods = np.stack([np.abs(c) ** 2, 2.0 * (np.conj(c) * dc).real, 2.0 * np.abs(dc) ** 2])
         moments[rungs[:, 0]] += weight * prods.transpose(2, 0, 1)
     return moments.transpose(1, 2, 0)
+
+
+def generator_second_moment(probe, kind: InteractionKind, time: float) -> float:
+    """2 t^2 sum_w w <psi|G^2|psi> over the walked ladders.
+
+    The evolution commutes with G, so this is sum_x S(x) at every
+    coupling; for a pure Fock probe, whose <G> is zero, it is half the
+    quantum Fisher information.
+    """
+    total = 0.0
+    for weight, _, offdiag, psi in _probe_ladders(probe, kind):
+        g_psi = tridiagonal(offdiag) @ psi
+        total += weight * np.vdot(g_psi, g_psi).real
+    return 2.0 * time * time * total
 
 
 def fisher_per_ladder(probe, kind: InteractionKind, scheme, couplings, time: float):
     """Classical Fisher information from :func:`distributions_per_ladder`.
 
     Outcome groups are summed one by one; a group whose P and |P'| are
-    both below 1e-14 adds 2 P'' (when that is at least 1e-14) instead of
-    P'^2 / P.
+    both below 1e-14 adds 2 S instead of P'^2 / P.
     """
-    p, dp, d2p = distributions_per_ladder(probe, kind, couplings, time)
+    p, dp, s = distributions_per_ladder(probe, kind, couplings, time)
     occs = range(p.shape[1])
     if isinstance(scheme, FullPNR):
         groups = [[m] for m in occs]
@@ -322,9 +337,9 @@ def fisher_per_ladder(probe, kind: InteractionKind, scheme, couplings, time: flo
             members = [m for m in group if m in occs]
             if not members:
                 continue
-            pg, dpg, d2pg = (float(a[g, members].sum()) for a in (p, dp, d2p))
+            pg, dpg, sg = (float(a[g, members].sum()) for a in (p, dp, s))
             if max(pg, abs(dpg)) < 1e-14:
-                values[g] += 2.0 * d2pg if d2pg >= 1e-14 else 0.0
+                values[g] += 2.0 * sg
             else:
                 values[g] += dpg * dpg / pg
     return values

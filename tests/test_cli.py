@@ -312,6 +312,20 @@ def test_non_finite_inputs_are_usage_errors(args, fmt, capsys):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("alpha", ["inf,1,1", "nan,1,1", "1,-inf,1", "1,1,1+infi"])
+def test_non_finite_amplitudes_reach_the_finiteness_check(alpha, capsys):
+    code, out, err = run_cli(["fisher-scan", "--alpha", alpha, "--steps", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "alpha must be finite" in err
+
+
+def test_only_a_trailing_i_is_the_imaginary_unit():
+    assert cli._amplitudes("1+2i, -0.5i,3,1e-3-1e2i") == (1 + 2j, -0.5j, 3, 1e-3 - 1e2j)
+    with pytest.raises(ConfigurationError, match=re.escape("cannot parse amplitude '2i+1'")):
+        cli._amplitudes("2i+1")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_results_are_numeric_failures(fmt, tmp_path, capsys):
     # finite input whose coupling-time product overflows the evolution

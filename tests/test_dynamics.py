@@ -16,7 +16,13 @@ from tsense import (
 )
 from tsense.ladder import ladder_basis
 
-from oracles import central_diff, evolved_amplitudes_taylor, expm_taylor, tridiagonal
+from oracles import (
+    central_diff,
+    evolved_amplitudes_taylor,
+    expm_taylor,
+    second_diff_5,
+    tridiagonal,
+)
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -60,7 +66,7 @@ def root_rung(stack):
 
 
 def evolve_root(stack, spec, couplings, time=1.0):
-    """Amplitudes c, c', c'' evolved from the ladder's root rung.
+    """Amplitudes c, c' evolved from the ladder's root rung.
 
     Each is a (G x d) array, one row per coupling.
     """
@@ -158,7 +164,7 @@ def test_spectra_ascend_and_pair_exactly(kind):
 
 def test_zero_coupling_is_identity():
     stack, spec = spectrum_of(I, (2, 1, 1))
-    c, _, _ = evolve_root(stack, spec, [0.0])
+    c, _ = evolve_root(stack, spec, [0.0])
     expected = np.zeros(stack.d, complex)
     expected[root_rung(stack)] = 1.0
     assert c.shape == (1, stack.d)
@@ -169,7 +175,7 @@ def test_small_coupling_populations_match_neighbor_rates():
     # leading-order transfer out of (1,1,1): 4 theta^2 down, 2 theta^2 up
     stack, spec = spectrum_of(I, (1, 1, 1))
     th = 1e-3
-    c, _, _ = evolve_root(stack, spec, [th])
+    c, _ = evolve_root(stack, spec, [th])
     p = np.abs(c[0]) ** 2
     assert p[0] / th**2 == pytest.approx(4.0, abs=1e-4)
     assert p[2] / th**2 == pytest.approx(2.0, abs=1e-4)
@@ -182,7 +188,7 @@ def test_small_coupling_populations_match_neighbor_rates():
 )
 def test_amplitudes_match_taylor_exponential(kind, root, theta_t):
     stack, spec = spectrum_of(kind, root)
-    c, _, _ = evolve_root(stack, spec, [theta_t])
+    c, _ = evolve_root(stack, spec, [theta_t])
     oracle = evolved_amplitudes_taylor(tridiagonal(stack.offdiag[0]), root_rung(stack), theta_t)
     np.testing.assert_allclose(c[0], oracle, rtol=0, atol=1e-10)
 
@@ -197,15 +203,12 @@ def test_general_vectors_and_derivatives_match_taylor_exponential(kind):
         stack, spec = spectrum_of(kind, root)
         g = tridiagonal(stack.offdiag[0])
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        c, dc, d2c = evolve_vector(spec, spectral_weights(spec, psi), grid, time)
+        c, dc = evolve_vector(spec, spectral_weights(spec, psi), grid, time)
         for i, theta in enumerate(grid):
             want = expm_taylor(-1j * theta * time * g) @ psi
             dwant = -1j * time * g @ want
             np.testing.assert_allclose(c[i], want, rtol=0, atol=1e-11)
             np.testing.assert_allclose(dc[i], dwant, rtol=0, atol=1e-10 * max(1.0, len(g)))
-            np.testing.assert_allclose(
-                d2c[i], -1j * time * g @ dwant, rtol=0, atol=1e-9 * max(1.0, len(g)) ** 2
-            )
 
 
 @pytest.mark.parametrize(
@@ -214,7 +217,7 @@ def test_general_vectors_and_derivatives_match_taylor_exponential(kind):
 def test_grid_rows_match_taylor_exponential(kind, root):
     stack, spec = spectrum_of(kind, root)
     grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
-    c, _, _ = evolve_root(stack, spec, grid)
+    c, _ = evolve_root(stack, spec, grid)
     assert c.shape == (len(grid), stack.d)
     g, k = tridiagonal(stack.offdiag[0]), root_rung(stack)
     for row, theta_t in zip(c, grid):
@@ -273,14 +276,20 @@ def test_analytic_derivatives_match_finite_differences(kind, root):
 
     grid = np.array([0.07, 0.4, 1.1])
     # the occupation of mode a (a') is the rung index, so outcomes align with rungs
-    _, dprobs_grid, d2probs_grid = prep.distributions(grid, t)
-    for th, dprobs, d2probs in zip(grid, dprobs_grid, d2probs_grid):
-        fd1, fd2 = central_diff(pops, th)
-        for k, (dp, d2p) in enumerate(zip(dprobs, d2probs)):
+    _, dprobs_grid, _ = prep.distributions(grid, t)
+    for th, dprobs in zip(grid, dprobs_grid):
+        fd1, _ = central_diff(pops, th)
+        for k, dp in enumerate(dprobs):
             if abs(dp) > 1e-8:
                 assert abs(dp - fd1[k]) / abs(dp) < 1e-5
-            if abs(d2p) > 1e-6:
-                assert abs(d2p - fd2[k]) / abs(d2p) < 1e-3
+    # on the rungs empty at theta = 0, S = 2 |c'|^2 is P'' there
+    (s_zero,) = prep.distributions(np.array([0.0]), t)[2]
+    fd2 = second_diff_5(pops, 0.0)
+    empty = np.flatnonzero(stack.amplitudes[0] == 0)
+    assert np.count_nonzero(s_zero[empty] > 1e-6) >= 1
+    for k in empty:
+        if abs(s_zero[k]) > 1e-6:
+            assert abs(s_zero[k] - fd2[k]) / abs(s_zero[k]) < 1e-3
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,7 +301,7 @@ def test_analytic_derivatives_match_finite_differences(kind, root):
 )
 def test_unitarity_random(occ, theta_t):
     stack, spec = spectrum_of(I, occ)
-    c, dc, _ = evolve_root(stack, spec, [theta_t], 1.0)[:, 0]
+    c, dc = evolve_root(stack, spec, [theta_t], 1.0)[:, 0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-10
     # norm preservation differentiates to zero
     assert abs(np.vdot(c, dc).real) < 1e-9

@@ -1,9 +1,9 @@
 """Properties of the grid-batched kernel over random probes and grids.
 
 Every check holds at each point of a coupling grid, not only at sampled
-couplings: probability conservation of P, P', P'', the ordering of the
-coarse-grained readouts, the quantum bound, and agreement between one
-grid call and one-point calls.
+couplings: conservation of P, P' and S = 2 sum |c'|^2, the ordering of
+the coarse-grained readouts, the quantum bound, the Cauchy-Schwarz bound
+F <= 2 sum S, and agreement between one grid call and one-point calls.
 """
 import numpy as np
 import pytest
@@ -23,6 +23,8 @@ from tsense import (
     fisher_limit_closed_form,
     qfi_coherent,
 )
+
+from oracles import generator_second_moment
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -66,18 +68,24 @@ def qfi_bound(probe, kind, t):
 
 @settings(max_examples=60, deadline=None)
 @given(case=probes(), grid=grids, t=times)
-# sum P'' = -1.52e-12 against sum |P''| = 2372: rounding, 6.4e-16 relative
+# sum S = 1224 here: the bound on its rounding is relative
 @example(case=(II, PureFock((4, 4))), grid=np.array([1.46875]), t=1.84375)
 def test_distributions_conserve_probability_at_every_point(case, grid, t):
     kind, probe = case
     prep = PreparedProbe(probe, kind)
-    P, dP, d2P = prep.distributions(grid, t)
-    assert P.shape == dP.shape == d2P.shape == (len(grid), prep.n_outcomes)
+    P, dP, S = prep.distributions(grid, t)
+    assert P.shape == dP.shape == S.shape == (len(grid), prep.n_outcomes)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dP.sum(axis=1), 0.0, rtol=0, atol=1e-12)
-    # the terms of P'' grow with the probe, so the rounding of their sum does
-    bound = np.maximum(1e-12, 1e-13 * np.abs(d2P).sum(axis=1))
-    assert np.all(np.abs(d2P.sum(axis=1)) <= bound)
+    # the evolution commutes with G, so sum S = 2 t^2 sum_w w <psi|G^2|psi>
+    # at every coupling; its terms grow with the probe, so its rounding does
+    s_sum = generator_second_moment(probe, kind, t)
+    bound = max(1e-12, 1e-13 * s_sum)
+    assert np.all(np.abs(S.sum(axis=1) - s_sum) <= bound)
+    if isinstance(probe, PureFock):
+        # <G> = 0 on a Fock rung: sum S is half the QFI
+        qfi = fisher_limit_closed_form(probe, kind, t)
+        assert abs(2.0 * s_sum - qfi) <= 1e-12 * max(1.0, qfi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,6 +108,18 @@ def test_readout_ordering_and_quantum_bound_on_the_grid(case, grid, t):
     assert np.all(f_pnr <= qfi + 1e-6 * (1.0 + qfi))
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=probes(), grid=grids, t=times)
+def test_fisher_is_within_its_cauchy_schwarz_bound(case, grid, t):
+    # P'^2 <= 2 P S on every outcome group, so F <= 2 sum S at every point
+    kind, probe = case
+    prep = PreparedProbe(probe, kind)
+    bound = 2.0 * prep.distributions(grid, t)[2].sum(axis=1)
+    for scheme in (FullPNR(), BinaryFock(1), SequentialS0(1)):
+        f = prep.fisher(scheme, grid, t)
+        assert np.all(f <= bound * (1.0 + 1e-12) + 1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=probes(), grid=grids, t=times)
 def test_grid_call_equals_one_point_calls(case, grid, t):
@@ -116,7 +136,7 @@ def test_deep_ladder_grid_spans_blocks(scheme):
     # Q_b = Q_c = 400: one ladder of 401 rungs, several blocks per grid
     prep = PreparedProbe(PureFock((180, 220, 220)), I)
     assert prep.spectra[0].eigenvalues.shape == (1, 401)
-    grid = np.linspace(0.0, 0.02, 37)
+    grid = np.linspace(0.0, 0.02, 49)
     assert len(grid) > 3 * prep.block_rows
     batched = prep.fisher(scheme, grid, 1.0)
     single = np.array([prep.fisher(scheme, np.array([th]), 1.0)[0] for th in grid])

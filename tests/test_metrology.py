@@ -29,7 +29,7 @@ from tsense import dynamics, metrology, probes
 from tsense.ladder import MAX_RUNGS
 from tsense.metrology import REL_TOL, ZOOM_POINTS, SensitivityProfile, outcome_partition
 
-from oracles import first_minimum_dense
+from oracles import first_minimum_dense, generator_second_moment
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -222,13 +222,32 @@ def test_coherent_fisher_below_coherent_qfi():
 
 
 def test_mixture_distributions_normalized():
-    prep = PreparedProbe(NoisyFock((1, 1, 1), (0.1,) * 3), I)
-    p_grid, dp_grid, d2p_grid = prep.distributions(np.array([0.0, 0.4]), 1.0)
+    probe = NoisyFock((1, 1, 1), (0.1,) * 3)
+    prep = PreparedProbe(probe, I)
+    p_grid, dp_grid, s_grid = prep.distributions(np.array([0.0, 0.4]), 1.0)
     assert p_grid.shape[0] == 2
-    for p, dp, d2p in zip(p_grid, dp_grid, d2p_grid):
+    # the evolution commutes with G, so sum S = 2 t^2 sum_w w <psi|G^2|psi> throughout
+    s_sum = generator_second_moment(probe, I, 1.0)
+    for p, dp, s in zip(p_grid, dp_grid, s_grid):
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
         assert dp.sum() == pytest.approx(0.0, abs=1e-9)
-        assert d2p.sum() == pytest.approx(0.0, abs=1e-9)
+        assert s.sum() == pytest.approx(s_sum, abs=1e-9)
+
+
+@pytest.mark.parametrize("probe,scheme", [
+    (PureFock((8, 0, 0)), BinaryFock(8)),
+    (PureFock((2, 1, 1)), SequentialS0(2)),
+    (PureFock((20, 20, 20)), FullPNR()),
+    (NoisyFock((1, 1, 1), (0.1,) * 3), FullPNR()),
+    (CoherentProduct((1.2, 0.8j, 0.6 - 0.5j)), FullPNR()),
+])
+def test_tiny_couplings_keep_the_zero_coupling_value(probe, scheme):
+    # P'^2 / P loses every digit of P at such couplings; the structural-zero
+    # floor 2 S holds F at its theta -> 0 limit there
+    grid = np.array([0.0, 1e-300, 1e-100, 1e-18])
+    f = PreparedProbe(probe, I).fisher(scheme, grid, 1.0)
+    assert f[0] > 0.0
+    np.testing.assert_allclose(f[1:], f[0], rtol=1e-12, atol=0)
 
 
 def test_scan_metadata_and_invariants():

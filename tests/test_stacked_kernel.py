@@ -3,7 +3,7 @@
 Ladders of one dimension go through one build, one SVD and one
 evolution per slice of a stack; the oracle walks its own ladders rung
 by rung, diagonalizes and evolves every ladder on its own and adds its
-populations one ladder at a time.  Both must give the same P, P', P''
+populations one ladder at a time.  Both must give the same P, P', S
 and Fisher information, for every probe family, both interactions, and
 grids and block budgets that cut the stacks and the coupling grid into
 several blocks.
@@ -40,7 +40,7 @@ RTOL = 1e-12
 
 # noise of 0, or large enough that no population sits at the 1e-14
 # structural-zero floor, where the Fisher term of an outcome jumps between
-# P'^2/P and 2 P'' on the last bit of P (see CHANGES.md)
+# P'^2/P and 2 S on the last bit of P (see CHANGES.md)
 noise = st.one_of(st.just(0.0), st.floats(1e-3, 0.25))
 
 
