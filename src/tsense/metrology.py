@@ -29,8 +29,9 @@ from .optimize import _score
 from .probes import CoherentProduct, Probe, PureFock, _is_integer, decompose
 
 ZERO_PROB = 1e-14
-# ladders x rungs x couplings evaluated at once; an element carries c and c'
-BLOCK_ELEMENTS = 6144
+# floats evaluated at once over ladders x rungs x couplings: an element
+# carries c and c', 2 floats in a real stack and 4 in a complex one
+BLOCK_FLOATS = 4 * 6144
 # couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
 # point at the bracket's centre and narrows the bracket 16-fold
 ZOOM_POINTS = 33
@@ -108,9 +109,12 @@ class PreparedProbe:
     Each stack of ladders (see :func:`tsense.probes.decompose`) keeps its
     stacked spectrum and the spectral weights of its initial vectors
     scaled by the square root of each ladder's weight, so that the
-    populations of a stack add up without weights.  Rung k of every
-    ladder is outcome k, so there are as many outcomes as the largest
-    ladder has rungs.
+    populations of a stack add up without weights.  Where every ladder of
+    a stack starts real on rungs of one parity, as in every Fock and
+    noisy-Fock stack, its weights are real and it evolves in real
+    arithmetic (see :mod:`tsense.dynamics`).  Rung k of every ladder is
+    outcome k, so there are as many outcomes as the largest ladder has
+    rungs.
     """
 
     def __init__(self, probe: Probe, kind: InteractionKind):
@@ -122,8 +126,9 @@ class PreparedProbe:
         ]
         self.n_outcomes = max(s.d for s in stacks)
         # couplings per evaluation block, so that one ladder's rungs x
-        # couplings stay within BLOCK_ELEMENTS
-        self.block_rows = max(1, BLOCK_ELEMENTS // self.n_outcomes)
+        # couplings stay within BLOCK_FLOATS
+        floats = max(map(_element_floats, self.spectral_weights))
+        self.block_rows = max(1, BLOCK_FLOATS // (floats * self.n_outcomes))
         # (order, starts) of each scheme's outcome partition, see fisher
         self._partitions: dict = {}
 
@@ -133,16 +138,16 @@ class PreparedProbe:
         The result is a (3 x G x n_outcomes) array that unpacks as
         ``P, dP, S``, one row per coupling, S = 2 sum |c'|^2 (equal to P''
         where P vanishes).  Each stack is evolved in slices of as many
-        ladders as keep ladders x rungs x couplings within BLOCK_ELEMENTS
-        (at least one), and each slice adds its sum over ladders into the
-        first d outcomes, one per rung.
+        ladders as keep the floats of ladders x rungs x couplings within
+        BLOCK_FLOATS (at least one), and each slice adds its sum over
+        ladders into the first d outcomes, one per rung.
         """
         n = len(couplings)
         # laid out as outcome x (P, P', S) x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, n))
         for (s, u, v), weights in zip(self.spectra, self.spectral_weights):
             m, d = weights.shape
-            step = max(1, BLOCK_ELEMENTS // (d * n))
+            step = max(1, BLOCK_FLOATS // (_element_floats(weights) * d * n))
             for lo in range(0, m, step):
                 part = slice(lo, lo + step)
                 spec = dynamics.Spectrum(s[part], u[part], v[part])
@@ -180,6 +185,11 @@ class PreparedProbe:
             starts = np.array([0, *accumulate(len(g) for g in groups[:-1])])
             cached = self._partitions[scheme] = (order, starts)
         return cached
+
+
+def _element_floats(weights: np.ndarray) -> int:
+    """Floats that one evolved element of these weights carries: c and c'."""
+    return 2 * weights.itemsize // 8
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -141,8 +141,9 @@ class LadderStack:
     ``roots`` is the (m x modes) rung-0 configuration of each ladder, so
     rung k of ladder i has the occupations ``roots[i] + k * rung_step``
     (see :func:`tsense.ladder.ladder_basis`) and k quanta of mode a (a');
-    ``offdiag`` is (m x d-1), ``amplitudes`` (m x d) complex unit rows
-    and ``weights`` (m,).
+    ``offdiag`` is (m x d-1), ``amplitudes`` (m x d) unit rows, real
+    for Fock and noisy-Fock stacks and complex for coherent ones, and
+    ``weights`` (m,).
     """
 
     roots: np.ndarray
@@ -226,7 +227,7 @@ def _fock_stacks(
     stacks = []
     for d, members in _stack_members(kind, rows):
         start = np.array([occs[i][0] for i in members])
-        psi = (np.arange(d) == start[:, None]).astype(complex)
+        psi = (np.arange(d) == start[:, None]).astype(float)
         roots = np.array([rows[i] for i in members])
         stacks.append(_stack(kind, roots, np.array([weights[i] for i in members]), psi))
     return WeightedComponents(tuple(stacks))

@@ -61,9 +61,11 @@ def spectrum_of(kind, occs):
     return stack, diagonalize(stack.offdiag[0])
 
 
-def evolve_root(stack, spec, coupling):
-    """Amplitudes c, c' at one coupling from the ladder's root rung, t = 1."""
-    weights = spectral_weights(spec, stack.amplitudes[0])
+def evolve_root(stack, spec, coupling, dtype=float):
+    """Amplitudes c, c' at one coupling from the ladder's root rung, t = 1:
+    the gauged c~ and c~' of the real formula, which have the moduli of c
+    and c', or with ``dtype=complex`` c and c' themselves."""
+    weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
     return evolve_vector(spec, weights, np.array([coupling]), 1.0)[:, 0]
 
 
@@ -397,7 +399,7 @@ def test_criterion_7_property_suites():
             seen.add(key)
             spec = diagonalize(stack.offdiag[0])
             for theta_t in (0.1, 0.5, 1.0):
-                got = evolve_root(stack, spec, theta_t)[0]
+                got = evolve_root(stack, spec, theta_t, dtype=complex)[0]
                 want = evolved_amplitudes_taylor(tridiagonal(stack.offdiag[0]), root, theta_t)
                 if np.max(np.abs(got - want)) > 1e-10:
                     failures.append(("oracle", kind.value, occs, theta_t))

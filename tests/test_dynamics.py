@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsense import (
+    CoherentProduct,
     InteractionKind,
+    NoisyFock,
     PreparedProbe,
     PureFock,
     decompose,
@@ -65,12 +67,15 @@ def root_rung(stack):
     return int(k)
 
 
-def evolve_root(stack, spec, couplings, time=1.0):
+def evolve_root(stack, spec, couplings, time=1.0, dtype=float):
     """Amplitudes c, c' evolved from the ladder's root rung.
 
-    Each is a (G x d) array, one row per coupling.
+    Each is a (G x d) array, one row per coupling.  The stack's real
+    amplitudes take the real formula, whose gauged c~ and c~' have the
+    moduli of c and c' and equal c at zero coupling; ``dtype=complex``
+    takes the complex formula, whose c is the amplitude itself.
     """
-    weights = spectral_weights(spec, stack.amplitudes[0])
+    weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
     return evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time)
 
 
@@ -188,7 +193,7 @@ def test_small_coupling_populations_match_neighbor_rates():
 )
 def test_amplitudes_match_taylor_exponential(kind, root, theta_t):
     stack, spec = spectrum_of(kind, root)
-    c, _ = evolve_root(stack, spec, [theta_t])
+    c, _ = evolve_root(stack, spec, [theta_t], dtype=complex)
     oracle = evolved_amplitudes_taylor(tridiagonal(stack.offdiag[0]), root_rung(stack), theta_t)
     np.testing.assert_allclose(c[0], oracle, rtol=0, atol=1e-10)
 
@@ -217,12 +222,71 @@ def test_general_vectors_and_derivatives_match_taylor_exponential(kind):
 def test_grid_rows_match_taylor_exponential(kind, root):
     stack, spec = spectrum_of(kind, root)
     grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
-    c, _ = evolve_root(stack, spec, grid)
+    c, _ = evolve_root(stack, spec, grid, dtype=complex)
     assert c.shape == (len(grid), stack.d)
     g, k = tridiagonal(stack.offdiag[0]), root_rung(stack)
     for row, theta_t in zip(c, grid):
         oracle = evolved_amplitudes_taylor(g, k, theta_t)
         np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kind,root",
+    [(I, (1, 1, 1)), (I, (2, 2, 2)), (I, (2, 3, 1)), (I, (5, 2, 4)), (II, (1, 3)), (II, (2, 2))],
+)
+def test_real_formula_is_the_rung_gauge_of_the_amplitudes(kind, root):
+    # c~_k = i^((k mod 2) - (r mod 2)) c_k for a ladder started on rung r,
+    # and likewise for c'; roots on even and odd rungs, ladders of odd d
+    # (with the null column) and of even d
+    stack, spec = spectrum_of(kind, root)
+    grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
+    c, dc = evolve_root(stack, spec, grid)
+    assert c.dtype == dc.dtype == float
+    g, r = tridiagonal(stack.offdiag[0]), root_rung(stack)
+    gauge = 1j ** (np.arange(stack.d) % 2 - r % 2)
+    for row, drow, theta_t in zip(c, dc, grid):
+        want = evolved_amplitudes_taylor(g, r, theta_t)
+        np.testing.assert_allclose(row, gauge * want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            drow, gauge * (-1j * g @ want), rtol=0, atol=1e-10 * max(1.0, len(g))
+        )
+
+
+def test_single_parity_stacks_take_real_weights():
+    for probe, kind in [
+        (PureFock((2, 1, 1)), I),
+        (PureFock((3, 4)), II),
+        (NoisyFock((1, 2), (0.1, 0.05)), II),
+        (NoisyFock((3, 2, 2), (0.1,) * 3), I),
+    ]:
+        prep = PreparedProbe(probe, kind)
+        assert all(w.dtype == float for w in prep.spectral_weights)
+    # in the noisy (3, 2, 2) the d = 5 and d = 6 stacks hold ladders that
+    # start on rungs of both parities, each ladder on one
+    stacks = {s.d: s for s in decompose(NoisyFock((3, 2, 2), (0.1,) * 3), I).components}
+    for d in (5, 6):
+        starts = [int(k) for (k,) in map(np.flatnonzero, stacks[d].amplitudes)]
+        assert {k % 2 for k in starts} == {0, 1}
+
+
+def test_complex_or_two_parity_vectors_take_complex_weights():
+    prep = PreparedProbe(CoherentProduct((1.2, 0.8, 0.6)), I)
+    assert all(w.dtype == complex for w in prep.spectral_weights)
+    stack, spec = spectrum_of(II, (3, 4))
+    assert spectral_weights(spec, stack.amplitudes[0]).dtype == float
+    assert spectral_weights(spec, stack.amplitudes[0].astype(complex)).dtype == complex
+    # real, but on rungs 1 and 2: its phases do not factor out
+    psi = np.zeros(stack.d)
+    psi[1:3] = 0.6, 0.8
+    assert spectral_weights(spec, psi).dtype == complex
+    # one such row takes its whole stack to the complex formula
+    spectra = diagonalize(np.stack([stack.offdiag[0]] * 2))
+    assert spectral_weights(spectra, np.stack([stack.amplitudes[0], psi])).dtype == complex
+    # the complex formula evolves it as a complex vector would
+    c, dc = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.3]), 1.0)
+    want, dwant = evolve_vector(spec, spectral_weights(spec, psi + 0j), np.array([0.3]), 1.0)
+    np.testing.assert_array_equal(c, want)
+    np.testing.assert_array_equal(dc, dwant)
 
 
 def test_outcome_probabilities_at_zero():

@@ -136,7 +136,7 @@ def test_deep_ladder_grid_spans_blocks(scheme):
     # Q_b = Q_c = 400: one ladder of 401 rungs, several blocks per grid
     prep = PreparedProbe(PureFock((180, 220, 220)), I)
     assert prep.spectra[0].eigenvalues.shape == (1, 401)
-    grid = np.linspace(0.0, 0.02, 49)
+    grid = np.linspace(0.0, 0.02, 97)
     assert len(grid) > 3 * prep.block_rows
     batched = prep.fisher(scheme, grid, 1.0)
     single = np.array([prep.fisher(scheme, np.array([th]), 1.0)[0] for th in grid])

@@ -22,6 +22,7 @@ from tsense import (
     PreparedProbe,
     PureFock,
     SequentialS0,
+    dynamics,
     metrology,
 )
 
@@ -45,10 +46,10 @@ noise = st.one_of(st.just(0.0), st.floats(1e-3, 0.25))
 
 
 @st.composite
-def cases(draw):
-    """A probe with its interaction and a readout."""
+def cases(draw, families=("fock", "noisy", "coherent")):
+    """A probe of one of ``families`` with its interaction and a readout."""
     kind = draw(st.sampled_from([I, II]))
-    family = draw(st.sampled_from(["fock", "noisy", "coherent"]))
+    family = draw(st.sampled_from(families))
     if family == "fock":
         probe = PureFock(tuple(draw(st.integers(0, 6)) for _ in range(kind.n_modes)))
     elif family == "noisy":
@@ -89,19 +90,40 @@ def assert_close(got, want):
     case=cases(),
     grid=grids,
     t=st.floats(0.25, 2.0),
-    block=st.sampled_from([1, 24, 200, metrology.BLOCK_ELEMENTS]),
+    # in floats: a complex element holds 4, a real one 2
+    block=st.sampled_from([4, 96, 800, metrology.BLOCK_FLOATS]),
 )
 def test_stacked_kernel_matches_per_ladder_loop(case, grid, t, block):
     kind, probe, scheme = case
     with pytest.MonkeyPatch.context() as patch:
         # small budgets cut every stack, and the grid, into several blocks
-        patch.setattr(metrology, "BLOCK_ELEMENTS", block)
+        patch.setattr(metrology, "BLOCK_FLOATS", block)
         prep = PreparedProbe(probe, kind)
         got = prep.distributions(grid, t)
         fisher = prep.fisher(scheme, grid, t)
     for moment, want in zip(got, distributions_per_ladder(probe, kind, grid, t)):
         assert_close(moment, want)
     assert_close(fisher, fisher_per_ladder(probe, kind, scheme, grid, t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cases(("fock", "noisy")), grid=grids, t=st.floats(0.25, 2.0))
+def test_real_formula_matches_the_complex_one(case, grid, t):
+    kind, probe, scheme = case
+    grid = np.concatenate([[0.0, 1e-300], grid])
+    real = PreparedProbe(probe, kind)
+    assert all(w.dtype == float for w in real.spectral_weights)
+    complex_weights = dynamics.spectral_weights
+    with pytest.MonkeyPatch.context() as patch:
+        # complex initial vectors always take the complex formula
+        patch.setattr(dynamics, "spectral_weights",
+                      lambda spec, psi: complex_weights(spec, psi.astype(complex)))
+        forced = PreparedProbe(probe, kind)
+    assert all(w.dtype == complex for w in forced.spectral_weights)
+    pairs = [*zip(real.distributions(grid, t), forced.distributions(grid, t)),
+             (real.fisher(scheme, grid, t), forced.fisher(scheme, grid, t))]
+    for got, want in pairs:
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("kind", [I, II])
