@@ -15,38 +15,30 @@ The d x d eigenvector matrix of G is never built: U and V hold about
 d^2/2 floats per ladder.  Every array may carry leading stack axes, one
 entry per ladder of equal d, and a stack goes through one stacked SVD.
 
-With a = U^T psi_even, b = V^T psi_odd, p = (a + b)/2 and q = (a - b)/2
-over the paired columns, and E = exp(-i x s), the evolved vector is
-
-    U^T c_even = E p + conj(E) q  (and a0 = u0^T psi_even),
-    V^T c_odd  = E p - conj(E) q,
-
-and as dE/dtheta = -i t s E, the theta-derivative of either half is
--i t s times the other half, which gives c' as an exact analytic
-expression: Fisher-information limits at theta -> 0 carry no
-finite-difference noise.
-
 The rung gauge: multiplying the odd rungs by i (D = diag(i^(k mod 2)))
 turns the propagator into the real orthogonal
 
     D exp(-i x G) D^-1 = [[U C U^T + u0 u0^T,  -U S V^T],
                           [V S U^T,             V C V^T]],
 
-C = cos(xS), S = sin(xS).  A ladder whose initial vector psi is real
-and sits on rungs of the parity of r then stays real in the gauged
-amplitudes c~_k = i^((k mod 2) - (r mod 2)) c_k, which equal c on the
-rungs of that parity and start from c~ = psi.  With alpha = U^T psi_even over the paired columns
-(the null entry a0 stays constant) and beta = V^T psi_odd,
+C = cos(xS), S = sin(xS), which evolves the real and the imaginary part
+of a gauged vector D psi each on its own.  So every ladder evolves r
+real rows.  In general r = 2, the real and imaginary parts of D psi, and
+c_k = i^-(k mod 2) (c~_0 + i c~_1).  Where psi is real and sits on the
+rungs of one parity, that of the start rung r0 (every Fock and noisy-Fock
+ladder), one part of D psi vanishes and r = 1: c~_k = i^((k mod 2) -
+(r0 mod 2)) c_k.  With alpha = U^T over a row's even rungs (paired
+columns; the null entry a0 stays constant) and beta = V^T over its odd
+rungs, y = exp(i x s) (alpha + i beta) gives
 
-    U^T c~_even = Y_E = C alpha - S beta,
-    V^T c~_odd  = Y_O = S alpha + C beta,
+    U^T c~_even = Re y = C alpha - S beta,
+    V^T c~_odd  = Im y = S alpha + C beta,
 
-whose theta-derivatives are -t s Y_O and t s Y_E.  The gauge factor has
-modulus 1 and is the same on c and c', so |c~| = |c|, c~ c~' = Re(c* c')
-and |c~'| = |c'|: populations, their derivatives and S come out as the
-same numbers from half the product columns.  Every Fock and noisy-Fock
-stack starts each ladder on one rung, so it evolves this way; coherent
-stacks, and any complex initial vector, take the complex formula above.
+and as dy/dtheta = i t s y the theta-derivatives are -t s Im y and
+t s Re y: c' is exact and analytic, so Fisher-information limits at
+theta -> 0 carry no finite-difference noise.  Summed over the rows,
+c~^2 = |c|^2, c~ c~' = Re(c* c') and c~'^2 = |c'|^2: populations, their
+derivatives and S are sums over real rows.
 """
 from __future__ import annotations
 
@@ -99,80 +91,61 @@ def diagonalize(offdiag: np.ndarray) -> Spectrum:
 
 
 def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> np.ndarray:
-    """The weights of the (..., d) initial vectors ``psi0``, in rung order
-    (see the module docstring): real [alpha, beta, a0] when ``psi0`` is
-    real and each row's nonzero entries share one rung parity, otherwise
-    complex [p, q, a0]; a0 is present for odd d only."""
-    real = not np.iscomplexobj(psi0)
-    if real:
-        nonzero = np.asarray(psi0) != 0
-        real = not np.any(nonzero[..., 0::2].any(-1) & nonzero[..., 1::2].any(-1))
-    psi = np.ascontiguousarray(psi0, dtype=float if real else complex)
-    # complex vectors enter real products as (real, imaginary) column pairs
+    """The real (..., r, d) weights of the (..., d) initial vectors ``psi0``,
+    one row [alpha, beta, a0] per real row of the gauged vector (see the
+    module docstring; a0 for odd d only): r = 1 when ``psi0`` is real and
+    each row's nonzero entries share one rung parity, else r = 2."""
+    nonzero = np.asarray(psi0) != 0
+    two = np.iscomplexobj(psi0) or np.any(nonzero[..., 0::2].any(-1) & nonzero[..., 1::2].any(-1))
+    psi = np.ascontiguousarray(psi0, dtype=complex if two else float)
+    # rung x row, the rows of a complex vector its real and imaginary parts
     rows = psi.view(float).reshape(*psi.shape, -1)
-    a = (spectrum.u.swapaxes(-1, -2) @ rows[..., 0::2, :]).view(psi.dtype)[..., 0]
-    b = (spectrum.v.swapaxes(-1, -2) @ rows[..., 1::2, :]).view(psi.dtype)[..., 0]
-    n = b.shape[-1]
-    if real:
-        return np.concatenate([a[..., :n], b, a[..., n:]], axis=-1)
-    return np.concatenate([(a[..., :n] + b) / 2, (a[..., :n] - b) / 2, a[..., n:]], axis=-1)
+    a = spectrum.u.swapaxes(-1, -2) @ rows[..., 0::2, :]
+    b = spectrum.v.swapaxes(-1, -2) @ rows[..., 1::2, :]
+    if two:
+        # the gauge's i on the odd rungs: (Re b, Im b) -> (-Im b, Re b)
+        b = b[..., ::-1] * [-1.0, 1.0]
+    n = b.shape[-2]
+    return np.concatenate([a[..., :n, :], b, a[..., n:, :]], axis=-2).swapaxes(-1, -2)
 
 
 def evolve_vector(
     spectrum: Spectrum, weights: np.ndarray, couplings: np.ndarray, time: float
 ) -> np.ndarray:
-    """Evolved amplitudes c and their coupling derivatives c'.
-
-    ``weights`` are the initial vectors' (..., d) weights (see
-    :func:`spectral_weights`) and ``couplings`` a 1-D grid of G couplings.
-    The result is a (2 x ... x G x d) array that unpacks as ``c, dc``,
-    each with the stack's leading axes, one row per coupling and one
-    column per rung; it is real, and holds the gauged c~ and c~', for
-    real weights.  The factors are real, so the whole stack and grid go
-    through one real product with U, written into the even rungs, and
-    one with V, written into the odd rungs: 2 columns per coupling for
-    real weights, 4 for complex ones.
-    """
+    """Gauged amplitudes c~ and their coupling derivatives c~', a real
+    (2 x ... x r x G x d) array that unpacks as ``c, dc``, from the
+    (..., r, d) ``weights`` of :func:`spectral_weights` and a 1-D grid of
+    ``couplings``.  Every row and coupling of the stack goes through one
+    product with U and one with V: 2r columns per coupling."""
     s, u, v = spectrum
-    *lead, d = weights.shape
+    *lead, r, d = weights.shape
     n = s.shape[-1]
     th = np.asarray(couplings, dtype=float)
     g = len(th)
-    w = weights.reshape(-1, d, 1)
+    # ladder x row x rung x 1
+    w = weights.reshape(-1, r, d, 1)
     m = len(w)
-    # rows V^T c_odd, then U^T c_even (a0 last); columns (c, c') x coupling
-    if np.iscomplexobj(weights):
-        # ladder x singular value x coupling
-        gen = (-1j * time) * s.reshape(m, n, 1)
-        phase = np.exp(gen * th)
-        ep, eq = phase * w[:, :n], phase.conj() * w[:, n : 2 * n]
-        z = np.zeros((m, d, 2, g), dtype=complex)
-        halves = z[:, : 2 * n].reshape(m, 2, n, 2, g)
-        np.subtract(ep, eq, out=halves[:, 0, :, 0])
-        np.add(ep, eq, out=halves[:, 1, :, 0])
-        # the derivative of either half is -i t s times the other half
-        np.multiply(gen[:, None], halves[:, ::-1, :, 0], out=halves[:, :, :, 1])
-    else:
-        rate = time * s.reshape(m, n, 1)
-        x = rate * th
-        cos, sin = np.cos(x), np.sin(x)
-        alpha, beta = w[:, :n], w[:, n : 2 * n]
-        z = np.zeros((m, d, 2, g))
-        # Y_O = S alpha + C beta and Y_E = C alpha - S beta, whose
-        # derivatives are t s Y_E and -t s Y_O
-        y_odd, y_even = z[:, :n, 0], z[:, n : 2 * n, 0]
-        np.multiply(sin, alpha, out=y_odd)
-        y_odd += cos * beta
-        np.multiply(cos, alpha, out=y_even)
-        y_even -= sin * beta
-        np.multiply(rate, y_even, out=z[:, :n, 1])
-        np.multiply(-rate, y_odd, out=z[:, n : 2 * n, 1])
-    z[:, 2 * n :, 0] = w[:, 2 * n :]
-    cols = z.view(float).reshape(*lead, d, -1)
+    # ladder x row x singular value x coupling
+    rate = time * s.reshape(m, 1, n, 1)
+    x = rate * th
+    # exp(i x s) from cos and sin, which numpy evaluates faster than exp(i x s)
+    phase = np.empty(x.shape, complex)
+    np.cos(x, out=phase.real)
+    np.sin(x, out=phase.imag)
+    y = phase * (w[:, :, :n] + 1j * w[:, :, n : 2 * n])
+    # rows V^T c~_odd = Im y, then U^T c~_even = Re y (a0 last); columns
+    # (c~, c~') x coupling, the derivatives t s Re y and -t s Im y
+    z = np.zeros((m, r, d, 2, g))
+    z[:, :, :n, 0] = y.imag
+    z[:, :, n : 2 * n, 0] = y.real
+    np.multiply(rate, y.real, out=z[:, :, :n, 1])
+    np.multiply(-rate, y.imag, out=z[:, :, n : 2 * n, 1])
+    z[:, :, 2 * n :, 0] = w[:, :, 2 * n :]
+    cols = z.reshape(*lead, r, d, -1)
     moved = np.empty(cols.shape)
-    np.matmul(u, cols[..., n:, :], out=moved[..., 0::2, :])
-    np.matmul(v, cols[..., :n, :], out=moved[..., 1::2, :])
-    # stored as (..., d, 2, G); returned as the view (2, ..., G, d)
-    moved = moved.view(z.dtype).reshape(*lead, d, 2, g)
+    np.matmul(u[..., None, :, :], cols[..., n:, :], out=moved[..., 0::2, :])
+    np.matmul(v[..., None, :, :], cols[..., :n, :], out=moved[..., 1::2, :])
+    # stored as (..., r, d, 2, G); returned as the view (2, ..., r, G, d)
+    moved = moved.reshape(*lead, r, d, 2, g)
     k = len(lead)
-    return moved.transpose(k + 1, *range(k), k + 2, k)
+    return moved.transpose(k + 2, *range(k + 1), k + 3, k + 1)

@@ -30,7 +30,7 @@ from .probes import CoherentProduct, Probe, PureFock, _is_integer, decompose
 
 ZERO_PROB = 1e-14
 # floats evaluated at once over ladders x rungs x couplings: an element
-# carries c and c', 2 floats in a real stack and 4 in a complex one
+# carries c~ and c~' in each of its ladder's r rows, 2r floats
 BLOCK_FLOATS = 4 * 6144
 # couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
 # point at the bracket's centre and narrows the bracket 16-fold
@@ -39,7 +39,7 @@ ZOOM_POINTS = 33
 REL_TOL = 1e-4
 # couplings on one scan grid; refused above it before any allocation
 MAX_STEPS = 2**20
-# P = |c|^2, P' = 2 Re c* c' and S = 2 |c'|^2
+# P = sum c~^2, P' = 2 sum c~ c~' and S = 2 sum c~'^2, over ladders and rows
 _MOMENT_SCALE = np.array([[1.0], [2.0], [2.0]])
 
 
@@ -109,12 +109,11 @@ class PreparedProbe:
     Each stack of ladders (see :func:`tsense.probes.decompose`) keeps its
     stacked spectrum and the spectral weights of its initial vectors
     scaled by the square root of each ladder's weight, so that the
-    populations of a stack add up without weights.  Where every ladder of
-    a stack starts real on rungs of one parity, as in every Fock and
-    noisy-Fock stack, its weights are real and it evolves in real
-    arithmetic (see :mod:`tsense.dynamics`).  Rung k of every ladder is
-    outcome k, so there are as many outcomes as the largest ladder has
-    rungs.
+    populations of a stack add up without weights.  The weights are the
+    real rows of the rung gauge (see :mod:`tsense.dynamics`): one per
+    ladder in Fock and noisy-Fock stacks, two in coherent ones.  Rung k of
+    every ladder is outcome k, so there are as many outcomes as the
+    largest ladder has rungs.
     """
 
     def __init__(self, probe: Probe, kind: InteractionKind):
@@ -127,8 +126,8 @@ class PreparedProbe:
         self.n_outcomes = max(s.d for s in stacks)
         # couplings per evaluation block, so that one ladder's rungs x
         # couplings stay within BLOCK_FLOATS
-        floats = max(map(_element_floats, self.spectral_weights))
-        self.block_rows = max(1, BLOCK_FLOATS // (floats * self.n_outcomes))
+        rows = max(w.shape[1] for w in self.spectral_weights)
+        self.block_rows = max(1, BLOCK_FLOATS // (2 * rows * self.n_outcomes))
         # (order, starts) of each scheme's outcome partition, see fisher
         self._partitions: dict = {}
 
@@ -136,7 +135,7 @@ class PreparedProbe:
         """Aggregated P, P' and S over the occupation of mode a (a').
 
         The result is a (3 x G x n_outcomes) array that unpacks as
-        ``P, dP, S``, one row per coupling, S = 2 sum |c'|^2 (equal to P''
+        ``P, dP, S``, one row per coupling, S = 2 sum c~'^2 (equal to P''
         where P vanishes).  Each stack is evolved in slices of as many
         ladders as keep the floats of ladders x rungs x couplings within
         BLOCK_FLOATS (at least one), and each slice adds its sum over
@@ -146,17 +145,17 @@ class PreparedProbe:
         # laid out as outcome x (P, P', S) x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, n))
         for (s, u, v), weights in zip(self.spectra, self.spectral_weights):
-            m, d = weights.shape
-            step = max(1, BLOCK_FLOATS // (_element_floats(weights) * d * n))
+            m, r, d = weights.shape
+            step = max(1, BLOCK_FLOATS // (2 * r * d * n))
             for lo in range(0, m, step):
                 part = slice(lo, lo + step)
                 spec = dynamics.Spectrum(s[part], u[part], v[part])
                 amps = dynamics.evolve_vector(spec, weights[part], couplings, time)
-                # ladder x rung x (c, c') x coupling
-                amps = amps.transpose(1, 3, 0, 2)
-                # |c|^2 and Re c* c', then |c'|^2, for each rung and coupling
-                moments[:d, :2] += np.add.reduce((np.conj(amps[:, :, :1]) * amps).real)
-                moments[:d, 2] += np.add.reduce(np.abs(amps[:, :, 1]) ** 2)
+                # (ladder, row) x rung x (c~, c~') x coupling
+                amps = amps.transpose(1, 2, 4, 0, 3).reshape(-1, d, 2, n)
+                # c~^2 and c~ c~', then c~'^2, summed over ladders and rows
+                moments[:d, :2] += np.add.reduce(amps[:, :, :1] * amps)
+                moments[:d, 2] += np.add.reduce(amps[:, :, 1] ** 2)
         moments *= _MOMENT_SCALE
         return moments.transpose(1, 2, 0)
 
@@ -185,11 +184,6 @@ class PreparedProbe:
             starts = np.array([0, *accumulate(len(g) for g in groups[:-1])])
             cached = self._partitions[scheme] = (order, starts)
         return cached
-
-
-def _element_floats(weights: np.ndarray) -> int:
-    """Floats that one evolved element of these weights carries: c and c'."""
-    return 2 * weights.itemsize // 8
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray, s: np.ndarray) -> np.ndarray:

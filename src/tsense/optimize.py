@@ -194,17 +194,20 @@ def lagrange_relaxation(kind: InteractionKind, total: float) -> Optional[tuple[f
     The other root is negative for N > 1 (I) and N > 3/2 (II); below
     N = 1 both roots of I are negative.  None when the quadratic has no
     real root: N below about 0.95 for I and 1.29 for II, so among
-    integers only N = 1 of interaction II.  NumericError once 4N^2
-    overflows a float (N from about 6.7e153).
+    integers only N = 1 of interaction II.  The quadratic is solved for
+    N scaled by 2^-k, k its binary exponent, so that 4N^2 cannot overflow;
+    the scaling is exact, and the roots stay finite up to the largest float.
     """
     if not (_finite(total) and total > 0):
         raise ConfigurationError(f"total must be positive and finite, got {total}")
     one = kind is InteractionKind.I
     p, q, r, den = (3.0, 12.0, 15.0, 12.0) if one else (1.0, 8.0, 17.0, 6.0)
-    disc = 4.0 * total * total + q * total - r
+    k = max(math.frexp(total)[1], 0)
+    n, h = math.ldexp(total, -k), math.ldexp(1.0, -k)
+    disc = 4.0 * n * n + q * n * h - r * h * h
     if disc < 0:
         return None
-    x = (2.0 * total - p + math.sqrt(disc)) / den  # m for I, n_b for II
+    x = math.ldexp((2.0 * n - p * h + math.sqrt(disc)) / den, k)  # m for I, n_b for II
     occs = (total - 2.0 * x, x, x) if one else (total - x, x)
     if not all(map(math.isfinite, occs)):
         raise NumericError(f"the relaxation at total {total} is not finite")

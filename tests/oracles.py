@@ -17,8 +17,9 @@ stationarity system, with no symmetry assumed.
 
 The one exception is the per-ladder Fisher loop, the reference for the
 stacked kernel: it runs the package's diagonalization, spectral weights
-and evolution on one ladder at a time, the ladders walked here and
-found without the package's decomposition, and adds each ladder's
+and evolution on one ladder at a time, from complex initial vectors (two
+rows of the rung gauge, see :func:`ungauged`), the ladders walked here
+and found without the package's decomposition, and adds each ladder's
 populations into the measured occupations by fancy indexing.
 """
 import heapq
@@ -130,6 +131,17 @@ def evolved_amplitudes_taylor(tridiag: np.ndarray, root: int, theta_t: float) ->
     """Column of exp(-i theta t G) for the root rung, via the Taylor oracle."""
     u = expm_taylor(-1j * theta_t * tridiag)
     return u[:, root]
+
+
+def ungauged(rows: np.ndarray, start: int = 0) -> np.ndarray:
+    """Amplitudes c from the (..., r, G, d) real rows c~ of the rung gauge
+    that ``evolve_vector`` returns (and likewise c' from c~'): c_k =
+    i^-(k mod 2) (c~_0 + i c~_1) for two rows, c_k = i^((start mod 2) -
+    (k mod 2)) c~_k for the one row of a ladder started on rung ``start``."""
+    k = np.arange(rows.shape[-1]) % 2
+    if rows.shape[-3] == 2:
+        return (rows[..., 0, :, :] + 1j * rows[..., 1, :, :]) / 1j**k
+    return rows[..., 0, :, :] * 1j ** (start % 2 - k)
 
 
 def central_diff(fn, x: float, step: float = 1e-5):
@@ -294,7 +306,7 @@ def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: floa
     moments = np.zeros((n_outcomes, 3, len(couplings)))
     for weight, rungs, offdiag, psi in parts:
         spec = diagonalize(offdiag)
-        c, dc = evolve_vector(spec, spectral_weights(spec, psi), couplings, time)
+        c, dc = map(ungauged, evolve_vector(spec, spectral_weights(spec, psi), couplings, time))
         prods = np.stack([np.abs(c) ** 2, 2.0 * (np.conj(c) * dc).real, 2.0 * np.abs(dc) ** 2])
         moments[rungs[:, 0]] += weight * prods.transpose(2, 0, 1)
     return moments.transpose(1, 2, 0)

@@ -31,7 +31,7 @@ from tsense import (
     spectral_weights,
 )
 
-from oracles import evolved_amplitudes_taylor, second_diff_5, tridiagonal
+from oracles import evolved_amplitudes_taylor, second_diff_5, tridiagonal, ungauged
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -62,11 +62,13 @@ def spectrum_of(kind, occs):
 
 
 def evolve_root(stack, spec, coupling, dtype=float):
-    """Amplitudes c, c' at one coupling from the ladder's root rung, t = 1:
-    the gauged c~ and c~' of the real formula, which have the moduli of c
-    and c', or with ``dtype=complex`` c and c' themselves."""
+    """Amplitudes c, c' at one coupling from the ladder's root rung, t = 1,
+    rebuilt from the rung gauge's rows: one row for the stack's real
+    amplitudes, two with ``dtype=complex``."""
     weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
-    return evolve_vector(spec, weights, np.array([coupling]), 1.0)[:, 0]
+    (start,) = np.flatnonzero(stack.amplitudes[0])
+    gauged = evolve_vector(spec, weights, np.array([coupling]), 1.0)
+    return np.stack([ungauged(rows, start)[0] for rows in gauged])
 
 
 def test_criterion_1_closed_form_limits():

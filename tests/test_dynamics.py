@@ -24,6 +24,7 @@ from oracles import (
     expm_taylor,
     second_diff_5,
     tridiagonal,
+    ungauged,
 )
 
 I, II = InteractionKind.I, InteractionKind.II
@@ -70,13 +71,13 @@ def root_rung(stack):
 def evolve_root(stack, spec, couplings, time=1.0, dtype=float):
     """Amplitudes c, c' evolved from the ladder's root rung.
 
-    Each is a (G x d) array, one row per coupling.  The stack's real
-    amplitudes take the real formula, whose gauged c~ and c~' have the
-    moduli of c and c' and equal c at zero coupling; ``dtype=complex``
-    takes the complex formula, whose c is the amplitude itself.
+    Each is a (G x d) array, one row per coupling, rebuilt from the rung
+    gauge's rows: one row for the stack's real amplitudes, two with
+    ``dtype=complex``.
     """
     weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
-    return evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time)
+    gauged = evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time)
+    return np.stack([ungauged(rows, root_rung(stack)) for rows in gauged])
 
 
 def test_trivial_spectrum():
@@ -208,7 +209,7 @@ def test_general_vectors_and_derivatives_match_taylor_exponential(kind):
         stack, spec = spectrum_of(kind, root)
         g = tridiagonal(stack.offdiag[0])
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        c, dc = evolve_vector(spec, spectral_weights(spec, psi), grid, time)
+        c, dc = map(ungauged, evolve_vector(spec, spectral_weights(spec, psi), grid, time))
         for i, theta in enumerate(grid):
             want = expm_taylor(-1j * theta * time * g) @ psi
             dwant = -1j * time * g @ want
@@ -235,12 +236,12 @@ def test_grid_rows_match_taylor_exponential(kind, root):
     [(I, (1, 1, 1)), (I, (2, 2, 2)), (I, (2, 3, 1)), (I, (5, 2, 4)), (II, (1, 3)), (II, (2, 2))],
 )
 def test_real_formula_is_the_rung_gauge_of_the_amplitudes(kind, root):
-    # c~_k = i^((k mod 2) - (r mod 2)) c_k for a ladder started on rung r,
-    # and likewise for c'; roots on even and odd rungs, ladders of odd d
-    # (with the null column) and of even d
+    # the one row of a Fock ladder started on rung r holds
+    # c~_k = i^((k mod 2) - (r mod 2)) c_k, and likewise c~'; roots on even
+    # and odd rungs, ladders of odd d (with the null column) and of even d
     stack, spec = spectrum_of(kind, root)
     grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
-    c, dc = evolve_root(stack, spec, grid)
+    c, dc = evolve_vector(spec, spectral_weights(spec, stack.amplitudes[0]), grid, 1.0)[:, 0]
     assert c.dtype == dc.dtype == float
     g, r = tridiagonal(stack.offdiag[0]), root_rung(stack)
     gauge = 1j ** (np.arange(stack.d) % 2 - r % 2)
@@ -252,6 +253,38 @@ def test_real_formula_is_the_rung_gauge_of_the_amplitudes(kind, root):
         )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from([I, II]),
+    d=st.integers(1, 30),
+    complex_psi=st.booleans(),
+    theta=st.floats(-1.5, 1.5),
+    time=st.floats(0.25, 1.5),
+)
+def test_two_rows_match_taylor_exponential(data, kind, d, complex_psi, theta, time):
+    # complex vectors, and real ones on rungs of both parities, evolve as
+    # the two rows of the rung gauge; c and c' are rebuilt from them
+    root = (0, d - 1, d + 1) if kind is I else (0, 2 * d - 1)
+    stack, spec = spectrum_of(kind, root)
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    psi = np.array(data.draw(entries))
+    if complex_psi or d == 1:
+        psi = psi + 1j * np.array(data.draw(entries))
+    else:
+        psi[:2] = data.draw(st.tuples(st.floats(0.125, 1.0), st.floats(-1.0, -0.125)))
+    weights = spectral_weights(spec, psi)
+    assert weights.shape == (2, d)
+    c, dc = map(ungauged, evolve_vector(spec, weights, np.array([theta]), time))
+    g = tridiagonal(stack.offdiag[0])
+    want = expm_taylor(-1j * theta * time * g) @ psi
+    scale = max(1.0, np.linalg.norm(psi))
+    np.testing.assert_allclose(c[0], want, rtol=0, atol=1e-11 * scale)
+    np.testing.assert_allclose(
+        dc[0], -1j * time * g @ want, rtol=0, atol=1e-10 * scale * max(1.0, len(g))
+    )
+
+
 def test_single_parity_stacks_take_real_weights():
     for probe, kind in [
         (PureFock((2, 1, 1)), I),
@@ -260,7 +293,7 @@ def test_single_parity_stacks_take_real_weights():
         (NoisyFock((3, 2, 2), (0.1,) * 3), I),
     ]:
         prep = PreparedProbe(probe, kind)
-        assert all(w.dtype == float for w in prep.spectral_weights)
+        assert all(w.shape[-2] == 1 for w in prep.spectral_weights)
     # in the noisy (3, 2, 2) the d = 5 and d = 6 stacks hold ladders that
     # start on rungs of both parities, each ladder on one
     stacks = {s.d: s for s in decompose(NoisyFock((3, 2, 2), (0.1,) * 3), I).components}
@@ -269,20 +302,20 @@ def test_single_parity_stacks_take_real_weights():
         assert {k % 2 for k in starts} == {0, 1}
 
 
-def test_complex_or_two_parity_vectors_take_complex_weights():
+def test_complex_or_two_parity_vectors_take_two_rows():
     prep = PreparedProbe(CoherentProduct((1.2, 0.8, 0.6)), I)
-    assert all(w.dtype == complex for w in prep.spectral_weights)
+    assert all(w.shape[-2] == 2 for w in prep.spectral_weights)
     stack, spec = spectrum_of(II, (3, 4))
-    assert spectral_weights(spec, stack.amplitudes[0]).dtype == float
-    assert spectral_weights(spec, stack.amplitudes[0].astype(complex)).dtype == complex
+    assert spectral_weights(spec, stack.amplitudes[0]).shape == (1, stack.d)
+    assert spectral_weights(spec, stack.amplitudes[0].astype(complex)).shape == (2, stack.d)
     # real, but on rungs 1 and 2: its phases do not factor out
     psi = np.zeros(stack.d)
     psi[1:3] = 0.6, 0.8
-    assert spectral_weights(spec, psi).dtype == complex
-    # one such row takes its whole stack to the complex formula
+    assert spectral_weights(spec, psi).shape == (2, stack.d)
+    # one such vector takes its whole stack to two rows
     spectra = diagonalize(np.stack([stack.offdiag[0]] * 2))
-    assert spectral_weights(spectra, np.stack([stack.amplitudes[0], psi])).dtype == complex
-    # the complex formula evolves it as a complex vector would
+    assert spectral_weights(spectra, np.stack([stack.amplitudes[0], psi])).shape == (2, 2, stack.d)
+    # two rows evolve it as a complex vector would
     c, dc = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.3]), 1.0)
     want, dwant = evolve_vector(spec, spectral_weights(spec, psi + 0j), np.array([0.3]), 1.0)
     np.testing.assert_array_equal(c, want)
@@ -375,9 +408,9 @@ def test_evolve_vector_general_initial_state():
     stack, spec = spectrum_of(II, (1, 2))
     psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: stack.d]
     psi /= np.linalg.norm(psi)
-    c = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.4]), 1.0)[0, 0]
+    c = ungauged(evolve_vector(spec, spectral_weights(spec, psi), np.array([0.4]), 1.0)[0])[0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-12
-    back = evolve_vector(spec, spectral_weights(spec, c), np.array([-0.4]), 1.0)[0, 0]
+    back = ungauged(evolve_vector(spec, spectral_weights(spec, c), np.array([-0.4]), 1.0)[0])[0]
     np.testing.assert_allclose(back, psi, atol=1e-12)
 
 

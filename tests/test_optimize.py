@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +161,15 @@ def test_lagrange_relaxation_matches_the_newton_oracle(kind):
         got = lagrange_relaxation(kind, total)
         assert got is not None, (kind, total)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-11 * total, (kind, total)
+
+
+@pytest.mark.parametrize("total", [1e200, sys.float_info.max])
+def test_lagrange_relaxation_is_finite_up_to_the_largest_float(total):
+    # 4 N^2 overflows from N of about 6.7e153; the roots approach
+    # (N/3, N/3, N/3) for I and (N/3, 2N/3) for II
+    third = total / 3.0
+    np.testing.assert_allclose(lagrange_relaxation(I, total), (third,) * 3, rtol=1e-15)
+    np.testing.assert_allclose(lagrange_relaxation(II, total), (third, 2.0 * third), rtol=1e-15)
 
 
 def test_lagrange_relaxation_is_none_without_a_real_root():
@@ -466,14 +476,11 @@ def test_closed_forms_refuse_non_finite_totals(kind, total):
         (lambda: optimize_config_weighted(I, (1, 1, 1), 10**400), ConfigurationError),
         (lambda: cramer_rao(math.nan, 1), UndefinedBoundError),
         (lambda: cramer_rao(math.inf, 1), UndefinedBoundError),
-        # 4 N^2 overflows in the relaxation, 8 t^2 N^3 / 27 in the asymptote
-        (lambda: lagrange_relaxation(I, 1e200), NumericError),
-        (lambda: lagrange_relaxation(II, 1e300), NumericError),
+        # 8 t^2 N^3 / 27 overflows in the asymptote
         (lambda: asymptotic_prediction(I, 1e100, t=1e200), NumericError),
     ],
     ids=["relaxation", "asymptote", "asymptote-cube", "weighted-ratio", "weighted-budget",
-         "cramer-rao-nan", "cramer-rao-inf", "relaxation-square-I", "relaxation-square-II",
-         "asymptote-time"],
+         "cramer-rao-nan", "cramer-rao-inf", "asymptote-time"],
 )
 def test_numbers_past_a_float_are_refused_not_raised(call, error):
     with pytest.raises(error):

@@ -90,7 +90,7 @@ def assert_close(got, want):
     case=cases(),
     grid=grids,
     t=st.floats(0.25, 2.0),
-    # in floats: a complex element holds 4, a real one 2
+    # in floats: an element holds 2 per row, 2 in a Fock stack and 4 in a coherent one
     block=st.sampled_from([4, 96, 800, metrology.BLOCK_FLOATS]),
 )
 def test_stacked_kernel_matches_per_ladder_loop(case, grid, t, block):
@@ -108,20 +108,20 @@ def test_stacked_kernel_matches_per_ladder_loop(case, grid, t, block):
 
 @settings(max_examples=80, deadline=None)
 @given(case=cases(("fock", "noisy")), grid=grids, t=st.floats(0.25, 2.0))
-def test_real_formula_matches_the_complex_one(case, grid, t):
+def test_one_row_matches_two_rows(case, grid, t):
     kind, probe, scheme = case
     grid = np.concatenate([[0.0, 1e-300], grid])
-    real = PreparedProbe(probe, kind)
-    assert all(w.dtype == float for w in real.spectral_weights)
-    complex_weights = dynamics.spectral_weights
+    one = PreparedProbe(probe, kind)
+    assert all(w.shape[-2] == 1 for w in one.spectral_weights)
+    weights = dynamics.spectral_weights
     with pytest.MonkeyPatch.context() as patch:
-        # complex initial vectors always take the complex formula
+        # complex initial vectors always take two rows
         patch.setattr(dynamics, "spectral_weights",
-                      lambda spec, psi: complex_weights(spec, psi.astype(complex)))
-        forced = PreparedProbe(probe, kind)
-    assert all(w.dtype == complex for w in forced.spectral_weights)
-    pairs = [*zip(real.distributions(grid, t), forced.distributions(grid, t)),
-             (real.fisher(scheme, grid, t), forced.fisher(scheme, grid, t))]
+                      lambda spec, psi: weights(spec, psi.astype(complex)))
+        two = PreparedProbe(probe, kind)
+    assert all(w.shape[-2] == 2 for w in two.spectral_weights)
+    pairs = [*zip(one.distributions(grid, t), two.distributions(grid, t)),
+             (one.fisher(scheme, grid, t), two.fisher(scheme, grid, t))]
     for got, want in pairs:
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
@@ -155,3 +155,37 @@ def test_oracle_ladders_are_the_dense_reachable_blocks(kind):
         start[states.index(root)] = 1.0
         assert weight == 1.0
         np.testing.assert_array_equal(psi, start)
+
+
+@pytest.mark.parametrize("probe, kind, steps, block_rows, slices", [
+    # one d = 401 ladder: 30 couplings per block, one ladder per slice
+    (PureFock((200, 200, 200)), I, 101, 30, {30: (1,), 11: (1,)}),
+    # stacks of d = 4 ... 8
+    (NoisyFock((3, 2, 2), (0.1,) * 3), I, 2000, 1536,
+     {1536: (2, 1, 1, 1, 1), 464: (5, 5, 4, 3, 1)}),
+    # stacks of d = 1 ... 11, two rows per ladder
+    (CoherentProduct((0.8, 0.7j, 0.6)), I, 1000, 558,
+     {558: (11, 5, 3, 2, 2, 1, 1, 1, 1, 1, 1), 442: (13, 6, 4, 3, 2, 2, 1, 1, 1, 1, 1)}),
+], ids=["fock", "noisy", "coherent"])
+def test_blocks_and_slices_are_pinned(probe, kind, steps, block_rows, slices):
+    # couplings per fisher block, and for each block size the ladders per
+    # evolved slice of each stack, in ascending d
+    prep = PreparedProbe(probe, kind)
+    assert prep.block_rows == block_rows
+    calls = []
+    evolve = dynamics.evolve_vector
+
+    def record(spec, weights, couplings, time):
+        calls.append((len(couplings), weights.shape[-1], len(weights)))
+        return evolve(spec, weights, couplings, time)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "evolve_vector", record)
+        prep.fisher(FullPNR(), np.linspace(0.0, 0.5, steps), 1.0)
+    longest = {}
+    for g, d, m in calls:
+        longest[g, d] = max(m, longest.get((g, d), 0))
+    dims = sorted(w.shape[-1] for w in prep.spectral_weights)
+    assert longest == {
+        (g, d): m for g, row in slices.items() for d, m in zip(dims, row, strict=True)
+    }
