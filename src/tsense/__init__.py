@@ -1,6 +1,6 @@
 """Fisher-information analysis of trilinear bosonic coupling sensing."""
 
-from .dynamics import Spectrum, diagonalize, evolve_vector, spectral_weights
+from .dynamics import Spectrum, Weights, diagonalize, evolve_vector, spectral_weights
 from .errors import (
     ConfigurationError,
     NumericError,
@@ -65,6 +65,7 @@ __all__ = [
     "TsenseError",
     "UndefinedBoundError",
     "WeightedComponents",
+    "Weights",
     "asymptotic_prediction",
     "cramer_rao",
     "decompose",

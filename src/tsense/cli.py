@@ -142,6 +142,8 @@ class RunConfig:
 
 
 FLAGS = {flag.name: flag for flag in fields(RunConfig)[1:]}
+# the option string of each flag, and the flag's name
+OPTIONS = {"--" + name.replace("_", "-"): name for name in FLAGS}
 
 
 @functools.cache
@@ -153,11 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
     errors and redirection as they would be with a fresh parser.
     """
     flags = argparse.ArgumentParser(add_help=False)
-    for flag in FLAGS.values():
-        meta = flag.metadata
+    for option, name in OPTIONS.items():
+        meta = FLAGS[name].metadata
         flags.add_argument(
-            "--" + flag.name.replace("_", "-"), default=None, help=meta["help"],
-            choices=meta["choices"], type=meta["type"],
+            option, default=None, help=meta["help"], choices=meta["choices"], type=meta["type"],
         )
     flags.add_argument("--config", default=None, help="JSON file presetting any flag")
     parser = argparse.ArgumentParser(
@@ -171,12 +172,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1,1`` as ``--flag=-1,1``: argparse would take a value that
+    starts with "-" and a digit or "." for an option, so it would never
+    reach the package's own parsing and checks."""
+    out: list[str] = []
+    for arg in argv:
+        negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."
+        if negative and out and out[-1] in OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Merge defaults, an optional config file, and explicit flags."""
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_attach_negative_values(argv))
     # a config file may preset any flag, but typing one the subcommand never reads is a mistake
     reads = ("interaction", "time", "out", "format", *COMMANDS[ns.subcommand][1].split())
-    unread = ["--" + key.replace("_", "-") for key in FLAGS
+    unread = [option for option, key in OPTIONS.items()
               if getattr(ns, key) is not None and key not in reads]
     if unread:
         raise ConfigurationError(f"{ns.subcommand} does not read {', '.join(unread)}")

@@ -90,13 +90,28 @@ def diagonalize(offdiag: np.ndarray) -> Spectrum:
     return Spectrum(s=s, u=u, v=vt.swapaxes(-1, -2))
 
 
-def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> np.ndarray:
-    """The real (..., r, d) weights of the (..., d) initial vectors ``psi0``,
-    one row [alpha, beta, a0] per real row of the gauged vector (see the
-    module docstring; a0 for odd d only): r = 1 when ``psi0`` is real and
-    each row's nonzero entries share one rung parity, else r = 2."""
+class Weights(NamedTuple):
+    """Spectral weights in the form :func:`evolve_vector` takes, one row
+    per real row of the gauged vector (see the module docstring):
+    ``rotating`` the complex (..., r, floor(d/2), 1) alpha + i beta and
+    ``constant`` the real (..., r, d mod 2, 1) a0, their last axis
+    broadcasting over couplings.  Built once per initial vector."""
+
+    rotating: np.ndarray
+    constant: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        """r, the real rows per initial vector."""
+        return self.rotating.shape[-3]
+
+
+def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> Weights:
+    """The :class:`Weights` of the (..., d) initial vectors ``psi0``:
+    r = 1 row when ``psi0`` is real and each vector's nonzero entries
+    share one rung parity, else r = 2."""
     nonzero = np.asarray(psi0) != 0
-    two = np.iscomplexobj(psi0) or np.any(nonzero[..., 0::2].any(-1) & nonzero[..., 1::2].any(-1))
+    two = np.iscomplexobj(psi0) or (nonzero[..., 0::2].any(-1) & nonzero[..., 1::2].any(-1)).any()
     psi = np.ascontiguousarray(psi0, dtype=complex if two else float)
     # rung x row, the rows of a complex vector its real and imaginary parts
     rows = psi.view(float).reshape(*psi.shape, -1)
@@ -106,46 +121,47 @@ def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> np.ndarray:
         # the gauge's i on the odd rungs: (Re b, Im b) -> (-Im b, Re b)
         b = b[..., ::-1] * [-1.0, 1.0]
     n = b.shape[-2]
-    return np.concatenate([a[..., :n, :], b, a[..., n:, :]], axis=-2).swapaxes(-1, -2)
+    # row x rung x 1
+    alpha, beta, a0 = (x.swapaxes(-1, -2)[..., None] for x in (a[..., :n, :], b, a[..., n:, :]))
+    return Weights(alpha + 1j * beta, a0)
 
 
 def evolve_vector(
-    spectrum: Spectrum, weights: np.ndarray, couplings: np.ndarray, time: float
+    spectrum: Spectrum, weights: Weights, couplings: np.ndarray, time: float
 ) -> np.ndarray:
     """Gauged amplitudes c~ and their coupling derivatives c~', a real
     (2 x ... x r x G x d) array that unpacks as ``c, dc``, from the
-    (..., r, d) ``weights`` of :func:`spectral_weights` and a 1-D grid of
-    ``couplings``.  Every row and coupling of the stack goes through one
-    product with U and one with V: 2r columns per coupling."""
+    :class:`Weights` of :func:`spectral_weights` (leading axes those of
+    ``spectrum``) and a 1-D grid of ``couplings``.  Every row and coupling
+    of the stack goes through one product with U and one with V: 2r
+    columns per coupling.  Only the phases and what they touch are formed
+    here; everything fixed by the initial vectors is in ``weights``."""
     s, u, v = spectrum
-    *lead, r, d = weights.shape
-    n = s.shape[-1]
-    th = np.asarray(couplings, dtype=float)
-    g = len(th)
-    # ladder x row x rung x 1
-    w = weights.reshape(-1, r, d, 1)
-    m = len(w)
-    # ladder x row x singular value x coupling
-    rate = time * s.reshape(m, 1, n, 1)
-    x = rate * th
+    n, g = s.shape[-1], len(couplings)
+    d = n + u.shape[-1]
+    # ... x row x singular value x coupling
+    rate = time * s[..., None, :, None]
+    x = rate * couplings
     # exp(i x s) from cos and sin, which numpy evaluates faster than exp(i x s)
     phase = np.empty(x.shape, complex)
     np.cos(x, out=phase.real)
     np.sin(x, out=phase.imag)
-    y = phase * (w[:, :, :n] + 1j * w[:, :, n : 2 * n])
+    y = phase * weights.rotating
+    re, im = y.real, y.imag
     # rows V^T c~_odd = Im y, then U^T c~_even = Re y (a0 last); columns
     # (c~, c~') x coupling, the derivatives t s Re y and -t s Im y
-    z = np.zeros((m, r, d, 2, g))
-    z[:, :, :n, 0] = y.imag
-    z[:, :, n : 2 * n, 0] = y.real
-    np.multiply(rate, y.real, out=z[:, :, :n, 1])
-    np.multiply(-rate, y.imag, out=z[:, :, n : 2 * n, 1])
-    z[:, :, 2 * n :, 0] = w[:, :, 2 * n :]
-    cols = z.reshape(*lead, r, d, -1)
+    lead = y.shape[:-2]
+    z = np.zeros((*lead, d, 2, g))
+    z[..., :n, 0, :] = im
+    z[..., n : 2 * n, 0, :] = re
+    np.multiply(rate, re, out=z[..., :n, 1, :])
+    np.multiply(-rate, im, out=z[..., n : 2 * n, 1, :])
+    z[..., 2 * n :, 0, :] = weights.constant
+    cols = z.reshape(*lead, d, 2 * g)
     moved = np.empty(cols.shape)
     np.matmul(u[..., None, :, :], cols[..., n:, :], out=moved[..., 0::2, :])
     np.matmul(v[..., None, :, :], cols[..., :n, :], out=moved[..., 1::2, :])
     # stored as (..., r, d, 2, G); returned as the view (2, ..., r, G, d)
-    moved = moved.reshape(*lead, r, d, 2, g)
+    moved = moved.reshape(*lead, d, 2, g)
     k = len(lead)
-    return moved.transpose(k + 2, *range(k + 1), k + 3, k + 1)
+    return moved.transpose(k + 1, *range(k), k + 2, k)

@@ -106,27 +106,31 @@ class SensitivityProfile:
 class PreparedProbe:
     """Probe decomposed and diagonalized once, reusable across couplings.
 
-    Each stack of ladders (see :func:`tsense.probes.decompose`) keeps its
-    stacked spectrum and the spectral weights of its initial vectors
-    scaled by the square root of each ladder's weight, so that the
-    populations of a stack add up without weights.  The weights are the
-    real rows of the rung gauge (see :mod:`tsense.dynamics`): one per
-    ladder in Fock and noisy-Fock stacks, two in coherent ones.  Rung k of
-    every ladder is outcome k, so there are as many outcomes as the
-    largest ladder has rungs.
+    ``plan`` holds what every evaluation reuses, built once here: per
+    stack of ladders (see :func:`tsense.probes.decompose`) its stacked
+    spectrum, the :class:`~tsense.dynamics.Weights` of its initial
+    vectors scaled by the square root of each ladder's weight, so that the
+    populations of a stack add up without weights, its dimension d, and
+    how many of its ladders fit within BLOCK_FLOATS with one coupling.
+    The weights hold the real rows of the rung gauge (see
+    :mod:`tsense.dynamics`): one per ladder in Fock and noisy-Fock stacks,
+    two in coherent ones.  A call forms only what depends on the couplings
+    and the time.  Rung k of every ladder is outcome k, so there are as
+    many outcomes as the largest ladder has rungs.
     """
 
     def __init__(self, probe: Probe, kind: InteractionKind):
-        stacks = decompose(probe, kind).components
-        self.spectra = [dynamics.diagonalize(s.offdiag) for s in stacks]
-        self.spectral_weights = [
-            dynamics.spectral_weights(spec, s.amplitudes * np.sqrt(s.weights)[:, None])
-            for spec, s in zip(self.spectra, stacks)
-        ]
-        self.n_outcomes = max(s.d for s in stacks)
+        self.plan = []
+        for stack in decompose(probe, kind).components:
+            spectrum = dynamics.diagonalize(stack.offdiag)
+            psi = stack.amplitudes * np.sqrt(stack.weights)[:, None]
+            weights = dynamics.spectral_weights(spectrum, psi)
+            fit = BLOCK_FLOATS // (2 * weights.rows * stack.d)
+            self.plan.append((spectrum, weights, stack.d, fit))
+        self.n_outcomes = max(d for _, _, d, _ in self.plan)
         # couplings per evaluation block, so that one ladder's rungs x
         # couplings stay within BLOCK_FLOATS
-        rows = max(w.shape[1] for w in self.spectral_weights)
+        rows = max(w.rows for _, w, _, _ in self.plan)
         self.block_rows = max(1, BLOCK_FLOATS // (2 * rows * self.n_outcomes))
         # (order, starts) of each scheme's outcome partition, see fisher
         self._partitions: dict = {}
@@ -138,19 +142,22 @@ class PreparedProbe:
         ``P, dP, S``, one row per coupling, S = 2 sum c~'^2 (equal to P''
         where P vanishes).  Each stack is evolved in slices of as many
         ladders as keep the floats of ladders x rungs x couplings within
-        BLOCK_FLOATS (at least one), and each slice adds its sum over
-        ladders into the first d outcomes, one per rung.
+        BLOCK_FLOATS (at least one; a stack that fits is evolved whole),
+        and each slice adds its sum over ladders into the first d
+        outcomes, one per rung.
         """
         n = len(couplings)
         # laid out as outcome x (P, P', S) x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, n))
-        for (s, u, v), weights in zip(self.spectra, self.spectral_weights):
-            m, r, d = weights.shape
-            step = max(1, BLOCK_FLOATS // (2 * r * d * n))
-            for lo in range(0, m, step):
-                part = slice(lo, lo + step)
-                spec = dynamics.Spectrum(s[part], u[part], v[part])
-                amps = dynamics.evolve_vector(spec, weights[part], couplings, time)
+        for spectrum, weights, d, fit in self.plan:
+            m, step = len(spectrum.s), max(1, fit // n)
+            parts = [(spectrum, weights)] if step >= m else [
+                (dynamics.Spectrum(*(a[lo : lo + step] for a in spectrum)),
+                 dynamics.Weights(*(a[lo : lo + step] for a in weights)))
+                for lo in range(0, m, step)
+            ]
+            for part in parts:
+                amps = dynamics.evolve_vector(*part, couplings, time)
                 # (ladder, row) x rung x (c~, c~') x coupling
                 amps = amps.transpose(1, 2, 4, 0, 3).reshape(-1, d, 2, n)
                 # c~^2 and c~ c~', then c~'^2, summed over ladders and rows
@@ -302,8 +309,11 @@ def dynamic_range(profile: SensitivityProfile) -> Optional[float]:
         return None
     grid, f, found = profile.couplings, profile.fisher, i
     a, b = grid[i - 1], grid[i + 1]
+    steps = np.arange(float(ZOOM_POINTS))
     while (b - a) > REL_TOL * max(abs(a) + abs(b), 1e-12):
-        grid = np.linspace(a, b, ZOOM_POINTS)
+        # np.linspace(a, b, ZOOM_POINTS) bit for bit, b - a being positive
+        grid = steps * ((b - a) / (ZOOM_POINTS - 1)) + a
+        grid[-1] = b
         f = profile.prepared.fisher(profile.scheme, grid, profile.time)
         found = _first_minimum(f, 0.0)
         # without one, the minimum sits on a bracket end
@@ -319,9 +329,11 @@ def dynamic_range(profile: SensitivityProfile) -> Optional[float]:
 
 def _first_minimum(f: np.ndarray, floor: float) -> Optional[int]:
     """Index of the first interior local minimum of f, beyond a relative floor."""
-    mid = f[1:-1]
-    tol = floor * (1.0 + np.abs(mid))
-    hits = np.flatnonzero((mid <= f[:-2] + tol) & (mid < f[2:] - tol))
+    mid, left, right = f[1:-1], f[:-2], f[2:]
+    if floor:
+        tol = floor * (1.0 + np.abs(mid))
+        left, right = left + tol, right - tol
+    hits = np.flatnonzero((mid <= left) & (mid < right))
     return int(hits[0]) + 1 if hits.size else None
 
 

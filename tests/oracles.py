@@ -15,12 +15,18 @@ composition of the interaction-I triangle at once as int64 columns.
 The Lagrange relaxation is found by a damped Newton solve of the full
 stationarity system, with no symmetry assumed.
 
-The one exception is the per-ladder Fisher loop, the reference for the
-stacked kernel: it runs the package's diagonalization, spectral weights
-and evolution on one ladder at a time, from complex initial vectors (two
-rows of the rung gauge, see :func:`ungauged`), the ladders walked here
-and found without the package's decomposition, and adds each ladder's
-populations into the measured occupations by fancy indexing.
+Two exceptions reuse parts of the package.  The per-ladder Fisher loop,
+the reference for the stacked kernel, runs the package's
+diagonalization, spectral weights and evolution on one ladder at a time,
+from complex initial vectors (two rows of the rung gauge, see
+:func:`ungauged`), the ladders walked here and found without the
+package's decomposition, and adds each ladder's populations into the
+measured occupations by fancy indexing.  :class:`SlicedReference`, the
+bit-exact reference for ``PreparedProbe``, takes the package's stacks and
+spectra and evaluates them in the package's own arithmetic order, but
+re-derives every probe-fixed array on every call: real [alpha, beta, a0]
+weights turned complex per call, each slice of each stack re-cut and its
+spectrum re-wrapped, the outcome partition rebuilt.
 """
 import heapq
 import itertools
@@ -36,8 +42,10 @@ from tsense import (
     NoisyFock,
     PureFock,
     SequentialS0,
+    decompose,
     diagonalize,
     evolve_vector,
+    metrology,
     spectral_weights,
 )
 from tsense.optimize import _score
@@ -355,6 +363,98 @@ def fisher_per_ladder(probe, kind: InteractionKind, scheme, couplings, time: flo
             else:
                 values[g] += dpg * dpg / pg
     return values
+
+
+def _real_weights(spectrum, psi0: np.ndarray) -> np.ndarray:
+    """The real (..., r, d) rows [alpha, beta, a0] of the rung gauge."""
+    nonzero = np.asarray(psi0) != 0
+    two = np.iscomplexobj(psi0) or np.any(nonzero[..., 0::2].any(-1) & nonzero[..., 1::2].any(-1))
+    psi = np.ascontiguousarray(psi0, dtype=complex if two else float)
+    rows = psi.view(float).reshape(*psi.shape, -1)
+    a = spectrum.u.swapaxes(-1, -2) @ rows[..., 0::2, :]
+    b = spectrum.v.swapaxes(-1, -2) @ rows[..., 1::2, :]
+    if two:
+        b = b[..., ::-1] * [-1.0, 1.0]
+    n = b.shape[-2]
+    return np.concatenate([a[..., :n, :], b, a[..., n:, :]], axis=-2).swapaxes(-1, -2)
+
+
+def _evolve_real(spectrum, weights: np.ndarray, couplings: np.ndarray, time: float):
+    """c~ and c~' as (2 x m x r x G x d) from (m, r, d) real weights, the
+    complex alpha + i beta formed anew."""
+    s, u, v = spectrum
+    m, r, d = weights.shape
+    n, g = s.shape[-1], len(couplings)
+    w = weights.reshape(m, r, d, 1)
+    rate = time * s.reshape(m, 1, n, 1)
+    x = rate * couplings
+    phase = np.empty(x.shape, complex)
+    np.cos(x, out=phase.real)
+    np.sin(x, out=phase.imag)
+    y = phase * (w[:, :, :n] + 1j * w[:, :, n : 2 * n])
+    z = np.zeros((m, r, d, 2, g))
+    z[:, :, :n, 0] = y.imag
+    z[:, :, n : 2 * n, 0] = y.real
+    np.multiply(rate, y.real, out=z[:, :, :n, 1])
+    np.multiply(-rate, y.imag, out=z[:, :, n : 2 * n, 1])
+    z[:, :, 2 * n :, 0] = w[:, :, 2 * n :]
+    cols = z.reshape(m, r, d, -1)
+    moved = np.empty(cols.shape)
+    np.matmul(u[:, None], cols[..., n:, :], out=moved[..., 0::2, :])
+    np.matmul(v[:, None], cols[..., :n, :], out=moved[..., 1::2, :])
+    return moved.reshape(m, r, d, 2, g).transpose(3, 0, 1, 4, 2)
+
+
+class SlicedReference:
+    """``PreparedProbe.distributions`` and ``.fisher`` with nothing kept
+    between calls but the stacks' spectra and real weights: each call
+    cuts every stack into slices of max(1, BLOCK_FLOATS // (2 r d G))
+    ladders, evolves each slice, adds c~^2, c~ c~' and c~'^2 summed over
+    (ladder, row) into the first d outcomes, scales by (1, 2, 2), then
+    groups outcomes by ``np.add.reduceat`` and sums the Fisher terms,
+    block by block of couplings."""
+
+    def __init__(self, probe, kind: InteractionKind):
+        stacks = decompose(probe, kind).components
+        self.spectra = [diagonalize(s.offdiag) for s in stacks]
+        self.weights = [
+            _real_weights(spec, s.amplitudes * np.sqrt(s.weights)[:, None])
+            for spec, s in zip(self.spectra, stacks)
+        ]
+        self.n_outcomes = max(s.d for s in stacks)
+        rows = max(w.shape[1] for w in self.weights)
+        self.block_rows = max(1, metrology.BLOCK_FLOATS // (2 * rows * self.n_outcomes))
+
+    def distributions(self, couplings, time: float) -> np.ndarray:
+        n = len(couplings)
+        moments = np.zeros((self.n_outcomes, 3, n))
+        for (s, u, v), weights in zip(self.spectra, self.weights):
+            m, r, d = weights.shape
+            step = max(1, metrology.BLOCK_FLOATS // (2 * r * d * n))
+            for lo in range(0, m, step):
+                part = slice(lo, lo + step)
+                spec = type(self.spectra[0])(s[part], u[part], v[part])
+                amps = _evolve_real(spec, weights[part], couplings, time)
+                amps = amps.transpose(1, 2, 4, 0, 3).reshape(-1, d, 2, n)
+                moments[:d, :2] += np.add.reduce(amps[:, :, :1] * amps)
+                moments[:d, 2] += np.add.reduce(amps[:, :, 1] ** 2)
+        moments *= np.array([[1.0], [2.0], [2.0]])
+        return moments.transpose(1, 2, 0)
+
+    def fisher(self, scheme, couplings, time: float) -> np.ndarray:
+        couplings = np.asarray(couplings, dtype=float)
+        groups = [g for g in metrology.outcome_partition(scheme, self.n_outcomes) if g]
+        order = np.array([m for g in groups for m in g])
+        starts = np.array([0, *itertools.accumulate(len(g) for g in groups[:-1])])
+        values = np.empty(len(couplings))
+        for lo in range(0, len(couplings), self.block_rows):
+            block = couplings[lo : lo + self.block_rows]
+            moments = self.distributions(block, time).transpose(2, 0, 1)
+            p, dp, s = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
+            zero = np.maximum(p, np.abs(dp)) < metrology.ZERO_PROB
+            terms = np.divide(dp * dp, p, out=2.0 * s, where=~zero)
+            values[lo : lo + len(block)] = np.add.reduce(terms)
+        return values
 
 
 def _first_strict_minimum(f: np.ndarray) -> int:

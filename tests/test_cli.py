@@ -525,6 +525,28 @@ def test_coherent_probe_flag_parsing(capsys):
     assert len(rows) == 3
 
 
+def test_flag_values_may_start_with_a_minus(capsys):
+    # argparse alone takes "-1,1,1" for an option and exits 2
+    args = ["fisher-scan", "--interaction", "I", "--steps", "3"]
+    joined = run_cli([*args, "--alpha=-1,1,1"], capsys)
+    assert joined[0] == 0
+    assert run_cli([*args, "--alpha", "-1,1,1"], capsys) == joined
+    code, out, err = run_cli([*args, "--state", "-1,1,1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: occupations must be non-negative")
+    code, out, err = run_cli([*args, "--state", "1,1,1", "--eps", "-.1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: eps must lie in [0, 0.25]")
+
+
+@pytest.mark.parametrize("args", [["--alpha", "--steps", "3"], ["--steps", "3", "--alpha"]])
+def test_a_flag_without_its_value_stays_a_usage_error(args):
+    # a real option, or nothing, after the flag: argparse's own message
+    proc = run_fresh(["-m", "tsense.cli", "fisher-scan", "--interaction", "I", *args])
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: argument --alpha: expected one argument\n")
+
+
 @pytest.mark.parametrize(
     "scheme, target", [("binary", tsense.BinaryFock(2)), ("s0", tsense.SequentialS0(2))]
 )

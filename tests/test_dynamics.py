@@ -274,7 +274,7 @@ def test_two_rows_match_taylor_exponential(data, kind, d, complex_psi, theta, ti
     else:
         psi[:2] = data.draw(st.tuples(st.floats(0.125, 1.0), st.floats(-1.0, -0.125)))
     weights = spectral_weights(spec, psi)
-    assert weights.shape == (2, d)
+    assert weights.rotating.shape == (2, d // 2, 1) and weights.constant.shape == (2, d % 2, 1)
     c, dc = map(ungauged, evolve_vector(spec, weights, np.array([theta]), time))
     g = tridiagonal(stack.offdiag[0])
     want = expm_taylor(-1j * theta * time * g) @ psi
@@ -293,7 +293,7 @@ def test_single_parity_stacks_take_real_weights():
         (NoisyFock((3, 2, 2), (0.1,) * 3), I),
     ]:
         prep = PreparedProbe(probe, kind)
-        assert all(w.shape[-2] == 1 for w in prep.spectral_weights)
+        assert all(w.rows == 1 for _, w, _, _ in prep.plan)
     # in the noisy (3, 2, 2) the d = 5 and d = 6 stacks hold ladders that
     # start on rungs of both parities, each ladder on one
     stacks = {s.d: s for s in decompose(NoisyFock((3, 2, 2), (0.1,) * 3), I).components}
@@ -304,17 +304,18 @@ def test_single_parity_stacks_take_real_weights():
 
 def test_complex_or_two_parity_vectors_take_two_rows():
     prep = PreparedProbe(CoherentProduct((1.2, 0.8, 0.6)), I)
-    assert all(w.shape[-2] == 2 for w in prep.spectral_weights)
+    assert all(w.rows == 2 for _, w, _, _ in prep.plan)
     stack, spec = spectrum_of(II, (3, 4))
-    assert spectral_weights(spec, stack.amplitudes[0]).shape == (1, stack.d)
-    assert spectral_weights(spec, stack.amplitudes[0].astype(complex)).shape == (2, stack.d)
+    assert spectral_weights(spec, stack.amplitudes[0]).rows == 1
+    assert spectral_weights(spec, stack.amplitudes[0].astype(complex)).rows == 2
     # real, but on rungs 1 and 2: its phases do not factor out
     psi = np.zeros(stack.d)
     psi[1:3] = 0.6, 0.8
-    assert spectral_weights(spec, psi).shape == (2, stack.d)
+    assert spectral_weights(spec, psi).rows == 2
     # one such vector takes its whole stack to two rows
     spectra = diagonalize(np.stack([stack.offdiag[0]] * 2))
-    assert spectral_weights(spectra, np.stack([stack.amplitudes[0], psi])).shape == (2, 2, stack.d)
+    weights = spectral_weights(spectra, np.stack([stack.amplitudes[0], psi]))
+    assert weights.rotating.shape == (2, 2, stack.d // 2, 1)
     # two rows evolve it as a complex vector would
     c, dc = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.3]), 1.0)
     want, dwant = evolve_vector(spec, spectral_weights(spec, psi + 0j), np.array([0.3]), 1.0)

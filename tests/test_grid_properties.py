@@ -135,7 +135,8 @@ def test_grid_call_equals_one_point_calls(case, grid, t):
 def test_deep_ladder_grid_spans_blocks(scheme):
     # Q_b = Q_c = 400: one ladder of 401 rungs, several blocks per grid
     prep = PreparedProbe(PureFock((180, 220, 220)), I)
-    assert prep.spectra[0].eigenvalues.shape == (1, 401)
+    ((spectrum, _, _, _),) = prep.plan
+    assert spectrum.eigenvalues.shape == (1, 401)
     grid = np.linspace(0.0, 0.02, 97)
     assert len(grid) > 3 * prep.block_rows
     batched = prep.fisher(scheme, grid, 1.0)

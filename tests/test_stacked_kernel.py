@@ -6,7 +6,9 @@ by rung, diagonalizes and evolves every ladder on its own and adds its
 populations one ladder at a time.  Both must give the same P, P', S
 and Fisher information, for every probe family, both interactions, and
 grids and block budgets that cut the stacks and the coupling grid into
-several blocks.
+several blocks.  ``PreparedProbe`` must also give bit for bit what
+oracles.SlicedReference gives, which re-derives every probe-fixed array
+on every call.
 """
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from tsense import (
 )
 
 from oracles import (
+    SlicedReference,
     _probe_ladders,
     compositions,
     distributions_per_ladder,
@@ -107,19 +110,42 @@ def test_stacked_kernel_matches_per_ladder_loop(case, grid, t, block):
 
 
 @settings(max_examples=80, deadline=None)
+@given(
+    case=cases(),
+    data=st.data(),
+    times=st.tuples(st.floats(0.25, 2.0), st.floats(0.25, 2.0)),
+    block=st.sampled_from([4, 96, 800, metrology.BLOCK_FLOATS]),
+)
+def test_prepared_probe_is_bit_exact_with_the_sliced_reference(case, data, times, block):
+    # the plan built once per probe must not change one bit of what the
+    # evaluation re-derived on every call gives; one probe alternates
+    # between two times, so nothing may be kept that depends on t
+    kind, probe, scheme = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrology, "BLOCK_FLOATS", block)
+        prep, ref = PreparedProbe(probe, kind), SlicedReference(probe, kind)
+        # from one coupling to more than three blocks (at the small budgets)
+        size = data.draw(st.integers(1, min(3 * prep.block_rows + 2, 120)), label="size")
+        grid = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)))
+        for t in (*times, *times):
+            np.testing.assert_array_equal(prep.distributions(grid, t), ref.distributions(grid, t))
+            np.testing.assert_array_equal(prep.fisher(scheme, grid, t), ref.fisher(scheme, grid, t))
+
+
+@settings(max_examples=80, deadline=None)
 @given(case=cases(("fock", "noisy")), grid=grids, t=st.floats(0.25, 2.0))
 def test_one_row_matches_two_rows(case, grid, t):
     kind, probe, scheme = case
     grid = np.concatenate([[0.0, 1e-300], grid])
     one = PreparedProbe(probe, kind)
-    assert all(w.shape[-2] == 1 for w in one.spectral_weights)
+    assert all(w.rows == 1 for _, w, _, _ in one.plan)
     weights = dynamics.spectral_weights
     with pytest.MonkeyPatch.context() as patch:
         # complex initial vectors always take two rows
         patch.setattr(dynamics, "spectral_weights",
                       lambda spec, psi: weights(spec, psi.astype(complex)))
         two = PreparedProbe(probe, kind)
-    assert all(w.shape[-2] == 2 for w in two.spectral_weights)
+    assert all(w.rows == 2 for _, w, _, _ in two.plan)
     pairs = [*zip(one.distributions(grid, t), two.distributions(grid, t)),
              (one.fisher(scheme, grid, t), two.fisher(scheme, grid, t))]
     for got, want in pairs:
@@ -133,7 +159,7 @@ def test_coherent_stacks_over_several_coupling_blocks(kind, scheme):
     # ladders, for kind II stacks of two (Q = 2d - 2 and 2d - 1)
     probe = CoherentProduct((1.4, 1.1j, 1.3)[: kind.n_modes])
     prep = PreparedProbe(probe, kind)
-    assert max(len(w) for w in prep.spectral_weights) == (27 if kind is I else 2)
+    assert max(len(spectrum.s) for spectrum, _, _, _ in prep.plan) == (27 if kind is I else 2)
     grid = np.linspace(0.0, 0.5, 3 * prep.block_rows + 7)
     for moment, want in zip(prep.distributions(grid, 1.0),
                             distributions_per_ladder(probe, kind, grid, 1.0)):
@@ -176,7 +202,7 @@ def test_blocks_and_slices_are_pinned(probe, kind, steps, block_rows, slices):
     evolve = dynamics.evolve_vector
 
     def record(spec, weights, couplings, time):
-        calls.append((len(couplings), weights.shape[-1], len(weights)))
+        calls.append((len(couplings), len(spec.eigenvalues[0]), len(spec.s)))
         return evolve(spec, weights, couplings, time)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -185,7 +211,7 @@ def test_blocks_and_slices_are_pinned(probe, kind, steps, block_rows, slices):
     longest = {}
     for g, d, m in calls:
         longest[g, d] = max(m, longest.get((g, d), 0))
-    dims = sorted(w.shape[-1] for w in prep.spectral_weights)
+    dims = sorted(d for _, _, d, _ in prep.plan)
     assert longest == {
         (g, d): m for g, row in slices.items() for d, m in zip(dims, row, strict=True)
     }

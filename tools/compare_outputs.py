@@ -9,21 +9,28 @@ quoting; blank lines and ``#`` lines are skipped) run under each tree in
 one fresh interpreter, which calls ``tsense.cli.main`` on each in turn
 with ``COLUMNS=80`` and ``OPENBLAS_NUM_THREADS=1``.  Exit code, stdout
 and stderr must agree byte for byte.  Each argv that differs is printed
-with the first differing line of each stream; the exit status is 1 if
-any differs, else 0.
+with, per stream, how many numeric cells differ (CSV cells, JSON numbers
+and the numbers of ``#`` meta lines) and their largest relative
+difference, and every other line that differs.  The exit status is 0
+when no argv differs, 1 when some do, and 2 when the tool itself cannot
+run (a bad revision, a failed ``git archive`` or runner).
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tools" / "corpus.txt"
+# a decimal number; split on it, a line alternates text and numbers
+NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 # runs in the fresh interpreter on the argvs of the JSON file argv[1]
 RUNNER = """
@@ -47,13 +54,22 @@ def read_corpus() -> list[list[str]]:
     return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
 
 
+def fail(message: str) -> NoReturn:
+    """Exit 2: the tool could not compare, as opposed to outputs that differ."""
+    print(f"compare_outputs: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def export_src(base: str, dest: Path) -> Path:
     """``src/`` of revision ``base``, unpacked under ``dest``."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", base, "src"],
-        check=True, capture_output=True,
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    try:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", base, "src"],
+            check=True, stdout=subprocess.PIPE,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        fail(f"cannot export src/ of {base!r}: {exc}")
     return dest / "src"
 
 
@@ -73,25 +89,46 @@ def run_corpus(srcs: list[Path], corpus: list[list[str]], tmp: Path) -> list[lis
     runs = []
     for src, proc, out in zip(srcs, procs, outs):
         if proc.returncode != 0:
-            sys.exit(f"the runner under {src} exited {proc.returncode}")
+            fail(f"the runner under {src} exited {proc.returncode}")
         doc = json.loads(out)
         # an installed tsense must not stand in for the tree's own
         if not Path(doc["module"]).resolve().is_relative_to(src.resolve()):
-            sys.exit(f"the runner under {src} imported {doc['module']}")
+            fail(f"the runner under {src} imported {doc['module']}")
         runs.append(doc["results"])
     return runs
 
 
-def first_difference(a: str, b: str) -> tuple[int, str, str]:
-    """Line number and the two lines where ``a`` and ``b`` first differ."""
-    la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
-    i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
-    return i + 1, la[i] if i < len(la) else "<end>", lb[i] if i < len(lb) else "<end>"
+def summarize(a: str, b: str) -> tuple[int, float, list[tuple[int, str, str]]]:
+    """How ``b`` differs from ``a``: the number of numeric cells that
+    differ, their largest relative difference, and each other differing
+    line as (line number, line of a, line of b).  Where two lines differ
+    only in their numbers, each number that differs is a numeric cell;
+    any other differing line, or one that only one side has ("<end>" on
+    the other), is listed."""
+    la, lb = a.splitlines(), b.splitlines()
+    cells, largest, lines = 0, 0.0, []
+    for i in range(max(len(la), len(lb))):
+        x = la[i] if i < len(la) else "<end>"
+        y = lb[i] if i < len(lb) else "<end>"
+        if x == y:
+            continue
+        parts_x, parts_y = NUMBER.split(x), NUMBER.split(y)
+        # text at even positions, numbers at odd ones
+        if parts_x[0::2] != parts_y[0::2]:
+            lines.append((i + 1, x, y))
+            continue
+        for u, v in zip(parts_x[1::2], parts_y[1::2]):
+            if u != v:
+                # text that differs, such as -0.0 and 0.0, may hold equal values
+                cells += 1
+                p, q = float(u), float(v)
+                largest = max(largest, abs(p - q) / max(abs(p), abs(q)) if p != q else 0.0)
+    return cells, largest, lines
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        sys.exit("usage: python tools/compare_outputs.py BASE")
+        fail("usage: python tools/compare_outputs.py BASE")
     corpus = read_corpus()
     with tempfile.TemporaryDirectory() as tmp:
         base_src = export_src(argv[0], Path(tmp))
@@ -105,8 +142,12 @@ def main(argv: list[str]) -> int:
         if code_a != code_b:
             print(f"  exit: {code_a!r} (base) != {code_b!r} (tree)")
         for name, a, b in zip(("stdout", "stderr"), streams_a, streams_b):
-            if a != b:
-                line, x, y = first_difference(a, b)
+            if a == b:
+                continue
+            cells, largest, lines = summarize(a, b)
+            print(f"  {name}: {cells} numeric cells differ, "
+                  f"largest relative difference {largest:.3g}")
+            for line, x, y in lines:
                 print(f"  {name} line {line}: {x!r} (base) != {y!r} (tree)")
     print(f"{differing} of {len(corpus)} argvs differ from {argv[0]}")
     return 1 if differing else 0
