@@ -175,11 +175,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """``--flag -1,1`` as ``--flag=-1,1``: argparse would take a value that
     starts with "-" and a digit or "." for an option, so it would never
-    reach the package's own parsing and checks."""
+    reach the package's own parsing and checks.  ``--flag`` may be
+    abbreviated, as argparse allows."""
     out: list[str] = []
     for arg in argv:
         negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."
-        if negative and out and out[-1] in OPTIONS:
+        flag = out[-1] if out else ""
+        if negative and len(flag) > 2 and any(option.startswith(flag) for option in OPTIONS):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -531,6 +531,7 @@ def test_flag_values_may_start_with_a_minus(capsys):
     joined = run_cli([*args, "--alpha=-1,1,1"], capsys)
     assert joined[0] == 0
     assert run_cli([*args, "--alpha", "-1,1,1"], capsys) == joined
+    assert run_cli([*args, "--alph", "-1,1,1"], capsys) == joined
     code, out, err = run_cli([*args, "--state", "-1,1,1"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: occupations must be non-negative")
