@@ -21,7 +21,6 @@ from .metrology import (
     dynamic_range_formula,
     fisher_limit_closed_form,
     qfi_coherent,
-    qfi_variance,
     scan,
 )
 from .optimize import (
@@ -78,7 +77,6 @@ __all__ = [
     "optimize_config",
     "optimize_config_weighted",
     "qfi_coherent",
-    "qfi_variance",
     "scaling_table",
     "scan",
     "spectral_weights",

@@ -280,34 +280,19 @@ def _build_probe(cfg: RunConfig):
     return PureFock(occupations=state)
 
 
-def _build_scheme(cfg: RunConfig):
-    if cfg.scheme == "pnr":
-        return FullPNR()
-    # the target is the first mode's occupation, or its rounded coherent mean
-    if cfg.state is None and cfg.alpha is not None:
-        n = round(abs(cfg.alpha[0]) ** 2)
-    else:
-        n = _state(cfg)[0]
-    return BinaryFock(n=n) if cfg.scheme == "binary" else SequentialS0(n=n)
+def _state_text(occupations) -> str:
+    """Occupations as the text ``--state`` takes, e.g. "2,1,1"."""
+    return ",".join(str(n) for n in occupations)
 
 
 def _probe_label(probe) -> str:
     if isinstance(probe, PureFock):
-        return "fock(" + ",".join(str(n) for n in probe.occupations) + ")"
+        return f"fock({_state_text(probe.occupations)})"
     if isinstance(probe, NoisyFock):
-        occ = ",".join(str(n) for n in probe.nominal)
         eps = ",".join(repr(e) for e in probe.eps)
-        return f"noisy({occ}; eps={eps})"
+        return f"noisy({_state_text(probe.nominal)}; eps={eps})"
     amps = ",".join(f"{a.real!r}+{a.imag!r}i" for a in probe.alphas)
     return f"coherent({amps})"
-
-
-def _scheme_label(scheme) -> str:
-    if isinstance(scheme, FullPNR):
-        return "pnr"
-    if isinstance(scheme, BinaryFock):
-        return f"binary(n={scheme.n})"
-    return f"s0(n={scheme.n})"
 
 
 def _meta(cfg: RunConfig, **extra) -> dict:
@@ -315,21 +300,23 @@ def _meta(cfg: RunConfig, **extra) -> dict:
             "interaction": cfg.interaction, **extra}
 
 
-def _scan(cfg: RunConfig, probe):
-    """Fisher grid of ``probe`` under the configured scheme and coupling grid."""
-    return scan(
-        probe, _kind(cfg), _build_scheme(cfg),
-        t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps,
-    )
-
-
-def _grid_meta(cfg: RunConfig, profile) -> dict:
-    return {
-        "scheme": _scheme_label(profile.scheme),
-        "time": cfg.time,
-        "theta_max": cfg.theta_max,
-        "steps": cfg.steps,
-    }
+def _scan_probes(cfg: RunConfig, *probes) -> tuple[list, dict]:
+    """Fisher grids of ``probes``, scanned in the order given under the
+    configured scheme and coupling grid, and the meta that describes them."""
+    if cfg.scheme == "pnr":
+        scheme, label = FullPNR(), "pnr"
+    else:
+        # the target is the first mode's occupation, or its rounded coherent mean
+        coherent = cfg.state is None and cfg.alpha is not None
+        n = round(abs(cfg.alpha[0]) ** 2) if coherent else _state(cfg)[0]
+        scheme = BinaryFock(n=n) if cfg.scheme == "binary" else SequentialS0(n=n)
+        label = f"{cfg.scheme}(n={scheme.n})"
+    profiles = [
+        scan(probe, _kind(cfg), scheme, t=cfg.time, theta_max=cfg.theta_max, steps=cfg.steps)
+        for probe in probes
+    ]
+    grid = {"scheme": label, "time": cfg.time, "theta_max": cfg.theta_max, "steps": cfg.steps}
+    return profiles, grid
 
 
 def cmd_fisher_scan(cfg: RunConfig) -> dict:
@@ -338,12 +325,12 @@ def cmd_fisher_scan(cfg: RunConfig) -> dict:
     if cfg.trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {cfg.trials}")
     probe = _build_probe(cfg)
-    profile = _scan(cfg, probe)
+    (profile,), grid = _scan_probes(cfg, probe)
     cr = cramer_rao(profile.f_zero, cfg.trials) if 0.0 < profile.f_zero < math.inf else None
     meta = _meta(
         cfg,
         probe=_probe_label(probe),
-        **_grid_meta(cfg, profile),
+        **grid,
         trials=cfg.trials,
         f_zero=float(profile.f_zero),
         qfi_zero=None if profile.qfi_zero is None else float(profile.qfi_zero),
@@ -386,19 +373,19 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 
 def cmd_dynamic_range(cfg: RunConfig) -> dict:
     probe = PureFock(_state(cfg))
-    profile = _scan(cfg, probe)
+    (profile,), grid = _scan_probes(cfg, probe)
     # the output is a summary of the grid, so check the grid itself
     if not all(map(math.isfinite, profile.fisher)):
         raise NumericError(NON_FINITE)
     empirical = dynamic_range(profile)
     formula = dynamic_range_formula(probe, _kind(cfg), cfg.time)
     row = [
-        ",".join(str(n) for n in probe.occupations),
+        _state_text(probe.occupations),
         None if empirical is None else float(empirical),
         None if formula is None else float(formula),
     ]
     return {
-        "meta": _meta(cfg, **_grid_meta(cfg, profile)),
+        "meta": _meta(cfg, **grid),
         "columns": ["state", "theta_min_empirical", "theta_min_formula"],
         "rows": [row],
     }
@@ -411,11 +398,10 @@ def cmd_noise_scan(cfg: RunConfig) -> dict:
     eps = _broadcast_eps(cfg.eps, _kind(cfg).n_modes)
     # the noisy probe first: if it is refused, no time goes into the pure one
     probe = NoisyFock(state, eps)
-    noisy = _scan(cfg, probe)
-    pure = _scan(cfg, PureFock(state))
+    (noisy, pure), grid = _scan_probes(cfg, probe, PureFock(state))
     rows = np.column_stack([pure.couplings, pure.fisher, noisy.fisher]).tolist()
     return {
-        "meta": _meta(cfg, probe=_probe_label(probe), **_grid_meta(cfg, noisy)),
+        "meta": _meta(cfg, probe=_probe_label(probe), **grid),
         "columns": ["coupling", "fisher_pure", "fisher_noisy"],
         "rows": rows,
     }
@@ -433,14 +419,8 @@ def cmd_coherent_compare(cfg: RunConfig) -> dict:
         raise ConfigurationError(f"need {n_modes} coherent amplitudes, got {len(alphas)}")
     # the coherent probe scans first: if it is refused, no time goes into the Fock one
     probe = CoherentProduct(alphas)
-    coherent = _scan(cfg, probe)
-    fock = _scan(cfg, fock_probe)
-    meta = _meta(
-        cfg,
-        probe=_probe_label(probe),
-        fock_state=",".join(str(n) for n in state),
-        **_grid_meta(cfg, coherent),
-    )
+    (coherent, fock), grid = _scan_probes(cfg, probe, fock_probe)
+    meta = _meta(cfg, probe=_probe_label(probe), fock_state=_state_text(state), **grid)
     qfi = np.full_like(fock.couplings, coherent.qfi_zero)
     rows = np.column_stack([fock.couplings, fock.fisher, coherent.fisher, qfi]).tolist()
     return {
@@ -469,7 +449,9 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def render_csv(doc: dict) -> str:
+def render(doc: dict, fmt: str) -> str:
+    if fmt != "csv":
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     for key, value in doc["meta"].items():
         buf.write(f"# {key}: {_fmt_cell(value)}\n")
@@ -478,14 +460,6 @@ def render_csv(doc: dict) -> str:
     for row in doc["rows"]:
         writer.writerow([_fmt_cell(v) for v in row])
     return buf.getvalue()
-
-
-def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def render(doc: dict, fmt: str) -> str:
-    return render_csv(doc) if fmt == "csv" else render_json(doc)
 
 
 def output_schema() -> dict:

@@ -206,17 +206,6 @@ def fisher_limit_closed_form(probe: PureFock, kind: InteractionKind, t: float = 
     return 4.0 * t * t * _score(kind, probe.occupations)
 
 
-def qfi_variance(probe: PureFock, kind: InteractionKind, t: float = 1.0) -> float:
-    """Quantum Fisher information 4 t^2 Var(G) computed on the ladder.
-
-    For a Fock rung <G> vanishes (G is strictly off-diagonal) and <G^2>
-    is the sum of the squared matrix elements to the two neighbors.
-    """
-    (stack,) = decompose(probe, kind).components
-    r = probe.occupations[0]
-    return 4.0 * t * t * float(np.sum(stack.offdiag[0, max(r - 1, 0) : r + 1] ** 2))
-
-
 def qfi_coherent(
     alphas: tuple[complex, ...], kind: InteractionKind, t: float = 1.0
 ) -> float:
@@ -231,14 +220,22 @@ def qfi_coherent(
 
 
 def cramer_rao(f: float, trials: int) -> float:
-    """Cramer-Rao bound on the estimation error for the given trial count."""
+    """Cramer-Rao bound 1 / sqrt(trials F) on the estimation error; a trial
+    count whose product with F is not a finite float is refused."""
     if not _is_integer(trials):
         raise UndefinedBoundError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise UndefinedBoundError(f"trials must be >= 1, got {trials}")
     if not 0.0 < f < math.inf:
         raise UndefinedBoundError(f"Fisher information must be positive and finite, got {f}")
-    return 1.0 / math.sqrt(trials * f)
+    try:
+        product = trials * f
+    except OverflowError:  # an integer too large for a float
+        product = math.inf
+    if not math.isfinite(product):
+        raise UndefinedBoundError(
+            f"trials times the Fisher information {f} is too large for a float")
+    return 1.0 / math.sqrt(product)
 
 
 def check_positive_finite(**values: float) -> None:

@@ -295,6 +295,26 @@ def test_fisher_scan_refuses_trials_below_one(probe, trials, monkeypatch, capsys
     assert f"trials must be >= 1, got {trials}" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--state", "2,1,1", "--steps", "3", "--trials", "1" + "0" * 400],
+        ["--state", "200,200,200", "--theta-max", "0.01", "--steps", "2",
+         "--trials", "1" + "0" * 301],
+    ],
+    ids=["int-to-float-overflow", "product-overflow"],
+)
+def test_fisher_scan_refuses_trials_whose_product_with_f_is_not_a_float(args, capsys):
+    # the first ended in an uncaught OverflowError, the second printed a bound of 0.0
+    code, out, err = run_cli(["fisher-scan", *args], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: trials times the Fisher information ")
+    assert lines[1] == "run 'tsense <subcommand> --help' for usage"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "args",

@@ -64,3 +64,18 @@ def test_a_revision_that_cannot_be_exported_exits_2(capsys):
         compare_outputs.main(["no-such-revision-anywhere"])
     assert exc.value.code == 2
     assert "cannot export src/" in capsys.readouterr().err
+
+
+def test_every_corpus_config_names_a_fixture():
+    operands = set()
+    for argv in compare_outputs.read_corpus():
+        for i, arg in enumerate(argv):
+            if arg == "--config":
+                operands.add(argv[i + 1])
+            elif arg.startswith("--config="):
+                operands.add(arg.removeprefix("--config="))
+    fixtures = {path.name for path in compare_outputs.CONFIGS.glob("*.json")}
+    # the one operand left out on purpose: reading it fails with exit 3
+    assert "no-such-config.json" in operands
+    assert "no-such-config.json" not in fixtures
+    assert operands - {"no-such-config.json"} <= fixtures

@@ -21,7 +21,6 @@ from tsense import (
     fisher_limit_closed_form,
     optimize_config,
     qfi_coherent,
-    qfi_variance,
     scaling_table,
     scan,
 )
@@ -100,11 +99,18 @@ def test_closed_form_reductions():
     assert fisher_limit_closed_form(cfg(2, 1, 1), I, t=3.0) == 44.0 * 9
 
 
+def kernel_qfi(probe, kind, t=1.0):
+    """2 sum S at zero coupling from the evolution kernel: 4 t^2 <G^2>, the
+    QFI of a pure Fock probe, on which <G> vanishes."""
+    _, _, s = PreparedProbe(probe, kind).distributions(np.array([0.0]), t)
+    return 2.0 * float(s.sum())
+
+
 def test_qfi_variance_examples():
-    assert qfi_variance(PureFock((2, 1, 1)), I) == pytest.approx(44.0, abs=1e-10)
-    assert qfi_variance(PureFock((1, 3)), II) == pytest.approx(128.0, abs=1e-10)
-    assert qfi_variance(PureFock((0, 0, 7)), I) == 0.0
-    assert qfi_variance(PureFock((2, 1, 1)), I, t=2.0) == pytest.approx(176.0)
+    assert kernel_qfi(PureFock((2, 1, 1)), I) == pytest.approx(44.0, abs=1e-10)
+    assert kernel_qfi(PureFock((1, 3)), II) == pytest.approx(128.0, abs=1e-10)
+    assert kernel_qfi(PureFock((0, 0, 7)), I) == 0.0
+    assert kernel_qfi(PureFock((2, 1, 1)), I, t=2.0) == pytest.approx(176.0)
 
 
 def test_qfi_variance_equals_closed_form_everywhere():
@@ -112,13 +118,13 @@ def test_qfi_variance_equals_closed_form_everywhere():
         for nb in range(6):
             for nc in range(6):
                 cfg = PureFock((na, nb, nc))
-                assert qfi_variance(cfg, I) == pytest.approx(
+                assert kernel_qfi(cfg, I) == pytest.approx(
                     fisher_limit_closed_form(cfg, I), abs=1e-10
                 )
     for na in range(6):
         for nb in range(6):
             cfg = PureFock((na, nb))
-            assert qfi_variance(cfg, II) == pytest.approx(
+            assert kernel_qfi(cfg, II) == pytest.approx(
                 fisher_limit_closed_form(cfg, II), abs=1e-10
             )
 
@@ -158,6 +164,20 @@ def test_cramer_rao():
         cramer_rao(0.0, 10)
     with pytest.raises(UndefinedBoundError):
         cramer_rao(4.0, 0)
+
+
+@pytest.mark.parametrize(
+    "f, trials",
+    [(44.000000000000014, 10**400), (64480799.99999997, 10**301)],
+    ids=["int-to-float-overflow", "product-overflow"],
+)
+def test_cramer_rao_refuses_trials_whose_product_with_f_is_not_a_float(f, trials):
+    # 10**400 is too large for a float; 10**301 F overflows to inf, which
+    # gave the bound 0.0
+    with pytest.raises(UndefinedBoundError, match="too large for a float"):
+        cramer_rao(f, trials)
+    # a product that stays finite keeps 1 / sqrt(trials F) bit for bit
+    assert cramer_rao(f, 10**300) == 1.0 / math.sqrt(10**300 * f)
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,14 @@ into a temporary directory, so nothing is fetched and the working tree
 is left alone.  The argvs of ``tools/corpus.txt`` (one per line in shell
 quoting; blank lines and ``#`` lines are skipped) run under each tree in
 one fresh interpreter, which calls ``tsense.cli.main`` on each in turn
-with ``COLUMNS=80`` and ``OPENBLAS_NUM_THREADS=1``.  Exit code, stdout
-and stderr must agree byte for byte.  Each argv that differs is printed
-with, per stream, how many numeric cells differ (CSV cells, JSON numbers
-and the numbers of ``#`` meta lines) and their largest relative
-difference, and every other line that differs.  The exit status is 0
-when no argv differs, 1 when some do, and 2 when the tool itself cannot
-run (a bad revision, a failed ``git archive`` or runner).
+with ``COLUMNS=80`` and ``OPENBLAS_NUM_THREADS=1``, in a temporary
+directory that holds a copy of each config file of ``tools/configs/``.
+Exit code, stdout and stderr must agree byte for byte.  Each argv that
+differs is printed with, per stream, how many numeric cells differ (CSV
+cells, JSON numbers and the numbers of ``#`` meta lines) and their largest
+relative difference, and every other line that differs.  The exit status
+is 0 when no argv differs, 1 when some do, and 2 when the tool itself
+cannot run (a bad revision, a failed ``git archive`` or runner).
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -29,6 +31,8 @@ from typing import NoReturn
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tools" / "corpus.txt"
+# config files the corpus reads, copied into the directory it runs in
+CONFIGS = ROOT / "tools" / "configs"
 # a decimal number; split on it, a line alternates text and numbers
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -78,6 +82,8 @@ def run_corpus(srcs: list[Path], corpus: list[list[str]], tmp: Path) -> list[lis
     fresh interpreter per tree, the interpreters running at once."""
     argvs = tmp / "corpus.json"
     argvs.write_text(json.dumps(corpus), encoding="utf-8")
+    for config in CONFIGS.glob("*.json"):
+        shutil.copy(config, tmp)
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", RUNNER, str(argvs)], cwd=tmp, stdout=subprocess.PIPE,
