@@ -291,7 +291,11 @@ def _probe_label(probe) -> str:
     if isinstance(probe, NoisyFock):
         eps = ",".join(repr(e) for e in probe.eps)
         return f"noisy({_state_text(probe.nominal)}; eps={eps})"
-    amps = ",".join(f"{a.real!r}+{a.imag!r}i" for a in probe.alphas)
+    # the sign of the imaginary part, -0.0 included, so that --alpha reads it back
+    amps = ",".join(
+        f"{a.real!r}{'+' if math.copysign(1.0, a.imag) > 0 else '-'}{abs(a.imag)!r}i"
+        for a in probe.alphas
+    )
     return f"coherent({amps})"
 
 

@@ -13,7 +13,7 @@ where S acts on the first floor(d/2) columns of U and u0, the last
 column of U for odd d (absent for even d), spans the null space of B^T.
 The d x d eigenvector matrix of G is never built: U and V hold about
 d^2/2 floats per ladder.  Every array may carry leading stack axes, one
-entry per ladder of equal d, and a stack goes through one stacked SVD.
+entry per generator of equal d, and a stack goes through one stacked SVD.
 
 The rung gauge: multiplying the odd rungs by i (D = diag(i^(k mod 2)))
 turns the propagator into the real orthogonal

@@ -77,12 +77,22 @@ def sector_roots(kind: InteractionKind, occs: np.ndarray) -> np.ndarray:
     return occs - occs[..., :1] * kind.rung_step
 
 
-def ladder_dims(kind: InteractionKind, roots: list) -> list[int]:
-    """Ladder dimension d of each rung-0 configuration in the list
-    ``roots``: min(Q_b, Q_c) + 1 for kind I and Q // 2 + 1 for kind II."""
+def ladder_dims(kind: InteractionKind, roots: np.ndarray) -> np.ndarray:
+    """Ladder dimension d of each (..., modes) rung-0 configuration:
+    min(Q_b, Q_c) + 1 for kind I and Q // 2 + 1 for kind II."""
     if kind is InteractionKind.I:
-        return [min(qb, qc) + 1 for _, qb, qc in roots]
-    return [q // 2 + 1 for _, q in roots]
+        return np.minimum(roots[..., 1], roots[..., 2]) + 1
+    return roots[..., 1] // 2 + 1
+
+
+def generator_keys(kind: InteractionKind, roots: np.ndarray) -> np.ndarray:
+    """An integer per (..., modes) rung-0 configuration, equal for two
+    ladders of one dimension exactly where their generators are:
+    max(Q_b, Q_c) for kind I, whose elements are symmetric under
+    Q_b <-> Q_c and whose d fixes min(Q_b, Q_c), and Q for kind II."""
+    if kind is InteractionKind.I:
+        return np.maximum(roots[..., 1], roots[..., 2])
+    return roots[..., 1]
 
 
 def ladder_basis(kind: InteractionKind, roots: np.ndarray, d: int) -> np.ndarray:

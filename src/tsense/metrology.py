@@ -26,11 +26,11 @@ from . import dynamics
 from .errors import ConfigurationError, ResourceError, UndefinedBoundError
 from .ladder import InteractionKind, validate_config
 from .optimize import _score
-from .probes import CoherentProduct, Probe, PureFock, _is_integer, decompose
+from .probes import CoherentProduct, LadderStack, Probe, PureFock, _is_integer, decompose
 
 ZERO_PROB = 1e-14
-# floats evaluated at once over ladders x rungs x couplings: an element
-# carries c~ and c~' in each of its ladder's r rows, 2r floats
+# floats evaluated at once over generators x rungs x couplings: an element
+# carries c~ and c~' in each of its generator's rows, two floats a row
 BLOCK_FLOATS = 4 * 6144
 # couplings per rescan of a bracketed minimum; odd, so the rescan keeps a
 # point at the bracket's centre and narrows the bracket 16-fold
@@ -107,31 +107,34 @@ class PreparedProbe:
     """Probe decomposed and diagonalized once, reusable across couplings.
 
     ``plan`` holds what every evaluation reuses, built once here: per
-    stack of ladders (see :func:`tsense.probes.decompose`) its stacked
-    spectrum, the :class:`~tsense.dynamics.Weights` of its initial
-    vectors scaled by the square root of each ladder's weight, so that the
-    populations of a stack add up without weights, its dimension d, and
-    how many of its ladders fit within BLOCK_FLOATS with one coupling.
-    The weights hold the real rows of the rung gauge (see
-    :mod:`tsense.dynamics`): one per ladder in Fock and noisy-Fock stacks,
-    two in coherent ones.  A call forms only what depends on the couplings
-    and the time.  Rung k of every ladder is outcome k, so there are as
-    many outcomes as the largest ladder has rungs.
+    stack of ladders (see :func:`tsense.probes.decompose`) the stacked
+    spectrum of its distinct generators, each diagonalized once, the
+    :class:`~tsense.dynamics.Weights` of its initial vectors scaled by
+    the square root of each ladder's weight, so that the populations of a
+    stack add up without weights, its dimension d, and how many of its
+    generators fit within BLOCK_FLOATS with one coupling.  The weights
+    hold the real rows of the rung gauge (see :mod:`tsense.dynamics`):
+    one per ladder in Fock and noisy-Fock stacks, two in coherent ones.
+    The ladders of one generator are its rows, ladder by ladder, padded
+    with zero rows to the stack's largest share K (see
+    :attr:`~tsense.probes.LadderStack.multiplicity`): their phases depend
+    on the generator alone and are formed once for all of them.  With
+    K = 1 that is each ladder's own row or two, as it stands.  A call
+    forms only what depends on the couplings and the time.  Rung k of
+    every ladder is outcome k, so there are as many outcomes as the
+    largest ladder has rungs.
     """
 
     def __init__(self, probe: Probe, kind: InteractionKind):
         self.plan = []
         for stack in decompose(probe, kind).components:
-            spectrum = dynamics.diagonalize(stack.offdiag)
-            psi = stack.amplitudes * np.sqrt(stack.weights)[:, None]
-            weights = dynamics.spectral_weights(spectrum, psi)
+            spectrum, weights = _diagonalize_stack(stack)
             fit = BLOCK_FLOATS // (2 * weights.rows * stack.d)
             self.plan.append((spectrum, weights, stack.d, fit))
         self.n_outcomes = max(d for _, _, d, _ in self.plan)
-        # couplings per evaluation block, so that one ladder's rungs x
-        # couplings stay within BLOCK_FLOATS
-        rows = max(w.rows for _, w, _, _ in self.plan)
-        self.block_rows = max(1, BLOCK_FLOATS // (2 * rows * self.n_outcomes))
+        # couplings per evaluation block, so that every generator's rows x
+        # rungs x couplings stay within BLOCK_FLOATS
+        self.block_rows = max(1, min(fit for _, _, _, fit in self.plan))
         # (order, starts) of each scheme's outcome partition, see fisher
         self._partitions: dict = {}
 
@@ -141,10 +144,10 @@ class PreparedProbe:
         The result is a (3 x G x n_outcomes) array that unpacks as
         ``P, dP, S``, one row per coupling, S = 2 sum c~'^2 (equal to P''
         where P vanishes).  Each stack is evolved in slices of as many
-        ladders as keep the floats of ladders x rungs x couplings within
-        BLOCK_FLOATS (at least one; a stack that fits is evolved whole),
-        and each slice adds its sum over ladders into the first d
-        outcomes, one per rung.
+        generators as keep the floats of generators x rungs x couplings
+        within BLOCK_FLOATS (at least one; a stack that fits is evolved
+        whole), and each slice adds its sum over generators and their rows
+        into the first d outcomes, one per rung.
         """
         n = len(couplings)
         # laid out as outcome x (P, P', S) x coupling while accumulating
@@ -191,6 +194,30 @@ class PreparedProbe:
             starts = np.array([0, *accumulate(len(g) for g in groups[:-1])])
             cached = self._partitions[scheme] = (order, starts)
         return cached
+
+
+def _diagonalize_stack(stack: LadderStack) -> tuple[dynamics.Spectrum, dynamics.Weights]:
+    """The spectrum of a stack's distinct generators and the
+    :class:`~tsense.dynamics.Weights` of its ladders on it: a generator's
+    rows are the rows of its ladders' weighted initial vectors, ladder by
+    ladder, and zero rows up to the stack's multiplicity K.  With K = 1
+    every ladder is its own generator and is diagonalized as it stands,
+    which spares every pure Fock probe the regrouping."""
+    psi = stack.amplitudes * np.sqrt(stack.weights)[:, None]
+    k = stack.multiplicity
+    if k == 1:
+        spectrum = dynamics.diagonalize(stack.offdiag)
+        return spectrum, dynamics.spectral_weights(spectrum, psi)
+    spectrum = dynamics.diagonalize(stack.offdiag[stack.slot == 0])
+    s, u, v = spectrum
+    rows = np.zeros((len(s), k, stack.d), psi.dtype)
+    rows[stack.generator, stack.slot] = psi
+    rotating, constant = dynamics.spectral_weights(
+        dynamics.Spectrum(s[:, None], u[:, None], v[:, None]), rows)
+    # generator x ladder x row x ... -> generator x (ladder, row) x ...
+    m, _, r, n, _ = rotating.shape
+    return spectrum, dynamics.Weights(
+        rotating.reshape(m, k * r, n, 1), constant.reshape(m, k * r, -1, 1))
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray, s: np.ndarray) -> np.ndarray:

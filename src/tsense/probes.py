@@ -30,6 +30,15 @@ vectors and weights are (m x d-1), (m x d) and (m,) arrays built by
 table lookups.  Rung k of every ladder carries k quanta of mode a (a'),
 so it is readout outcome k.  A coherent probe with a few hundred
 sectors has a few dozen stacks; a pure Fock probe is one stack of one.
+
+Components of one stack may share a generator, which then needs to be
+diagonalized only once: kind I's elements sqrt((k+1)(Q_b-k)(Q_c-k)) are
+symmetric under Q_b <-> Q_c, so the coherent sectors (0, Q_b, Q_c) and
+(0, Q_c, Q_b) share one (the |alpha|^2 = 2 probe has 407 ladders on 213
+generators), and noisy components that share a root share their whole
+ladder, as (1, 1, 1) and (2, 0, 0) do on (0, 2, 2).  Each stack lists
+its ladders generator by generator, and the grouping is found once per
+probe over all of its ladders.
 """
 from __future__ import annotations
 
@@ -45,6 +54,7 @@ from .ladder import (
     MAX_ROWS,
     MAX_RUNGS,
     InteractionKind,
+    generator_keys,
     ladder_basis,
     ladder_dims,
     ladder_offdiag,
@@ -144,16 +154,28 @@ class LadderStack:
     ``offdiag`` is (m x d-1), ``amplitudes`` (m x d) unit rows, real
     for Fock and noisy-Fock stacks and complex for coherent ones, and
     ``weights`` (m,).
+
+    Ladders with one generator (see :func:`tsense.ladder.generator_keys`)
+    are adjacent: ``generator`` (m,) numbers the distinct generators 0, 1,
+    ... in order, and ``slot`` (m,) is each ladder's place among those of
+    its generator, 0 for the first.
     """
 
     roots: np.ndarray
     weights: np.ndarray
     offdiag: np.ndarray
     amplitudes: np.ndarray
+    generator: np.ndarray
+    slot: np.ndarray
 
     @property
     def d(self) -> int:
         return self.amplitudes.shape[1]
+
+    @property
+    def multiplicity(self) -> int:
+        """K, the most ladders that share one generator."""
+        return int(self.slot.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -174,10 +196,12 @@ def _noise_terms(n: int, e: float) -> list[tuple[int, float]]:
 def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
     """Split a probe into weighted single-ladder parts, stacked.
 
-    Ladders of one dimension d form one :class:`LadderStack`; their rungs
-    carry 0..d-1 quanta of mode a (a').  Every dimension is known in
-    closed form before anything is built: ladders that need more than
-    MAX_RUNGS**2 eigenvector entries together are refused first.
+    Ladders of one dimension d form one :class:`LadderStack`, listed
+    generator by generator; their rungs carry 0..d-1 quanta of mode a
+    (a').  Every dimension is known in closed form before anything is
+    built: ladders that need more than MAX_RUNGS**2 eigenvector entries
+    together are refused first (counted per ladder, shared generators
+    or not).
     """
     if isinstance(probe, PureFock):
         validate_config(kind, probe.occupations, "occupations")
@@ -197,48 +221,66 @@ def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
     raise ConfigurationError(f"unknown probe type {type(probe).__name__}")
 
 
-def _stack_members(kind: InteractionKind, rows: list) -> list[tuple[int, list[int]]]:
-    """The dimension and the ladder numbers of each stack of the ladders
-    with the rung-0 configurations ``rows``, once the eigenvector budget
-    has passed."""
-    d = ladder_dims(kind, rows)
+def _stack_members(kind: InteractionKind, roots: np.ndarray) -> list[tuple]:
+    """Each stack, in ascending d, of the ladders with the (m x modes)
+    rung-0 configurations ``roots``, once the eigenvector budget has
+    passed: its d, its ladder numbers, and their ``generator`` and ``slot``
+    (see :class:`LadderStack`).  Within a stack the ladders of one
+    generator are adjacent and keep their given order; the grouping is
+    found over all the ladders at once."""
+    d = ladder_dims(kind, roots)
     # all the ladders together may need no more d**2 entries than one
-    # ladder of MAX_RUNGS rungs (their SVD factors hold about half of that)
-    entries = sum(n * n for n in d)
-    if entries > MAX_RUNGS**2:
+    # ladder of MAX_RUNGS rungs (their SVD factors hold about half of that);
+    # summed in floats, which cannot wrap as int64 could
+    if d @ d.astype(float) > MAX_RUNGS**2:
+        dims = d.tolist()
+        entries = sum(n * n for n in dims)
         raise ResourceError(
-            f"the {len(d)} ladders of the probe need {entries} eigenvector "
+            f"the {len(dims)} ladders of the probe need {entries} eigenvector "
             f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2); "
-            f"the largest has {max(d)} rungs"
+            f"the largest has {max(dims)} rungs"
         )
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(d):
-        groups.setdefault(n, []).append(i)
-    return sorted(groups.items())
+    if len(d) == 1:
+        # one ladder (every pure Fock probe) is its own generator; the sort
+        # below would cost a short Fock job more than its evaluation saves
+        zero = np.zeros(1, dtype=int)
+        return [(int(d[0]), zero, zero, zero)]
+    keys = generator_keys(kind, roots)
+    order = np.lexsort((keys, d))
+    d, keys = d[order], keys[order]
+    # a stack starts where d changes, and a generator where d or the key does
+    step = d[1:] != d[:-1]
+    first = np.concatenate(([True], step | (keys[1:] != keys[:-1])))
+    generator = first.cumsum() - 1
+    slot = np.arange(len(d)) - first.nonzero()[0][generator]
+    cuts = [0, *(step.nonzero()[0] + 1).tolist(), len(d)]
+    return [
+        (int(d[lo]), order[lo:hi], generator[lo:hi] - generator[lo], slot[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 def _fock_stacks(
     kind: InteractionKind, occs: list[tuple[int, ...]], weights: list[float]
 ) -> WeightedComponents:
     """Stacks of the product Fock states ``occs``, each starting on the
-    rung of its occupation of mode a (a').  Few states, so each stack's
-    arrays are made from lists."""
-    rows = sector_roots(kind, np.array(occs)).tolist()
-    stacks = []
-    for d, members in _stack_members(kind, rows):
-        start = np.array([occs[i][0] for i in members])
-        psi = (np.arange(d) == start[:, None]).astype(float)
-        roots = np.array([rows[i] for i in members])
-        stacks.append(_stack(kind, roots, np.array([weights[i] for i in members]), psi))
-    return WeightedComponents(tuple(stacks))
+    rung of its occupation of mode a (a')."""
+    occs, weights = np.array(occs), np.array(weights)
+    roots = sector_roots(kind, occs)
+    return WeightedComponents(tuple(
+        _stack(kind, roots[idx], weights[idx], (np.arange(d) == occs[idx, :1]).astype(float),
+               generator, slot)
+        for d, idx, generator, slot in _stack_members(kind, roots)
+    ))
 
 
 def _stack(
-    kind: InteractionKind, roots: np.ndarray, weights: np.ndarray, amplitudes: np.ndarray
+    kind: InteractionKind, roots: np.ndarray, weights: np.ndarray, amplitudes: np.ndarray,
+    generator: np.ndarray, slot: np.ndarray,
 ) -> LadderStack:
     """The stacked build: one generator table for ladders of one dimension."""
     offdiag = ladder_offdiag(kind, roots, amplitudes.shape[1])
-    return LadderStack(roots, weights, offdiag, amplitudes)
+    return LadderStack(roots, weights, offdiag, amplitudes, generator, slot)
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -315,16 +357,17 @@ def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> Weight
     padded = [np.append(t, 0.0) for t in tables]
     roots = _unique_rows(sector_roots(kind, occs))
     parts = []
-    for d, members in _stack_members(kind, roots.tolist()):
-        idx = np.array(members)
+    for d, idx, generator, slot in _stack_members(kind, roots):
         psi = np.ones((len(idx), d), dtype=complex)
         columns = np.moveaxis(ladder_basis(kind, roots[idx], d), -1, 0)
         for table, column in zip(padded, columns):
             psi *= table[np.minimum(column, len(table) - 1)]
+        # positive: each ladder holds a kept product state, and none of those
+        # weighs less than the last one kept, which still moved the retained
+        # sum (by at least half an ulp of the cutoff)
         w = np.einsum("ij,ij->i", psi.conj(), psi).real
-        keep = w > 0.0
-        parts.append((idx[keep], w[keep], psi[keep] / np.sqrt(w[keep])[:, None]))
-    total = sum(w.sum() for _, w, _ in parts)
-    return WeightedComponents(
-        tuple(_stack(kind, roots[idx], w / total, psi) for idx, w, psi in parts if idx.size)
-    )
+        parts.append((roots[idx], w, psi / np.sqrt(w)[:, None], generator, slot))
+    total = sum(w.sum() for _, w, _, _, _ in parts)
+    return WeightedComponents(tuple(
+        _stack(kind, r, w / total, psi, generator, slot) for r, w, psi, generator, slot in parts
+    ))

@@ -407,23 +407,35 @@ def _evolve_real(spectrum, weights: np.ndarray, couplings: np.ndarray, time: flo
 
 class SlicedReference:
     """``PreparedProbe.distributions`` and ``.fisher`` with nothing kept
-    between calls but the stacks' spectra and real weights: each call
-    cuts every stack into slices of max(1, BLOCK_FLOATS // (2 r d G))
-    ladders, evolves each slice, adds c~^2, c~ c~' and c~'^2 summed over
-    (ladder, row) into the first d outcomes, scales by (1, 2, 2), then
-    groups outcomes by ``np.add.reduceat`` and sums the Fisher terms,
-    block by block of couplings."""
+    between calls but the spectra and real weights of each stack's
+    distinct generators: each call cuts every stack into slices of
+    max(1, BLOCK_FLOATS // (2 r d G)) generators of r rows, evolves each
+    slice, adds c~^2, c~ c~' and c~'^2 summed over (generator, row) into
+    the first d outcomes, scales by (1, 2, 2), then groups outcomes by
+    ``np.add.reduceat`` and sums the Fisher terms, block by block of
+    couplings.  The generators are found here from the roots alone, as
+    the sorted (Q_b, Q_c) of kind I and the Q of kind II, in the order
+    of their first ladder; a generator's rows are its ladders' real rows,
+    ladder by ladder, and zero rows up to the stack's largest share."""
 
     def __init__(self, probe, kind: InteractionKind):
-        stacks = decompose(probe, kind).components
-        self.spectra = [diagonalize(s.offdiag) for s in stacks]
-        self.weights = [
-            _real_weights(spec, s.amplitudes * np.sqrt(s.weights)[:, None])
-            for spec, s in zip(self.spectra, stacks)
-        ]
-        self.n_outcomes = max(s.d for s in stacks)
-        rows = max(w.shape[1] for w in self.weights)
-        self.block_rows = max(1, metrology.BLOCK_FLOATS // (2 * rows * self.n_outcomes))
+        self.spectra, self.weights = [], []
+        for stack in decompose(probe, kind).components:
+            members: dict = {}
+            for i, root in enumerate(stack.roots.tolist()):
+                members.setdefault(tuple(sorted(root[1:])), []).append(i)
+            groups = list(members.values())
+            spec = diagonalize(stack.offdiag[[g[0] for g in groups]])
+            psi = stack.amplitudes * np.sqrt(stack.weights)[:, None]
+            rows = np.zeros((len(groups), max(map(len, groups)), stack.d), psi.dtype)
+            for j, group in enumerate(groups):
+                rows[j, : len(group)] = psi[group]
+            real = _real_weights(type(spec)(*(a[:, None] for a in spec)), rows)
+            self.spectra.append(spec)
+            self.weights.append(real.reshape(len(groups), rows.shape[1] * real.shape[2], stack.d))
+        self.n_outcomes = max(w.shape[2] for w in self.weights)
+        widest = max(w.shape[1] * w.shape[2] for w in self.weights)
+        self.block_rows = max(1, metrology.BLOCK_FLOATS // (2 * widest))
 
     def distributions(self, couplings, time: float) -> np.ndarray:
         n = len(couplings)

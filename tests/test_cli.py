@@ -11,6 +11,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tsense
 from tsense import ConfigurationError, cli
@@ -344,6 +346,33 @@ def test_only_a_trailing_i_is_the_imaginary_unit():
     assert cli._amplitudes("1+2i, -0.5i,3,1e-3-1e2i") == (1 + 2j, -0.5j, 3, 1e-3 - 1e2j)
     with pytest.raises(ConfigurationError, match=re.escape("cannot parse amplitude '2i+1'")):
         cli._amplitudes("2i+1")
+
+
+def _bits(alphas):
+    return [(a.real.hex(), a.imag.hex()) for a in alphas]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1e100), min_size=3, max_size=3))
+@example([0.0 - 0.7j, complex(-0.0, -0.0), complex(1.2, -0.0)])
+@example([1.2 + 0.5j, 1 + 0j, complex(0, -0.7)])
+def test_amplitudes_read_every_probe_label_back_exactly(alphas):
+    # the label of a coherent probe, signs of zero included, is valid --alpha text
+    probe = tsense.CoherentProduct(tuple(alphas))
+    label = cli._probe_label(probe)
+    assert label.startswith("coherent(") and label.endswith(")")
+    assert _bits(cli._amplitudes(label[len("coherent(") : -1])) == _bits(probe.alphas)
+
+
+def test_a_config_probe_label_is_accepted_as_alpha(capsys):
+    # the amplitudes [0, -0.7] of tools/configs/alpha-pairs.json
+    code, out, _ = run_cli(["fisher-scan", "--alpha", "1.2+0.5i,1,-0.7i", "--steps", "2"], capsys)
+    assert code == 0
+    (label,) = [line[len("# probe: coherent("):-1] for line in out.splitlines()
+                if line.startswith("# probe:")]
+    assert label == "1.2+0.5i,1.0+0.0i,0.0-0.7i"
+    code, again, _ = run_cli(["fisher-scan", f"--alpha={label}", "--steps", "2"], capsys)
+    assert code == 0 and again == out
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -293,7 +293,10 @@ def test_single_parity_stacks_take_real_weights():
         (NoisyFock((3, 2, 2), (0.1,) * 3), I),
     ]:
         prep = PreparedProbe(probe, kind)
-        assert all(w.rows == 1 for _, w, _, _ in prep.plan)
+        # one real row per ladder, so a generator holds one row per ladder
+        # on it, padded to its stack's multiplicity
+        stacks = decompose(probe, kind).components
+        assert [w.rows for _, w, _, _ in prep.plan] == [s.multiplicity for s in stacks]
     # in the noisy (3, 2, 2) the d = 5 and d = 6 stacks hold ladders that
     # start on rungs of both parities, each ladder on one
     stacks = {s.d: s for s in decompose(NoisyFock((3, 2, 2), (0.1,) * 3), I).components}
@@ -303,8 +306,11 @@ def test_single_parity_stacks_take_real_weights():
 
 
 def test_complex_or_two_parity_vectors_take_two_rows():
-    prep = PreparedProbe(CoherentProduct((1.2, 0.8, 0.6)), I)
-    assert all(w.rows == 2 for _, w, _, _ in prep.plan)
+    probe = CoherentProduct((1.2, 0.8, 0.6))
+    prep = PreparedProbe(probe, I)
+    # two per ladder, and one generator holds up to two ladders
+    stacks = decompose(probe, I).components
+    assert [w.rows for _, w, _, _ in prep.plan] == [2 * s.multiplicity for s in stacks]
     stack, spec = spectrum_of(II, (3, 4))
     assert spectral_weights(spec, stack.amplitudes[0]).rows == 1
     assert spectral_weights(spec, stack.amplitudes[0].astype(complex)).rows == 2
