@@ -48,6 +48,10 @@ import numpy as np
 
 from .errors import NumericError
 
+# i times the signs of the rung gauge on the reversed rows (Im, Re) of
+# two-row odd-rung weights, see spectral_weights
+_I_GAUGE = np.array([-1j, 1j])
+
 
 class Spectrum(NamedTuple):
     """SVD factors B = U S V^T of ladder generators' even-odd blocks: ``s``
@@ -110,32 +114,35 @@ def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> Weights:
     """The :class:`Weights` of the (..., d) initial vectors ``psi0``:
     r = 1 row when ``psi0`` is real and each vector's nonzero entries
     share one rung parity, else r = 2."""
-    nonzero = np.asarray(psi0) != 0
-    two = np.iscomplexobj(psi0) or (nonzero[..., 0::2].any(-1) & nonzero[..., 1::2].any(-1)).any()
+    psi0 = np.asarray(psi0)
+    # any() takes every nonzero entry (NaN too) as true; a complex vector
+    # takes two rows without the parity test
+    two = np.iscomplexobj(psi0) or (psi0[..., 0::2].any(-1) & psi0[..., 1::2].any(-1)).any()
     psi = np.ascontiguousarray(psi0, dtype=complex if two else float)
     # rung x row, the rows of a complex vector its real and imaginary parts
     rows = psi.view(float).reshape(*psi.shape, -1)
     a = spectrum.u.swapaxes(-1, -2) @ rows[..., 0::2, :]
     b = spectrum.v.swapaxes(-1, -2) @ rows[..., 1::2, :]
-    if two:
-        # the gauge's i on the odd rungs: (Re b, Im b) -> (-Im b, Re b)
-        b = b[..., ::-1] * [-1.0, 1.0]
     n = b.shape[-2]
-    # row x rung x 1
-    alpha, beta, a0 = (x.swapaxes(-1, -2)[..., None] for x in (a[..., :n, :], b, a[..., n:, :]))
-    return Weights(alpha + 1j * beta, a0)
+    # i beta: the gauge's i on the odd rungs takes the two rows (Re, Im)
+    # of b to beta = (-Im, Re), so i beta is (-i Im, i Re)
+    i_beta = b[..., ::-1] * _I_GAUGE if two else b * 1j
+    # row x rung x 1, laid out row by row
+    rotating = np.add(a[..., :n, :].swapaxes(-1, -2), i_beta.swapaxes(-1, -2), order="C")
+    return Weights(rotating[..., None], a[..., n:, :].swapaxes(-1, -2)[..., None])
 
 
 def evolve_vector(
     spectrum: Spectrum, weights: Weights, couplings: np.ndarray, time: float
 ) -> np.ndarray:
     """Gauged amplitudes c~ and their coupling derivatives c~', a real
-    (2 x ... x r x G x d) array that unpacks as ``c, dc``, from the
-    :class:`Weights` of :func:`spectral_weights` (leading axes those of
-    ``spectrum``) and a 1-D grid of ``couplings``.  Every row and coupling
-    of the stack goes through one product with U and one with V: 2r
-    columns per coupling.  Only the phases and what they touch are formed
-    here; everything fixed by the initial vectors is in ``weights``."""
+    contiguous (... x r x d x 2 x G) array: rows, rungs, (c~, c~') and
+    couplings, from the :class:`Weights` of :func:`spectral_weights`
+    (leading axes those of ``spectrum``) and a 1-D grid of ``couplings``.
+    Every row and coupling of the stack goes through one product with U
+    and one with V: 2r columns per coupling.  Only the phases and what they
+    touch are formed here; everything fixed by the initial vectors is in
+    ``weights``."""
     s, u, v = spectrum
     n, g = s.shape[-1], len(couplings)
     d = n + u.shape[-1]
@@ -161,7 +168,4 @@ def evolve_vector(
     moved = np.empty(cols.shape)
     np.matmul(u[..., None, :, :], cols[..., n:, :], out=moved[..., 0::2, :])
     np.matmul(v[..., None, :, :], cols[..., :n, :], out=moved[..., 1::2, :])
-    # stored as (..., r, d, 2, G); returned as the view (2, ..., r, G, d)
-    moved = moved.reshape(*lead, d, 2, g)
-    k = len(lead)
-    return moved.transpose(k + 1, *range(k), k + 2, k)
+    return moved.reshape(*lead, d, 2, g)

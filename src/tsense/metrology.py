@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
@@ -119,10 +118,13 @@ class PreparedProbe:
     with zero rows to the stack's largest share K (see
     :attr:`~tsense.probes.LadderStack.multiplicity`): their phases depend
     on the generator alone and are formed once for all of them.  With
-    K = 1 that is each ladder's own row or two, as it stands.  A call
-    forms only what depends on the couplings and the time.  Rung k of
+    K = 1 that is each ladder's own row or two, as it stands.  Rung k of
     every ladder is outcome k, so there are as many outcomes as the
-    largest ladder has rungs.
+    largest ladder has rungs.  Each scheme's outcome grouping is built
+    once, on first use (see :meth:`fisher`).  A call forms only what
+    depends on the couplings and the time, on contiguous arrays: the
+    evolved slices in the layout :func:`~tsense.dynamics.evolve_vector`
+    returns, and the moments in the layout the grouping reads.
     """
 
     def __init__(self, probe: Probe, kind: InteractionKind):
@@ -135,22 +137,24 @@ class PreparedProbe:
         # couplings per evaluation block, so that every generator's rows x
         # rungs x couplings stay within BLOCK_FLOATS
         self.block_rows = max(1, min(fit for _, _, _, fit in self.plan))
-        # (order, starts) of each scheme's outcome partition, see fisher
-        self._partitions: dict = {}
+        # the outcome grouping of each scheme, see fisher
+        self._groupings: dict = {}
 
     def distributions(self, couplings: np.ndarray, time: float) -> np.ndarray:
         """Aggregated P, P' and S over the occupation of mode a (a').
 
         The result is a (3 x G x n_outcomes) array that unpacks as
         ``P, dP, S``, one row per coupling, S = 2 sum c~'^2 (equal to P''
-        where P vanishes).  Each stack is evolved in slices of as many
-        generators as keep the floats of generators x rungs x couplings
-        within BLOCK_FLOATS (at least one; a stack that fits is evolved
-        whole), and each slice adds its sum over generators and their rows
-        into the first d outcomes, one per rung.
+        where P vanishes): a view of the (n_outcomes x 3 x G) array in
+        which the moments accumulate and which :meth:`fisher` groups.
+        Each stack is evolved in slices of as many generators as keep the
+        floats of generators x rungs x couplings within BLOCK_FLOATS (at
+        least one; a stack that fits is evolved whole), and each slice
+        adds its sum over generators and their rows into the first d
+        outcomes, one per rung, straight from the layout
+        :func:`~tsense.dynamics.evolve_vector` returns.
         """
         n = len(couplings)
-        # laid out as outcome x (P, P', S) x coupling while accumulating
         moments = np.zeros((self.n_outcomes, 3, n))
         for spectrum, weights, d, fit in self.plan:
             m, step = len(spectrum.s), max(1, fit // n)
@@ -160,40 +164,58 @@ class PreparedProbe:
                 for lo in range(0, m, step)
             ]
             for part in parts:
-                amps = dynamics.evolve_vector(*part, couplings, time)
-                # (ladder, row) x rung x (c~, c~') x coupling
-                amps = amps.transpose(1, 2, 4, 0, 3).reshape(-1, d, 2, n)
-                # c~^2 and c~ c~', then c~'^2, summed over ladders and rows
-                moments[:d, :2] += np.add.reduce(amps[:, :, :1] * amps)
-                moments[:d, 2] += np.add.reduce(amps[:, :, 1] ** 2)
+                # (generator, row) x rung x (c~, c~') x coupling
+                amps = dynamics.evolve_vector(*part, couplings, time).reshape(-1, d, 2, n)
+                # c~^2 and c~'^2 from one product over the whole slice, then
+                # c~ c~', summed over generators and rows and added in place;
+                # a slice of one row (a pure Fock ladder) has no sum to take
+                p_and_s, dp = moments[:d, ::2], moments[:d, 1]
+                if len(amps) == 1:
+                    p_and_s += amps[0] * amps[0]
+                    dp += amps[0, :, 0] * amps[0, :, 1]
+                else:
+                    p_and_s += np.add.reduce(amps * amps)
+                    dp += np.add.reduce(amps[:, :, 0] * amps[:, :, 1])
         moments *= _MOMENT_SCALE
         return moments.transpose(1, 2, 0)
 
     def fisher(
         self, scheme: MeasurementScheme, couplings: np.ndarray, time: float
     ) -> np.ndarray:
-        """Classical Fisher information of one scheme at each coupling."""
+        """Classical Fisher information of one scheme at each coupling.
+
+        The couplings are evaluated in blocks of ``block_rows``.  Each
+        block's moments are summed into the scheme's outcome groups by the
+        0/1 matrix of :meth:`_grouping`, or taken as they stand for
+        ``pnr``, and the Fisher terms of the groups are summed in order.
+        """
         couplings = np.asarray(couplings, dtype=float)
-        order, starts = self._partition(scheme)
+        grouping = self._grouping(scheme)
         values = np.empty(len(couplings))
         for lo in range(0, len(couplings), self.block_rows):
-            block = couplings[lo : lo + self.block_rows]
-            moments = self.distributions(block, time).transpose(2, 0, 1)
-            p, dp, s = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
-            values[lo : lo + len(block)] = np.add.reduce(_fisher_terms(p, dp, s))
+            hi = lo + self.block_rows
+            # (P, P', S) x outcome x coupling, a view of the accumulated moments
+            moments = self.distributions(couplings[lo:hi], time).transpose(0, 2, 1)
+            p, dp, s = moments if grouping is None else grouping @ moments
+            np.add.reduce(_fisher_terms(p, dp, s), out=values[lo:hi])
         return values
 
-    def _partition(self, scheme: MeasurementScheme) -> tuple[np.ndarray, np.ndarray]:
-        """Occupations ordered group by group, and where each group starts;
-        empty groups contribute nothing and are left out.  Built once per
-        scheme."""
-        cached = self._partitions.get(scheme)
-        if cached is None:
+    def _grouping(self, scheme: MeasurementScheme) -> Optional[np.ndarray]:
+        """The 0/1 (groups x outcomes) matrix that sums the outcomes of each
+        group of a scheme's partition, empty groups left out, or None where
+        every group is one outcome, in order (``pnr``): the outcomes are then
+        the groups as they stand.  Built once per scheme."""
+        try:
+            return self._groupings[scheme]
+        except KeyError:
             groups = [g for g in outcome_partition(scheme, self.n_outcomes) if g]
-            order = np.array([m for g in groups for m in g])
-            starts = np.array([0, *accumulate(len(g) for g in groups[:-1])])
-            cached = self._partitions[scheme] = (order, starts)
-        return cached
+            grouping = None
+            if groups != [[m] for m in range(self.n_outcomes)]:
+                grouping = np.zeros((len(groups), self.n_outcomes))
+                for row, group in zip(grouping, groups):
+                    row[group] = 1.0
+            self._groupings[scheme] = grouping
+            return grouping
 
 
 def _diagonalize_stack(stack: LadderStack) -> tuple[dynamics.Spectrum, dynamics.Weights]:
@@ -214,7 +236,9 @@ def _diagonalize_stack(stack: LadderStack) -> tuple[dynamics.Spectrum, dynamics.
     rows[stack.generator, stack.slot] = psi
     rotating, constant = dynamics.spectral_weights(
         dynamics.Spectrum(s[:, None], u[:, None], v[:, None]), rows)
-    # generator x ladder x row x ... -> generator x (ladder, row) x ...
+    # generator x ladder x row x ... -> generator x (ladder, row) x ...,
+    # a view of the rotating weights, which spectral_weights lays out row
+    # by row
     m, _, r, n, _ = rotating.shape
     return spectrum, dynamics.Weights(
         rotating.reshape(m, k * r, n, 1), constant.reshape(m, k * r, -1, 1))

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NoReturn, Union
 
 import numpy as np
 
@@ -157,8 +157,9 @@ class LadderStack:
 
     Ladders with one generator (see :func:`tsense.ladder.generator_keys`)
     are adjacent: ``generator`` (m,) numbers the distinct generators 0, 1,
-    ... in order, and ``slot`` (m,) is each ladder's place among those of
-    its generator, 0 for the first.
+    ... in order, ``slot`` (m,) is each ladder's place among those of its
+    generator, 0 for the first, and ``multiplicity`` is K, the most
+    ladders that share one generator, found when the stack is built.
     """
 
     roots: np.ndarray
@@ -167,15 +168,11 @@ class LadderStack:
     amplitudes: np.ndarray
     generator: np.ndarray
     slot: np.ndarray
+    multiplicity: int
 
     @property
     def d(self) -> int:
         return self.amplitudes.shape[1]
-
-    @property
-    def multiplicity(self) -> int:
-        """K, the most ladders that share one generator."""
-        return int(self.slot.max()) + 1
 
 
 @dataclass(frozen=True)
@@ -224,27 +221,25 @@ def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
 def _stack_members(kind: InteractionKind, roots: np.ndarray) -> list[tuple]:
     """Each stack, in ascending d, of the ladders with the (m x modes)
     rung-0 configurations ``roots``, once the eigenvector budget has
-    passed: its d, its ladder numbers, and their ``generator`` and ``slot``
-    (see :class:`LadderStack`).  Within a stack the ladders of one
-    generator are adjacent and keep their given order; the grouping is
-    found over all the ladders at once."""
+    passed: its d, its ladder numbers, their ``generator`` and ``slot``,
+    and its ``multiplicity`` (see :class:`LadderStack`).  Within a stack
+    the ladders of one generator are adjacent and keep their given order;
+    the grouping is found over all the ladders at once."""
+    if len(roots) == 1:
+        # one ladder (every pure Fock probe) is its own generator; it is
+        # sized in Python ints, and the vectorized sizing and the sort below
+        # would cost a short Fock job more than its evaluation saves
+        d = int(ladder_dims(kind, roots[0]))
+        if d > MAX_RUNGS:
+            _refuse_budget([d])
+        zero = np.zeros(1, dtype=int)
+        return [(d, zero, zero, zero, 1)]
     d = ladder_dims(kind, roots)
     # all the ladders together may need no more d**2 entries than one
     # ladder of MAX_RUNGS rungs (their SVD factors hold about half of that);
     # summed in floats, which cannot wrap as int64 could
     if d @ d.astype(float) > MAX_RUNGS**2:
-        dims = d.tolist()
-        entries = sum(n * n for n in dims)
-        raise ResourceError(
-            f"the {len(dims)} ladders of the probe need {entries} eigenvector "
-            f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2); "
-            f"the largest has {max(dims)} rungs"
-        )
-    if len(d) == 1:
-        # one ladder (every pure Fock probe) is its own generator; the sort
-        # below would cost a short Fock job more than its evaluation saves
-        zero = np.zeros(1, dtype=int)
-        return [(int(d[0]), zero, zero, zero)]
+        _refuse_budget(d.tolist())
     keys = generator_keys(kind, roots)
     order = np.lexsort((keys, d))
     d, keys = d[order], keys[order]
@@ -254,10 +249,21 @@ def _stack_members(kind: InteractionKind, roots: np.ndarray) -> list[tuple]:
     generator = first.cumsum() - 1
     slot = np.arange(len(d)) - first.nonzero()[0][generator]
     cuts = [0, *(step.nonzero()[0] + 1).tolist(), len(d)]
+    shares = (np.maximum.reduceat(slot, cuts[:-1]) + 1).tolist()
     return [
-        (int(d[lo]), order[lo:hi], generator[lo:hi] - generator[lo], slot[lo:hi])
-        for lo, hi in zip(cuts, cuts[1:])
+        (int(d[lo]), order[lo:hi], generator[lo:hi] - generator[lo], slot[lo:hi], k)
+        for lo, hi, k in zip(cuts, cuts[1:], shares)
     ]
+
+
+def _refuse_budget(dims: list[int]) -> NoReturn:
+    """Refuse ladders of dimensions ``dims`` against the eigenvector budget."""
+    entries = sum(n * n for n in dims)
+    raise ResourceError(
+        f"the {len(dims)} ladders of the probe need {entries} eigenvector "
+        f"entries, {entries * 8 / 2**30:.1f} GiB (cap {MAX_RUNGS}**2); "
+        f"the largest has {max(dims)} rungs"
+    )
 
 
 def _fock_stacks(
@@ -269,18 +275,18 @@ def _fock_stacks(
     roots = sector_roots(kind, occs)
     return WeightedComponents(tuple(
         _stack(kind, roots[idx], weights[idx], (np.arange(d) == occs[idx, :1]).astype(float),
-               generator, slot)
-        for d, idx, generator, slot in _stack_members(kind, roots)
+               generator, slot, k)
+        for d, idx, generator, slot, k in _stack_members(kind, roots)
     ))
 
 
 def _stack(
     kind: InteractionKind, roots: np.ndarray, weights: np.ndarray, amplitudes: np.ndarray,
-    generator: np.ndarray, slot: np.ndarray,
+    generator: np.ndarray, slot: np.ndarray, multiplicity: int,
 ) -> LadderStack:
     """The stacked build: one generator table for ladders of one dimension."""
     offdiag = ladder_offdiag(kind, roots, amplitudes.shape[1])
-    return LadderStack(roots, weights, offdiag, amplitudes, generator, slot)
+    return LadderStack(roots, weights, offdiag, amplitudes, generator, slot, multiplicity)
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -357,7 +363,7 @@ def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> Weight
     padded = [np.append(t, 0.0) for t in tables]
     roots = _unique_rows(sector_roots(kind, occs))
     parts = []
-    for d, idx, generator, slot in _stack_members(kind, roots):
+    for d, idx, generator, slot, k in _stack_members(kind, roots):
         psi = np.ones((len(idx), d), dtype=complex)
         columns = np.moveaxis(ladder_basis(kind, roots[idx], d), -1, 0)
         for table, column in zip(padded, columns):
@@ -366,8 +372,9 @@ def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> Weight
         # weighs less than the last one kept, which still moved the retained
         # sum (by at least half an ulp of the cutoff)
         w = np.einsum("ij,ij->i", psi.conj(), psi).real
-        parts.append((roots[idx], w, psi / np.sqrt(w)[:, None], generator, slot))
-    total = sum(w.sum() for _, w, _, _, _ in parts)
+        parts.append((roots[idx], w, psi / np.sqrt(w)[:, None], generator, slot, k))
+    total = sum(part[1].sum() for part in parts)
     return WeightedComponents(tuple(
-        _stack(kind, r, w / total, psi, generator, slot) for r, w, psi, generator, slot in parts
+        _stack(kind, r, w / total, psi, generator, slot, k)
+        for r, w, psi, generator, slot, k in parts
     ))

@@ -26,7 +26,8 @@ bit-exact reference for ``PreparedProbe``, takes the package's stacks and
 spectra and evaluates them in the package's own arithmetic order, but
 re-derives every probe-fixed array on every call: real [alpha, beta, a0]
 weights turned complex per call, each slice of each stack re-cut and its
-spectrum re-wrapped, the outcome partition rebuilt.
+spectrum re-wrapped, the outcome grouping rebuilt and applied as a 0/1
+matrix even where ``PreparedProbe`` skips it (``pnr``).
 """
 import heapq
 import itertools
@@ -141,9 +142,15 @@ def evolved_amplitudes_taylor(tridiag: np.ndarray, root: int, theta_t: float) ->
     return u[:, root]
 
 
+def unpacked(amps: np.ndarray) -> np.ndarray:
+    """c~ and c~', each (..., r, G, d), from the (..., r, d, 2, G) array
+    that ``evolve_vector`` returns."""
+    return np.moveaxis(amps, (-2, -3), (0, -1))
+
+
 def ungauged(rows: np.ndarray, start: int = 0) -> np.ndarray:
     """Amplitudes c from the (..., r, G, d) real rows c~ of the rung gauge
-    that ``evolve_vector`` returns (and likewise c' from c~'): c_k =
+    (see :func:`unpacked`; likewise c' from c~'): c_k =
     i^-(k mod 2) (c~_0 + i c~_1) for two rows, c_k = i^((start mod 2) -
     (k mod 2)) c~_k for the one row of a ladder started on rung ``start``."""
     k = np.arange(rows.shape[-1]) % 2
@@ -314,7 +321,8 @@ def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: floa
     moments = np.zeros((n_outcomes, 3, len(couplings)))
     for weight, rungs, offdiag, psi in parts:
         spec = diagonalize(offdiag)
-        c, dc = map(ungauged, evolve_vector(spec, spectral_weights(spec, psi), couplings, time))
+        amps = evolve_vector(spec, spectral_weights(spec, psi), couplings, time)
+        c, dc = map(ungauged, unpacked(amps))
         prods = np.stack([np.abs(c) ** 2, 2.0 * (np.conj(c) * dc).real, 2.0 * np.abs(dc) ** 2])
         moments[rungs[:, 0]] += weight * prods.transpose(2, 0, 1)
     return moments.transpose(1, 2, 0)
@@ -380,7 +388,7 @@ def _real_weights(spectrum, psi0: np.ndarray) -> np.ndarray:
 
 
 def _evolve_real(spectrum, weights: np.ndarray, couplings: np.ndarray, time: float):
-    """c~ and c~' as (2 x m x r x G x d) from (m, r, d) real weights, the
+    """c~ and c~' as (m x r x d x 2 x G) from (m, r, d) real weights, the
     complex alpha + i beta formed anew."""
     s, u, v = spectrum
     m, r, d = weights.shape
@@ -402,7 +410,7 @@ def _evolve_real(spectrum, weights: np.ndarray, couplings: np.ndarray, time: flo
     moved = np.empty(cols.shape)
     np.matmul(u[:, None], cols[..., n:, :], out=moved[..., 0::2, :])
     np.matmul(v[:, None], cols[..., :n, :], out=moved[..., 1::2, :])
-    return moved.reshape(m, r, d, 2, g).transpose(3, 0, 1, 4, 2)
+    return moved.reshape(m, r, d, 2, g)
 
 
 class SlicedReference:
@@ -411,10 +419,12 @@ class SlicedReference:
     distinct generators: each call cuts every stack into slices of
     max(1, BLOCK_FLOATS // (2 r d G)) generators of r rows, evolves each
     slice, adds c~^2, c~ c~' and c~'^2 summed over (generator, row) into
-    the first d outcomes, scales by (1, 2, 2), then groups outcomes by
-    ``np.add.reduceat`` and sums the Fisher terms, block by block of
-    couplings.  The generators are found here from the roots alone, as
-    the sorted (Q_b, Q_c) of kind I and the Q of kind II, in the order
+    the first d outcomes, scales by (1, 2, 2), then sums outcomes into
+    groups through a 0/1 (groups x outcomes) matrix rebuilt on every call,
+    for ``pnr`` too, where ``PreparedProbe`` skips the grouping, and sums
+    the Fisher terms, block by block of couplings.  The generators are
+    found here from the roots alone, as the sorted (Q_b, Q_c) of kind I
+    and the Q of kind II, in the order
     of their first ladder; a generator's rows are its ladders' real rows,
     ladder by ladder, and zero rows up to the stack's largest share."""
 
@@ -446,23 +456,22 @@ class SlicedReference:
             for lo in range(0, m, step):
                 part = slice(lo, lo + step)
                 spec = type(self.spectra[0])(s[part], u[part], v[part])
-                amps = _evolve_real(spec, weights[part], couplings, time)
-                amps = amps.transpose(1, 2, 4, 0, 3).reshape(-1, d, 2, n)
-                moments[:d, :2] += np.add.reduce(amps[:, :, :1] * amps)
-                moments[:d, 2] += np.add.reduce(amps[:, :, 1] ** 2)
+                amps = _evolve_real(spec, weights[part], couplings, time).reshape(-1, d, 2, n)
+                moments[:d, ::2] += np.add.reduce(amps * amps)
+                moments[:d, 1] += np.add.reduce(amps[:, :, 0] * amps[:, :, 1])
         moments *= np.array([[1.0], [2.0], [2.0]])
         return moments.transpose(1, 2, 0)
 
     def fisher(self, scheme, couplings, time: float) -> np.ndarray:
         couplings = np.asarray(couplings, dtype=float)
         groups = [g for g in metrology.outcome_partition(scheme, self.n_outcomes) if g]
-        order = np.array([m for g in groups for m in g])
-        starts = np.array([0, *itertools.accumulate(len(g) for g in groups[:-1])])
+        grouping = np.zeros((len(groups), self.n_outcomes))
+        for row, group in zip(grouping, groups):
+            row[group] = 1.0
         values = np.empty(len(couplings))
         for lo in range(0, len(couplings), self.block_rows):
             block = couplings[lo : lo + self.block_rows]
-            moments = self.distributions(block, time).transpose(2, 0, 1)
-            p, dp, s = np.add.reduceat(moments[order], starts).transpose(1, 0, 2)
+            p, dp, s = grouping @ self.distributions(block, time).transpose(0, 2, 1)
             zero = np.maximum(p, np.abs(dp)) < metrology.ZERO_PROB
             terms = np.divide(dp * dp, p, out=2.0 * s, where=~zero)
             values[lo : lo + len(block)] = np.add.reduce(terms)

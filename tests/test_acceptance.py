@@ -30,7 +30,7 @@ from tsense import (
     spectral_weights,
 )
 
-from oracles import evolved_amplitudes_taylor, second_diff_5, tridiagonal, ungauged
+from oracles import evolved_amplitudes_taylor, second_diff_5, tridiagonal, ungauged, unpacked
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -73,7 +73,7 @@ def evolve_root(stack, spec, coupling, dtype=float):
     amplitudes, two with ``dtype=complex``."""
     weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
     (start,) = np.flatnonzero(stack.amplitudes[0])
-    gauged = evolve_vector(spec, weights, np.array([coupling]), 1.0)
+    gauged = unpacked(evolve_vector(spec, weights, np.array([coupling]), 1.0))
     return np.stack([ungauged(rows, start)[0] for rows in gauged])
 
 

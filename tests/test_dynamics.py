@@ -25,6 +25,7 @@ from oracles import (
     second_diff_5,
     tridiagonal,
     ungauged,
+    unpacked,
 )
 
 I, II = InteractionKind.I, InteractionKind.II
@@ -76,7 +77,7 @@ def evolve_root(stack, spec, couplings, time=1.0, dtype=float):
     ``dtype=complex``.
     """
     weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
-    gauged = evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time)
+    gauged = unpacked(evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time))
     return np.stack([ungauged(rows, root_rung(stack)) for rows in gauged])
 
 
@@ -209,7 +210,8 @@ def test_general_vectors_and_derivatives_match_taylor_exponential(kind):
         stack, spec = spectrum_of(kind, root)
         g = tridiagonal(stack.offdiag[0])
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        c, dc = map(ungauged, evolve_vector(spec, spectral_weights(spec, psi), grid, time))
+        amps = evolve_vector(spec, spectral_weights(spec, psi), grid, time)
+        c, dc = map(ungauged, unpacked(amps))
         for i, theta in enumerate(grid):
             want = expm_taylor(-1j * theta * time * g) @ psi
             dwant = -1j * time * g @ want
@@ -241,7 +243,8 @@ def test_real_formula_is_the_rung_gauge_of_the_amplitudes(kind, root):
     # and odd rungs, ladders of odd d (with the null column) and of even d
     stack, spec = spectrum_of(kind, root)
     grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
-    c, dc = evolve_vector(spec, spectral_weights(spec, stack.amplitudes[0]), grid, 1.0)[:, 0]
+    amps = evolve_vector(spec, spectral_weights(spec, stack.amplitudes[0]), grid, 1.0)
+    c, dc = unpacked(amps)[:, 0]
     assert c.dtype == dc.dtype == float
     g, r = tridiagonal(stack.offdiag[0]), root_rung(stack)
     gauge = 1j ** (np.arange(stack.d) % 2 - r % 2)
@@ -275,7 +278,7 @@ def test_two_rows_match_taylor_exponential(data, kind, d, complex_psi, theta, ti
         psi[:2] = data.draw(st.tuples(st.floats(0.125, 1.0), st.floats(-1.0, -0.125)))
     weights = spectral_weights(spec, psi)
     assert weights.rotating.shape == (2, d // 2, 1) and weights.constant.shape == (2, d % 2, 1)
-    c, dc = map(ungauged, evolve_vector(spec, weights, np.array([theta]), time))
+    c, dc = map(ungauged, unpacked(evolve_vector(spec, weights, np.array([theta]), time)))
     g = tridiagonal(stack.offdiag[0])
     want = expm_taylor(-1j * theta * time * g) @ psi
     scale = max(1.0, np.linalg.norm(psi))
@@ -323,8 +326,9 @@ def test_complex_or_two_parity_vectors_take_two_rows():
     weights = spectral_weights(spectra, np.stack([stack.amplitudes[0], psi]))
     assert weights.rotating.shape == (2, 2, stack.d // 2, 1)
     # two rows evolve it as a complex vector would
-    c, dc = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.3]), 1.0)
-    want, dwant = evolve_vector(spec, spectral_weights(spec, psi + 0j), np.array([0.3]), 1.0)
+    grid = np.array([0.3])
+    c, dc = unpacked(evolve_vector(spec, spectral_weights(spec, psi), grid, 1.0))
+    want, dwant = unpacked(evolve_vector(spec, spectral_weights(spec, psi + 0j), grid, 1.0))
     np.testing.assert_array_equal(c, want)
     np.testing.assert_array_equal(dc, dwant)
 
@@ -415,9 +419,11 @@ def test_evolve_vector_general_initial_state():
     stack, spec = spectrum_of(II, (1, 2))
     psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: stack.d]
     psi /= np.linalg.norm(psi)
-    c = ungauged(evolve_vector(spec, spectral_weights(spec, psi), np.array([0.4]), 1.0)[0])[0]
+    forth = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.4]), 1.0)
+    c = ungauged(unpacked(forth)[0])[0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-12
-    back = ungauged(evolve_vector(spec, spectral_weights(spec, c), np.array([-0.4]), 1.0)[0])[0]
+    back = evolve_vector(spec, spectral_weights(spec, c), np.array([-0.4]), 1.0)
+    back = ungauged(unpacked(back)[0])[0]
     np.testing.assert_allclose(back, psi, atol=1e-12)
 
 
@@ -438,10 +444,12 @@ def test_a_stack_is_its_ladders_side_by_side(kind, roots):
     psi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     grid = np.linspace(-0.7, 1.1, 9)
     stacked = evolve_vector(spectra, spectral_weights(spectra, psi), grid, 0.8)
+    # stack x row x rung x (c~, c~') x coupling, as the products wrote it
+    assert stacked.shape == (m, 2, d, 2, len(grid)) and stacked.flags.c_contiguous
     for i in range(m):
         spec = diagonalize(offdiag[i])
         np.testing.assert_array_equal(spectra.eigenvalues[i], spec.eigenvalues)
         for stacked_factor, factor in zip(spectra, spec):
             np.testing.assert_array_equal(stacked_factor[i], factor)
         single = evolve_vector(spec, spectral_weights(spec, psi[i]), grid, 0.8)
-        np.testing.assert_array_equal(stacked[:, i], single)
+        np.testing.assert_array_equal(stacked[i], single)

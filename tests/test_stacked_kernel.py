@@ -167,6 +167,27 @@ def test_one_row_matches_two_rows(case, grid, t):
 
 
 @pytest.mark.parametrize("kind", [I, II])
+@pytest.mark.parametrize("scheme", [
+    # the target group is empty, below 0 or past the last outcome
+    BinaryFock(-1), BinaryFock(40),
+    # shells partly or wholly below 0, or wholly past the last outcome
+    SequentialS0(0), SequentialS0(1), SequentialS0(-2), SequentialS0(40),
+    BinaryFock(2), SequentialS0(3),
+    # one outcome per group, in order: no grouping is applied
+    FullPNR(),
+], ids=repr)
+def test_grouping_edge_cases_match_per_ladder_loop(kind, scheme):
+    # a noisy probe whose stacks have several d, some with shared generators
+    probe = NoisyFock((2, 1, 2)[: kind.n_modes], (0.1,) * kind.n_modes)
+    prep = PreparedProbe(probe, kind)
+    assert len({d for _, _, d, _ in prep.plan}) > 1 and prep.n_outcomes > 1
+    assert max(s.multiplicity for s in decompose(probe, kind).components) > 1
+    grid = np.linspace(0.0, 1.5, 41)
+    assert_close(prep.fisher(scheme, grid, 0.9), fisher_per_ladder(probe, kind, scheme, grid, 0.9))
+    assert (prep._grouping(scheme) is None) == isinstance(scheme, FullPNR)
+
+
+@pytest.mark.parametrize("kind", [I, II])
 @pytest.mark.parametrize("scheme", [FullPNR(), BinaryFock(2), SequentialS0(2)])
 def test_coherent_stacks_over_several_coupling_blocks(kind, scheme):
     # hundreds of sectors; for kind I a few dozen stacks of up to 27
