@@ -108,17 +108,16 @@ class PreparedProbe:
     ``plan`` holds what every evaluation reuses, built once here: per
     stack of ladders (see :func:`tsense.probes.decompose`) the stacked
     spectrum of its distinct generators, each diagonalized once, the
-    :class:`~tsense.dynamics.Weights` of its initial vectors scaled by
-    the square root of each ladder's weight, so that the populations of a
-    stack add up without weights, its dimension d, and how many of its
-    generators fit within BLOCK_FLOATS with one coupling.  The weights
-    hold the real rows of the rung gauge (see :mod:`tsense.dynamics`):
-    one per ladder in Fock and noisy-Fock stacks, two in coherent ones.
-    The ladders of one generator are its rows, ladder by ladder, padded
-    with zero rows to the stack's largest share K (see
-    :attr:`~tsense.probes.LadderStack.multiplicity`): their phases depend
-    on the generator alone and are formed once for all of them.  With
-    K = 1 that is each ladder's own row or two, as it stands.  Rung k of
+    :class:`~tsense.dynamics.Weights` of its rows scaled by the square
+    root of their weights, so that the populations of a stack add up
+    without weights, its dimension d, and how many of its generators fit
+    within BLOCK_FLOATS with one coupling.  A stack comes with K rows for
+    each generator, its ladders and zero rows (see
+    :class:`~tsense.probes.LadderStack`), so the phases, which depend on
+    the generator alone, are formed once for all of them, and every stack,
+    a single Fock ladder's too, takes the same path.  The weights hold the
+    real rows of the rung gauge (see :mod:`tsense.dynamics`): one per
+    row in Fock and noisy-Fock stacks, two in coherent ones.  Rung k of
     every ladder is outcome k, so there are as many outcomes as the
     largest ladder has rungs.  Each scheme's outcome grouping is built
     once, on first use (see :meth:`fisher`).  A call forms only what
@@ -156,7 +155,8 @@ class PreparedProbe:
         """
         n = len(couplings)
         moments = np.zeros((self.n_outcomes, 3, n))
-        for spectrum, weights, d, fit in self.plan:
+        # an empty grid has nothing to evolve
+        for spectrum, weights, d, fit in self.plan if n else ():
             m, step = len(spectrum.s), max(1, fit // n)
             parts = [(spectrum, weights)] if step >= m else [
                 (dynamics.Spectrum(*(a[lo : lo + step] for a in spectrum)),
@@ -219,29 +219,22 @@ class PreparedProbe:
 
 
 def _diagonalize_stack(stack: LadderStack) -> tuple[dynamics.Spectrum, dynamics.Weights]:
-    """The spectrum of a stack's distinct generators and the
-    :class:`~tsense.dynamics.Weights` of its ladders on it: a generator's
-    rows are the rows of its ladders' weighted initial vectors, ladder by
-    ladder, and zero rows up to the stack's multiplicity K.  With K = 1
-    every ladder is its own generator and is diagonalized as it stands,
-    which spares every pure Fock probe the regrouping."""
-    psi = stack.amplitudes * np.sqrt(stack.weights)[:, None]
-    k = stack.multiplicity
-    if k == 1:
-        spectrum = dynamics.diagonalize(stack.offdiag)
-        return spectrum, dynamics.spectral_weights(spectrum, psi)
-    spectrum = dynamics.diagonalize(stack.offdiag[stack.slot == 0])
+    """The spectrum of a stack's distinct generators, from one stacked SVD
+    of its ``offdiag``, and the :class:`~tsense.dynamics.Weights` of its
+    rows on it: each generator's K rows (see
+    :class:`~tsense.probes.LadderStack`), scaled by the square roots of
+    their weights, become its K r real rows."""
+    spectrum = dynamics.diagonalize(stack.offdiag)
     s, u, v = spectrum
-    rows = np.zeros((len(s), k, stack.d), psi.dtype)
-    rows[stack.generator, stack.slot] = psi
+    k = stack.multiplicity
+    psi = (stack.amplitudes * np.sqrt(stack.weights)[:, None]).reshape(-1, k, stack.d)
     rotating, constant = dynamics.spectral_weights(
-        dynamics.Spectrum(s[:, None], u[:, None], v[:, None]), rows)
-    # generator x ladder x row x ... -> generator x (ladder, row) x ...,
-    # a view of the rotating weights, which spectral_weights lays out row
-    # by row
-    m, _, r, n, _ = rotating.shape
+        dynamics.Spectrum(s[:, None], u[:, None], v[:, None]), psi)
+    # generator x K x row x ... -> generator x (K, row) x ..., a view of the
+    # rotating weights, which spectral_weights lays out row by row
+    g, _, r, n, _ = rotating.shape
     return spectrum, dynamics.Weights(
-        rotating.reshape(m, k * r, n, 1), constant.reshape(m, k * r, -1, 1))
+        rotating.reshape(g, k * r, n, 1), constant.reshape(g, k * r, -1, 1))
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -381,8 +374,8 @@ def _first_minimum(f: np.ndarray, floor: float) -> Optional[int]:
     if floor:
         tol = floor * (1.0 + np.abs(mid))
         left, right = left + tol, right - tol
-    hits = np.flatnonzero((mid <= left) & (mid < right))
-    return int(hits[0]) + 1 if hits.size else None
+    (hits,) = ((mid <= left) & (mid < right)).nonzero()
+    return int(hits[0]) + 1 if len(hits) else None
 
 
 def dynamic_range_formula(

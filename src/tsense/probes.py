@@ -25,20 +25,20 @@ interaction II), where sector populations add, so this decomposition is
 exact for every scheme in :mod:`tsense.metrology`.
 
 Components are handed out in stacks: every component whose ladder has
-dimension d joins one :class:`LadderStack`, whose generators, initial
-vectors and weights are (m x d-1), (m x d) and (m,) arrays built by
-table lookups.  Rung k of every ladder carries k quanta of mode a (a'),
-so it is readout outcome k.  A coherent probe with a few hundred
-sectors has a few dozen stacks; a pure Fock probe is one stack of one.
+dimension d joins one :class:`LadderStack`, built by table lookups.  Rung
+k of every ladder carries k quanta of mode a (a'), so it is readout
+outcome k.  A coherent probe with a few hundred sectors has a few dozen
+stacks; a pure Fock probe is one stack of one.
 
-Components of one stack may share a generator, which then needs to be
+Components of one stack may share a generator, which is then built and
 diagonalized only once: kind I's elements sqrt((k+1)(Q_b-k)(Q_c-k)) are
 symmetric under Q_b <-> Q_c, so the coherent sectors (0, Q_b, Q_c) and
 (0, Q_c, Q_b) share one (the |alpha|^2 = 2 probe has 407 ladders on 213
 generators), and noisy components that share a root share their whole
 ladder, as (1, 1, 1) and (2, 0, 0) do on (0, 2, 2).  Each stack lists
-its ladders generator by generator, and the grouping is found once per
-probe over all of its ladders.
+its ladders generator by generator, padded with zero rows to K rows a
+generator (see :class:`LadderStack`), and the grouping is found once
+per probe over all of its ladders.
 """
 from __future__ import annotations
 
@@ -145,34 +145,34 @@ Probe = Union[PureFock, NoisyFock, CoherentProduct]
 
 @dataclass(frozen=True)
 class LadderStack:
-    """m ladders of one dimension d, each with an initial unit vector and
-    an ensemble weight, stacked along a leading axis.
+    """Ladders of one dimension d, each with an initial unit vector and an
+    ensemble weight, stacked generator by generator.
 
-    ``roots`` is the (m x modes) rung-0 configuration of each ladder, so
-    rung k of ladder i has the occupations ``roots[i] + k * rung_step``
-    (see :func:`tsense.ladder.ladder_basis`) and k quanta of mode a (a');
-    ``offdiag`` is (m x d-1), ``amplitudes`` (m x d) unit rows, real
-    for Fock and noisy-Fock stacks and complex for coherent ones, and
-    ``weights`` (m,).
-
-    Ladders with one generator (see :func:`tsense.ladder.generator_keys`)
-    are adjacent: ``generator`` (m,) numbers the distinct generators 0, 1,
-    ... in order, ``slot`` (m,) is each ladder's place among those of its
-    generator, 0 for the first, and ``multiplicity`` is K, the most
-    ladders that share one generator, found when the stack is built.
+    ``offdiag`` holds the (g x d-1) elements of the stack's g distinct
+    generators (see :func:`tsense.ladder.generator_keys`).  Each has K
+    (``multiplicity``) rows in the (gK x modes) ``roots``, (gK x d)
+    ``amplitudes`` and (gK,) ``weights``: its ladders, then zero rows of
+    weight 0 on the root of its first ladder.  Rung k of row i has the
+    occupations ``roots[i] + k * rung_step`` (see
+    :func:`tsense.ladder.ladder_basis`), k quanta of mode a (a').  The
+    amplitudes are real for Fock and noisy-Fock stacks and complex for
+    coherent ones; a ladder's weight can underflow to 0, so only they
+    tell a zero row from a ladder.
     """
 
     roots: np.ndarray
     weights: np.ndarray
     offdiag: np.ndarray
     amplitudes: np.ndarray
-    generator: np.ndarray
-    slot: np.ndarray
-    multiplicity: int
 
     @property
     def d(self) -> int:
         return self.amplitudes.shape[1]
+
+    @property
+    def multiplicity(self) -> int:
+        """K, the rows of each generator."""
+        return len(self.weights) // len(self.offdiag)
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,11 @@ def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
     """Split a probe into weighted single-ladder parts, stacked.
 
     Ladders of one dimension d form one :class:`LadderStack`, listed
-    generator by generator; their rungs carry 0..d-1 quanta of mode a
-    (a').  Every dimension is known in closed form before anything is
-    built: ladders that need more than MAX_RUNGS**2 eigenvector entries
-    together are refused first (counted per ladder, shared generators
-    or not).
+    generator by generator, K rows a generator; their rungs carry 0..d-1
+    quanta of mode a (a').  Every dimension is known in closed form before
+    anything is built: ladders that need more than MAX_RUNGS**2
+    eigenvector entries together are refused first (counted per ladder,
+    shared generators or not).
     """
     if isinstance(probe, PureFock):
         validate_config(kind, probe.occupations, "occupations")
@@ -221,10 +221,10 @@ def decompose(probe: Probe, kind: InteractionKind) -> WeightedComponents:
 def _stack_members(kind: InteractionKind, roots: np.ndarray) -> list[tuple]:
     """Each stack, in ascending d, of the ladders with the (m x modes)
     rung-0 configurations ``roots``, once the eigenvector budget has
-    passed: its d, its ladder numbers, their ``generator`` and ``slot``,
-    and its ``multiplicity`` (see :class:`LadderStack`).  Within a stack
-    the ladders of one generator are adjacent and keep their given order;
-    the grouping is found over all the ladders at once."""
+    passed: its d, the ladder on each of its rows, whether the row is that
+    ladder's own, and K, the rows of each generator.  A generator's rows
+    hold its ladders in their given order, then its first ladder again.
+    The grouping is found over all the ladders at once."""
     if len(roots) == 1:
         # one ladder (every pure Fock probe) is its own generator; it is
         # sized in Python ints, and the vectorized sizing and the sort below
@@ -232,8 +232,7 @@ def _stack_members(kind: InteractionKind, roots: np.ndarray) -> list[tuple]:
         d = int(ladder_dims(kind, roots[0]))
         if d > MAX_RUNGS:
             _refuse_budget([d])
-        zero = np.zeros(1, dtype=int)
-        return [(d, zero, zero, zero, 1)]
+        return [(d, np.zeros(1, dtype=int), np.ones(1, dtype=bool), 1)]
     d = ladder_dims(kind, roots)
     # all the ladders together may need no more d**2 entries than one
     # ladder of MAX_RUNGS rungs (their SVD factors hold about half of that);
@@ -246,13 +245,23 @@ def _stack_members(kind: InteractionKind, roots: np.ndarray) -> list[tuple]:
     # a stack starts where d changes, and a generator where d or the key does
     step = d[1:] != d[:-1]
     first = np.concatenate(([True], step | (keys[1:] != keys[:-1])))
+    starts = first.nonzero()[0]
     generator = first.cumsum() - 1
-    slot = np.arange(len(d)) - first.nonzero()[0][generator]
+    slot = np.arange(len(d)) - starts[generator]
     cuts = [0, *(step.nonzero()[0] + 1).tolist(), len(d)]
-    shares = (np.maximum.reduceat(slot, cuts[:-1]) + 1).tolist()
+    shares = np.maximum.reduceat(slot, cuts[:-1]) + 1
+    # each generator gets its stack's K rows, from first_row[generator] on;
+    # those past its own ladders repeat its first
+    firsts = [*generator[cuts[:-1]].tolist(), len(starts)]
+    first_row = np.concatenate(([0], np.repeat(shares, np.diff(firsts)).cumsum()))
+    row = first_row[generator] + slot
+    ladder = np.repeat(order[starts], np.diff(first_row))
+    own = np.zeros(len(ladder), dtype=bool)
+    ladder[row], own[row] = order, True
+    bounds = first_row[firsts].tolist()
     return [
-        (int(d[lo]), order[lo:hi], generator[lo:hi] - generator[lo], slot[lo:hi], k)
-        for lo, hi, k in zip(cuts, cuts[1:], shares)
+        (int(d[lo]), ladder[a:b], own[a:b], k)
+        for lo, a, b, k in zip(cuts, bounds, bounds[1:], shares.tolist())
     ]
 
 
@@ -273,20 +282,14 @@ def _fock_stacks(
     rung of its occupation of mode a (a')."""
     occs, weights = np.array(occs), np.array(weights)
     roots = sector_roots(kind, occs)
-    return WeightedComponents(tuple(
-        _stack(kind, roots[idx], weights[idx], (np.arange(d) == occs[idx, :1]).astype(float),
-               generator, slot, k)
-        for d, idx, generator, slot, k in _stack_members(kind, roots)
-    ))
-
-
-def _stack(
-    kind: InteractionKind, roots: np.ndarray, weights: np.ndarray, amplitudes: np.ndarray,
-    generator: np.ndarray, slot: np.ndarray, multiplicity: int,
-) -> LadderStack:
-    """The stacked build: one generator table for ladders of one dimension."""
-    offdiag = ladder_offdiag(kind, roots, amplitudes.shape[1])
-    return LadderStack(roots, weights, offdiag, amplitudes, generator, slot, multiplicity)
+    stacks = []
+    for d, ladder, own, k in _stack_members(kind, roots):
+        r = roots[ladder]
+        amplitudes = ((np.arange(d) == occs[ladder, :1]) & own[:, None]).astype(float)
+        # one generator table from the first of each generator's K rows
+        stacks.append(LadderStack(r, weights[ladder] * own, ladder_offdiag(kind, r[::k], d),
+                                  amplitudes))
+    return WeightedComponents(tuple(stacks))
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -363,18 +366,21 @@ def _decompose_coherent(probe: CoherentProduct, kind: InteractionKind) -> Weight
     padded = [np.append(t, 0.0) for t in tables]
     roots = _unique_rows(sector_roots(kind, occs))
     parts = []
-    for d, idx, generator, slot, k in _stack_members(kind, roots):
-        psi = np.ones((len(idx), d), dtype=complex)
-        columns = np.moveaxis(ladder_basis(kind, roots[idx], d), -1, 0)
+    for d, ladder, own, k in _stack_members(kind, roots):
+        r = roots[ladder]
+        psi = np.ones((len(r), d), dtype=complex)
+        columns = np.moveaxis(ladder_basis(kind, r, d), -1, 0)
         for table, column in zip(padded, columns):
             psi *= table[np.minimum(column, len(table) - 1)]
         # positive: each ladder holds a kept product state, and none of those
         # weighs less than the last one kept, which still moved the retained
-        # sum (by at least half an ulp of the cutoff)
+        # sum (by at least half an ulp of the cutoff); a repeated ladder too
         w = np.einsum("ij,ij->i", psi.conj(), psi).real
-        parts.append((roots[idx], w, psi / np.sqrt(w)[:, None], generator, slot, k))
-    total = sum(part[1].sum() for part in parts)
+        psi /= np.sqrt(w)[:, None]
+        parts.append((r, w, ladder_offdiag(kind, r[::k], d), psi, own))
+    # the ladders' own weights, in their order
+    total = sum(w[own].sum() for _, w, _, _, own in parts)
     return WeightedComponents(tuple(
-        _stack(kind, r, w / total, psi, generator, slot, k)
-        for r, w, psi, generator, slot, k in parts
+        LadderStack(r, w * own / total, offdiag, np.where(own[:, None], psi, 0.0))
+        for r, w, offdiag, psi, own in parts
     ))

@@ -422,20 +422,24 @@ class SlicedReference:
     the first d outcomes, scales by (1, 2, 2), then sums outcomes into
     groups through a 0/1 (groups x outcomes) matrix rebuilt on every call,
     for ``pnr`` too, where ``PreparedProbe`` skips the grouping, and sums
-    the Fisher terms, block by block of couplings.  The generators are
-    found here from the roots alone, as the sorted (Q_b, Q_c) of kind I
-    and the Q of kind II, in the order
-    of their first ladder; a generator's rows are its ladders' real rows,
-    ladder by ladder, and zero rows up to the stack's largest share."""
+    the Fisher terms, block by block of couplings.  A stack's ladders are
+    its rows that carry an initial vector.  Their generators are found
+    here from the roots alone, as the sorted (Q_b, Q_c) of kind I and the
+    Q of kind II, in the order of their first ladder, and built by
+    :func:`fock_ladder` from that ladder's root; a generator's rows are
+    its ladders' real rows, ladder by ladder, and zero rows up to the
+    stack's largest share."""
 
     def __init__(self, probe, kind: InteractionKind):
         self.spectra, self.weights = [], []
         for stack in decompose(probe, kind).components:
             members: dict = {}
-            for i, root in enumerate(stack.roots.tolist()):
-                members.setdefault(tuple(sorted(root[1:])), []).append(i)
+            for i, (root, psi) in enumerate(zip(stack.roots.tolist(), stack.amplitudes)):
+                if psi.any():
+                    members.setdefault(tuple(sorted(root[1:])), []).append(i)
             groups = list(members.values())
-            spec = diagonalize(stack.offdiag[[g[0] for g in groups]])
+            offdiag = [fock_ladder(kind, tuple(stack.roots[g[0]].tolist()))[1] for g in groups]
+            spec = diagonalize(np.array(offdiag).reshape(len(groups), stack.d - 1))
             psi = stack.amplitudes * np.sqrt(stack.weights)[:, None]
             rows = np.zeros((len(groups), max(map(len, groups)), stack.d), psi.dtype)
             for j, group in enumerate(groups):

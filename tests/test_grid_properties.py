@@ -59,7 +59,9 @@ def qfi_bound(probe, kind, t):
         return qfi_coherent(probe.alphas, kind, t)
     total = 0.0
     for stack in decompose(probe, kind).components:
-        for weight, offdiag, psi in zip(stack.weights, stack.offdiag, stack.amplitudes):
+        # K rows on each generator's row of elements, zero rows of weight 0 among them
+        offdiags = np.repeat(stack.offdiag, stack.multiplicity, axis=0)
+        for weight, offdiag, psi in zip(stack.weights, offdiags, stack.amplitudes, strict=True):
             g = np.diag(offdiag, 1) + np.diag(offdiag, -1)
             mean = np.vdot(psi, g @ psi).real
             total += weight * 4.0 * t * t * (np.vdot(psi, g @ (g @ psi)).real - mean**2)

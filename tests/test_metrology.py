@@ -241,6 +241,18 @@ def test_coherent_fisher_below_coherent_qfi():
     assert f0 < qfi_coherent((s2, math.sqrt(3)), II)
 
 
+@pytest.mark.parametrize("probe, kind", [
+    (PureFock((2, 1, 1)), I),
+    (NoisyFock((1, 2), (0.1, 0.05)), II),
+    (CoherentProduct((1.0, 0.5j, 0.8)), I),
+], ids=["fock", "noisy", "coherent"])
+def test_an_empty_grid_gives_empty_results(probe, kind):
+    prep = PreparedProbe(probe, kind)
+    grid = np.array([])
+    assert prep.distributions(grid, 1.0).shape == (3, 0, prep.n_outcomes)
+    assert prep.fisher(FullPNR(), grid, 1.0).shape == (0,)
+
+
 def test_mixture_distributions_normalized():
     probe = NoisyFock((1, 1, 1), (0.1,) * 3)
     prep = PreparedProbe(probe, I)
@@ -495,10 +507,11 @@ def test_probe_eigenvector_budget_admits_one_ladder_at_the_cap(monkeypatch):
 def test_coherent_eigenvector_budget_is_checked_before_building(monkeypatch):
     # 16596 sectors of up to ~300 rungs, about 2.1 GiB of eigenvectors
     # together; their dimensions follow from the sector roots, so the
-    # probe is refused before `probes._stack` makes any stack
-    def refuse(kind, roots, weights, amplitudes):
+    # probe is refused before `probes` builds any stack's rungs or generators
+    def refuse(kind, roots, d):
         raise AssertionError(f"built a stack of {len(roots)} ladders")
 
-    monkeypatch.setattr(probes, "_stack", refuse)
+    monkeypatch.setattr(probes, "ladder_basis", refuse)
+    monkeypatch.setattr(probes, "ladder_offdiag", refuse)
     with pytest.raises(ResourceError, match=r"16596 ladders .* 2\.1 GiB"):
         PreparedProbe(CoherentProduct((0.0, 12.0, 12.0)), I)

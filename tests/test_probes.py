@@ -15,19 +15,22 @@ from tsense import (
 from tsense.ladder import ladder_basis, sector_roots
 from tsense.probes import _amplitude_table, _unique_rows
 
-from oracles import coherent_sectors_heap
+from oracles import _probe_ladders, coherent_sectors_heap, fock_ladder
 
 I, II = InteractionKind.I, InteractionKind.II
 
 
 def ladders(probe, kind):
-    """(rung occupations, weight, amplitudes) of every ladder of every stack."""
+    """(rung occupations, weight, amplitudes) of every ladder of every
+    stack: its rows but the zero rows that pad a generator's."""
     return [
         (basis, weight, psi)
         for stack in decompose(probe, kind).components
         for basis, weight, psi in zip(
-            ladder_basis(kind, stack.roots, stack.d), stack.weights, stack.amplitudes
+            ladder_basis(kind, stack.roots, stack.d), stack.weights, stack.amplitudes,
+            strict=True,
         )
+        if psi.any()
     ]
 
 
@@ -84,7 +87,10 @@ def test_stacks_share_dimension_and_measured_occupations(kind):
         stacks = decompose(probe, kind).components
         for stack in stacks:
             m, d = stack.amplitudes.shape
-            assert stack.offdiag.shape == (m, d - 1) and stack.weights.shape == (m,)
+            # one row of elements per distinct generator, K rows for each
+            g = len(stack.offdiag)
+            assert m == g * stack.multiplicity
+            assert stack.offdiag.shape == (g, d - 1) and stack.weights.shape == (m,)
             basis = ladder_basis(kind, stack.roots, d)
             assert basis.shape == (m, d, kind.n_modes)
             # rung k of every ladder carries k quanta of mode a (a')
@@ -92,6 +98,47 @@ def test_stacks_share_dimension_and_measured_occupations(kind):
         # one stack per dimension, in ascending order
         dims = [stack.d for stack in stacks]
         assert dims == sorted(set(dims))
+
+
+@pytest.mark.parametrize("probe, kind, underflow", [
+    (NoisyFock((3, 2, 2), (0.1,) * 3), I, False),
+    (NoisyFock((2, 3), (0.1, 0.1)), II, False),
+    # 0.25 * 1e-323 * 1e-323 is 0.0: a ladder of weight 0, beside pad rows
+    (NoisyFock((0, 0, 0), (0.125, 5e-324, 5e-324)), I, True),
+    (CoherentProduct((math.sqrt(2),) * 3), I, False),
+], ids=["noisy-322", "noisy-II", "underflow", "coherent"])
+def test_generators_are_padded_with_zero_rows(probe, kind, underflow):
+    got, pads = [], 0
+    for stack in decompose(probe, kind).components:
+        g, k, d = len(stack.offdiag), stack.multiplicity, stack.d
+        rows = zip(stack.offdiag, stack.roots.reshape(g, k, -1), stack.weights.reshape(g, k),
+                   stack.amplitudes.reshape(g, k, d), strict=True)
+        for offdiag, roots, weights, amplitudes in rows:
+            # a generator's ladders first, then zero rows of weight 0
+            own = amplitudes.any(axis=1)
+            n = int(own.sum())
+            assert n >= 1 and own.tolist() == [True] * n + [False] * (k - n)
+            assert np.all(amplitudes[n:] == 0) and np.all(weights[n:] == 0.0)
+            pads += k - n
+            for root, weight, psi in zip(roots[:n], weights[:n], amplitudes[:n]):
+                # every ladder of the generator walks to its row of elements
+                rungs, elements = fock_ladder(kind, tuple(root.tolist()))
+                np.testing.assert_array_equal(elements, offdiag)
+                got.append((rungs.tolist(), weight, psi))
+    assert pads > 0
+    # the ladders are the per-ladder oracle's, listed by rungs and start rung
+    want = [(rungs.tolist(), w, psi) for w, rungs, _, psi in _probe_ladders(probe, kind)]
+    key = lambda part: (part[0], int(np.abs(part[2]).argmax()))
+    got, want = sorted(got, key=key), sorted(want, key=key)
+    assert [part[0] for part in got] == [part[0] for part in want]
+    assert (min(weight for _, weight, _ in got) == 0.0) == underflow
+    for (_, weight, psi), (_, want_weight, want_psi) in zip(got, want, strict=True):
+        if isinstance(probe, CoherentProduct):
+            assert weight == pytest.approx(want_weight, rel=1e-13, abs=0)
+            np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-15)
+        else:
+            assert weight == want_weight
+            np.testing.assert_array_equal(psi, want_psi)
 
 
 def test_noise_bounds_validated():

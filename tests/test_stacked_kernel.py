@@ -30,6 +30,7 @@ from tsense import (
     decompose,
     dynamics,
     metrology,
+    probes,
 )
 
 from oracles import (
@@ -89,6 +90,11 @@ couplings = st.one_of(
     st.just(0.0), st.floats(1e-2, 2.0), st.floats(1e-2, 2.0).map(lambda x: -x)
 )
 grids = st.lists(couplings, min_size=1, max_size=40).map(np.array)
+
+
+def n_ladders(stack):
+    """The ladders of a stack: its rows but the zero rows that pad a generator's."""
+    return int(np.count_nonzero(stack.amplitudes.any(axis=1)))
 
 
 def assert_close(got, want):
@@ -196,7 +202,7 @@ def test_coherent_stacks_over_several_coupling_blocks(kind, scheme):
     # two ladders on two generators (Q = 2d - 2 and 2d - 1)
     probe = CoherentProduct((1.4, 1.1j, 1.3)[: kind.n_modes])
     prep = PreparedProbe(probe, kind)
-    assert max(len(s.weights) for s in decompose(probe, kind).components) == (27 if kind is I else 2)
+    assert max(map(n_ladders, decompose(probe, kind).components)) == (27 if kind is I else 2)
     assert max(len(spectrum.s) for spectrum, _, _, _ in prep.plan) == (15 if kind is I else 2)
     grid = np.linspace(0.0, 0.5, 3 * prep.block_rows + 7)
     for moment, want in zip(prep.distributions(grid, 1.0),
@@ -218,20 +224,26 @@ def test_coherent_stacks_over_several_coupling_blocks(kind, scheme):
 ], ids=["coherent-sectors", "ci", "coherent-II", "noisy-322", "noisy-111"])
 def test_one_svd_per_distinct_generator(probe, kind, ladders, generators):
     stacks = decompose(probe, kind).components
-    assert sum(len(s.weights) for s in stacks) == ladders
+    assert sum(map(n_ladders, stacks)) == ladders
     # generators from the roots alone: kind I's unordered (Q_b, Q_c), kind II's Q
     assert len({tuple(sorted(r[1:])) for s in stacks for r in s.roots.tolist()}) == generators
-    sizes = []
-    diagonalize = dynamics.diagonalize
+    built, sizes = [], []
+    ladder_offdiag, diagonalize = probes.ladder_offdiag, dynamics.diagonalize
+
+    def record_build(kind, roots, d):
+        built.append(len(roots))
+        return ladder_offdiag(kind, roots, d)
 
     def record(offdiag):
         sizes.append(len(offdiag))
         return diagonalize(offdiag)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(probes, "ladder_offdiag", record_build)
         patch.setattr(dynamics, "diagonalize", record)
         prep = PreparedProbe(probe, kind)
-    assert sum(sizes) == sum(len(spectrum.s) for spectrum, _, _, _ in prep.plan) == generators
+    assert sum(built) == sum(sizes) == generators
+    assert sum(len(spectrum.s) for spectrum, _, _, _ in prep.plan) == generators
 
 
 def test_noisy_components_on_one_root_share_a_generator():
@@ -239,9 +251,10 @@ def test_noisy_components_on_one_root_share_a_generator():
     # (0, 2, 2): one generator, three rows, which start on rungs 0, 1, 2
     (stack,) = [s for s in decompose(NoisyFock((1, 1, 1), (0.1,) * 3), I).components
                 if [0, 2, 2] in s.roots.tolist()]
-    on = np.flatnonzero((stack.roots == [0, 2, 2]).all(axis=1))
-    assert len(set(stack.generator[on].tolist())) == 1
-    assert stack.slot[on].tolist() == [0, 1, 2]
+    on = np.flatnonzero((stack.roots == [0, 2, 2]).all(axis=1) & stack.amplitudes.any(axis=1))
+    # the first three of one generator's K rows
+    k = stack.multiplicity
+    assert len(set((on // k).tolist())) == 1 and (on % k).tolist() == [0, 1, 2]
     assert [int(np.flatnonzero(psi)[0]) for psi in stack.amplitudes[on]] == [0, 1, 2]
 
 
