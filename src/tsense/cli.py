@@ -106,18 +106,17 @@ def _amplitudes(value) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _flag(default, type=str, choices=None, help=None, parse=None):
+def _flag(default, type=str, choices=None, help=None):
     """A RunConfig field that is also the flag ``--<name>`` and a config key.
 
-    ``type`` converts the flag's text; a config-file value must have the
-    matching JSON type (any number for float).  A list-valued flag is
-    text on the command line or a JSON list in a config file, and
-    ``parse`` normalises either form, checking the JSON type of each
-    list entry.  A config value may be null only where the default is.
+    ``type`` is the flag's one converter, applied where a value enters:
+    argparse gives it the flag's text, and a config-file value of the
+    matching JSON type goes through it too, so ``"time": 1`` reads as
+    ``--time 1``.  A float flag takes any JSON number; a list-valued flag
+    takes its text or a JSON list, whose entries its converter checks.
+    A config value may be null only where the default is.
     """
-    return field(default=default, metadata={
-        "type": type, "choices": choices, "help": help, "parse": parse,
-    })
+    return field(default=default, metadata={"type": type, "choices": choices, "help": help})
 
 
 @dataclass
@@ -125,11 +124,11 @@ class RunConfig:
     subcommand: str
     interaction: str = _flag("I", choices=("I", "II"))
     state: Optional[tuple[int, ...]] = _flag(
-        None, help="occupations, e.g. 2,1,1", parse=_occupations)
+        None, type=_occupations, help="occupations, e.g. 2,1,1")
     eps: Optional[tuple[float, ...]] = _flag(
-        None, help="per-mode eps or one broadcast value", parse=_eps)
+        None, type=_eps, help="per-mode eps or one broadcast value")
     alpha: Optional[tuple[complex, ...]] = _flag(
-        None, help="coherent amplitudes re+imi, comma separated", parse=_amplitudes)
+        None, type=_amplitudes, help="coherent amplitudes re+imi, comma separated")
     scheme: str = _flag("pnr", choices=("pnr", "binary", "s0"))
     time: float = _flag(1.0, type=float)
     theta_max: float = _flag(1.0, type=float)
@@ -213,40 +212,35 @@ def parse_config(argv: list[str]) -> RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
-            _check_config_value(FLAGS[key], value)
-        merged.update(loaded)
+            merged[key] = _config_value(FLAGS[key], value)
     for key in merged:
         value = getattr(ns, key)
         if value is not None:
             merged[key] = value
-    for key, flag in FLAGS.items():
-        parse = flag.metadata["parse"]
-        if parse is not None and merged[key] is not None:
-            merged[key] = parse(merged[key])
     check_positive_finite(time=merged["time"], theta_max=merged["theta_max"])
     if merged["alpha"] is not None and not all(map(cmath.isfinite, merged["alpha"])):
         raise ConfigurationError(f"alpha must be finite, got {merged['alpha']}")
     return RunConfig(subcommand=ns.subcommand, **merged)
 
 
-def _check_config_value(flag: Field, value) -> None:
-    meta = flag.metadata
+def _config_value(flag: Field, value):
+    """A config-file value, checked for its flag's JSON type and choices and
+    converted by the flag's ``type``."""
+    convert, choices = flag.metadata["type"], flag.metadata["choices"]
     if value is None and flag.default is None:
-        return
-    if meta["parse"] is not None:
-        json_type = (str, list)
-    else:
-        json_type = (int, float) if meta["type"] is float else meta["type"]
+        return None
+    json_type = {float: (int, float), int: int, str: str}.get(convert, (str, list))
     if isinstance(value, bool) or not isinstance(value, json_type):
         raise ConfigurationError(
             f"config value for {flag.name!r} has the wrong type: {value!r}")
-    if meta["type"] is float:
-        _floats([value], flag.name)
-    if meta["choices"] is not None and value not in meta["choices"]:
+    if choices is not None and value not in choices:
         raise ConfigurationError(
             f"config value for {flag.name!r} must be one of "
-            f"{', '.join(meta['choices'])}, got {value!r}"
+            f"{', '.join(choices)}, got {value!r}"
         )
+    if convert is float:
+        return _floats([value], flag.name)[0]
+    return convert(value)
 
 
 def _kind(cfg: RunConfig) -> InteractionKind:
@@ -273,6 +267,7 @@ def _build_probe(cfg: RunConfig):
     if cfg.alpha is not None:
         if cfg.state is not None or cfg.eps is not None:
             raise ConfigurationError("--alpha cannot be combined with --state/--eps here")
+        validate_config(_kind(cfg), cfg.alpha, "coherent amplitudes")
         return CoherentProduct(alphas=cfg.alpha)
     state = _state(cfg)
     if cfg.eps is not None:

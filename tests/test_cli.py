@@ -109,6 +109,21 @@ def test_wrong_length_state_is_refused_before_any_scan(args, monkeypatch, capsys
     assert err.startswith("error: interaction I needs 3 occupations, got 2\n")
 
 
+@pytest.mark.parametrize(
+    "interaction, alpha, n_modes",
+    [("I", "1,1", 3), ("I", "1e200,1", 3), ("II", "1,1,1", 2), ("II", "1e200,1,1", 2)],
+)
+def test_wrong_amplitude_count_is_a_usage_error(interaction, alpha, n_modes, capsys):
+    # counted before the probe is built: 1e200 alone would fail its truncation (exit 4)
+    code, out, err = run_cli(
+        ["fisher-scan", "--interaction", interaction, "--alpha", alpha, "--steps", "3"], capsys
+    )
+    assert (code, out) == (2, "")
+    count = len(alpha.split(","))
+    assert err.startswith(
+        f"error: interaction {interaction} needs {n_modes} coherent amplitudes, got {count}\n")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code = main(["fisher-scan", "--bogus", "1"])
     capsys.readouterr()
@@ -621,7 +636,7 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
     cfg = parse_config(
         [
             "fisher-scan", "--interaction", "II", "--state", "1,3",
-            "--scheme", "s0", "--steps", "11", "--theta-max", "0.5",
+            "--scheme", "s0", "--steps", "11", "--theta-max", "2",
             "--eps", "0.05,0.1",
         ]
     )
@@ -630,22 +645,24 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
         json.dumps(
             {
                 "subcommand": "fisher-scan", "interaction": "II", "state": [1, 3],
-                "eps": [0.05, 0.1], "alpha": None, "scheme": "s0", "time": 1.0,
-                "theta_max": 0.5, "steps": 11, "total": None, "n_max": 30,
+                "eps": [0.05, 0.1], "alpha": None, "scheme": "s0", "time": 1,
+                "theta_max": 2, "steps": 11, "total": None, "n_max": 30,
                 "trials": 1, "out": None, "format": "csv",
             }
         ),
         encoding="utf-8",
     )
 
+    # by repr, since 1 == 1.0: an integer JSON number must read as its flag's text does
     again = parse_config(["fisher-scan", "--config", str(path)])
-    assert again == cfg
+    assert repr(again) == repr(cfg)
 
     overridden = parse_config(
         ["fisher-scan", "--config", str(path), "--steps", "21"]
     )
     assert overridden.steps == 21
     assert overridden.state == cfg.state
+    assert repr(overridden) == repr(dataclasses.replace(cfg, steps=21))
     capsys.readouterr()
 
 
@@ -657,11 +674,13 @@ def test_config_keys_are_the_flags(sub, tmp_path, capsys):
     keys = {name.replace("-", "_") for name in (flag[2:] for flag in flags)}
     config_keys = {f.name for f in dataclasses.fields(RunConfig)} - {"subcommand"}
     assert keys == config_keys
-    # every key at once, each at the value its flag leaves by default
+    # every key at once, each at the value its flag leaves by default, time and
+    # theta_max (1.0) as the JSON integer 1; compared by repr, since 1 == 1.0
     defaults = parse_config([sub])
+    values = {key: getattr(defaults, key) for key in keys} | {"time": 1, "theta_max": 1}
     path = tmp_path / "all.json"
-    path.write_text(json.dumps({key: getattr(defaults, key) for key in keys}), encoding="utf-8")
-    assert parse_config([sub, "--config", str(path)]) == defaults
+    path.write_text(json.dumps(values), encoding="utf-8")
+    assert repr(parse_config([sub, "--config", str(path)])) == repr(defaults)
     # and each key on its own, moved off its default through the file as by its flag
     texts = {"interaction": "II", "scheme": "s0", "state": "1,3", "eps": "0.5",
              "alpha": "1+2i", "out": "x.csv", "format": "json" if sub != "optimize" else "csv"}
@@ -669,19 +688,32 @@ def test_config_keys_are_the_flags(sub, tmp_path, capsys):
     for key in sorted(keys):
         text = texts.get(key, "7")
         flag = "--" + key.replace("_", "-")
+        # "7" as the JSON integer 7, for float flags too; any other text as a string
+        value = int(text) if text.isdigit() else text
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
         if key not in reads:
             # typed, a flag the subcommand never reads is refused; preset, it is kept
             with pytest.raises(ConfigurationError, match=f"^{sub} does not read {flag}$"):
                 parse_config([sub, flag, text])
-            value = text if key in ("state", "eps", "alpha") else cli.FLAGS[key].metadata["type"](text)
-            path.write_text(json.dumps({key: value}), encoding="utf-8")
             assert parse_config([sub, "--config", str(path)]) != defaults, key
             continue
         want = parse_config([sub, flag, text])
         assert want != defaults, key
-        value = text if key in ("state", "eps", "alpha") else getattr(want, key)
-        path.write_text(json.dumps({key: value}), encoding="utf-8")
-        assert parse_config([sub, "--config", str(path)]) == want, key
+        assert repr(parse_config([sub, "--config", str(path)])) == repr(want), key
+
+
+@pytest.mark.parametrize("subcommand, fmt", [("fisher-scan", "csv"), ("dynamic-range", "json")])
+def test_integer_config_numbers_print_as_their_flags_do(subcommand, fmt, tmp_path, capsys):
+    # tools/configs/int-numbers.json: "time": 1 must print as --time 1 does, 1.0
+    path = tmp_path / "int-numbers.json"
+    path.write_text(json.dumps({"interaction": "I", "state": [4, 0, 0], "scheme": "binary",
+                                "time": 1, "theta_max": 2, "steps": 21}), encoding="utf-8")
+    flags = ["--interaction", "I", "--state", "4,0,0", "--scheme", "binary",
+             "--time", "1", "--theta-max", "2", "--steps", "21"]
+    code, by_flags, _ = run_cli([subcommand, *flags, "--format", fmt], capsys)
+    assert code == 0
+    assert run_cli([subcommand, "--config", str(path), "--format", fmt], capsys) == (
+        0, by_flags, "")
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -776,6 +808,27 @@ def test_config_file_value_types_are_usage_errors(config, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ({"state": 5}, ["--state", "1,1,1"], "config value for 'state' has the wrong type: 5"),
+        ({"state": "2,1,a"}, ["--state", "1,1,1"], "cannot parse occupations from '2,1,a'"),
+        ({"state": "1,1,1", "eps": "0.1,x"}, ["--eps", "0.1"], "cannot parse eps from '0.1,x'"),
+        ({"alpha": "1,x,1"}, ["--alpha", "1,1,1"], "cannot parse amplitude 'x'"),
+    ],
+    ids=["wrong-type", "state", "eps", "alpha"],
+)
+def test_a_bad_preset_is_a_usage_error_even_when_overridden(
+    config, flags, message, tmp_path, capsys
+):
+    # every config value is checked as the file is loaded, whichever flags follow
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(["fisher-scan", "--config", str(path), *flags, "--steps", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}\n")
 
 
 def test_json_outputs_validate_against_schema(tmp_path, capsys):
