@@ -407,15 +407,13 @@ def cmd_noise_scan(cfg: RunConfig) -> dict:
 
 
 def cmd_coherent_compare(cfg: RunConfig) -> dict:
-    n_modes = _kind(cfg).n_modes
     # checked before its occupations set the default amplitudes
     fock_probe = PureFock(_state(cfg))
     state = fock_probe.occupations
     alphas = cfg.alpha
     if alphas is None:
         alphas = tuple(complex(math.sqrt(n)) for n in state)
-    if len(alphas) != n_modes:
-        raise ConfigurationError(f"need {n_modes} coherent amplitudes, got {len(alphas)}")
+    validate_config(_kind(cfg), alphas, "coherent amplitudes")
     # the coherent probe scans first: if it is refused, no time goes into the Fock one
     probe = CoherentProduct(alphas)
     (coherent, fock), grid = _scan_probes(cfg, probe, fock_probe)

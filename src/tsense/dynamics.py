@@ -12,8 +12,10 @@ One SVD B = U S V^T (Golub & Kahan, 1965) gives, with x = theta t,
 where S acts on the first floor(d/2) columns of U and u0, the last
 column of U for odd d (absent for even d), spans the null space of B^T.
 The d x d eigenvector matrix of G is never built: U and V hold about
-d^2/2 floats per ladder.  Every array may carry leading stack axes, one
+d^2/2 floats per ladder.  A spectrum may carry leading stack axes, one
 entry per generator of equal d, and a stack goes through one stacked SVD.
+Each generator evolves R initial vectors, the one row axis this module
+lays out: R r real rows (see below) in :class:`Weights`.
 
 The rung gauge: multiplying the odd rungs by i (D = diag(i^(k mod 2)))
 turns the propagator into the real orthogonal
@@ -95,52 +97,57 @@ def diagonalize(offdiag: np.ndarray) -> Spectrum:
 
 
 class Weights(NamedTuple):
-    """Spectral weights in the form :func:`evolve_vector` takes, one row
-    per real row of the gauged vector (see the module docstring):
-    ``rotating`` the complex (..., r, floor(d/2), 1) alpha + i beta and
-    ``constant`` the real (..., r, d mod 2, 1) a0, their last axis
-    broadcasting over couplings.  Built once per initial vector."""
+    """Spectral weights in the form :func:`evolve_vector` takes, the R r
+    real rows (see the module docstring) of each generator's R initial
+    vectors, vector by vector: ``rotating`` the complex (..., R r,
+    floor(d/2)) alpha + i beta and ``constant`` the real (..., R r, d mod 2) a0."""
 
     rotating: np.ndarray
     constant: np.ndarray
 
     @property
     def rows(self) -> int:
-        """r, the real rows per initial vector."""
-        return self.rotating.shape[-3]
+        """R r, the real rows per generator."""
+        return self.rotating.shape[-2]
 
 
 def spectral_weights(spectrum: Spectrum, psi0: np.ndarray) -> Weights:
-    """The :class:`Weights` of the (..., d) initial vectors ``psi0``:
-    r = 1 row when ``psi0`` is real and each vector's nonzero entries
-    share one rung parity, else r = 2."""
+    """The :class:`Weights` of the (..., R, d) initial vectors ``psi0``, R
+    per generator: the leading axes are those of ``spectrum``, else
+    ValueError.  A vector takes r = 1 row when ``psi0`` is real and each
+    vector's nonzero entries share one rung parity, else r = 2."""
     psi0 = np.asarray(psi0)
+    lead = spectrum.s.shape[:-1]
+    if psi0.ndim != len(lead) + 2 or psi0.shape[:-2] != lead:
+        raise ValueError(f"initial vectors {psi0.shape} do not fit generators {lead}")
     # any() takes every nonzero entry (NaN too) as true; a complex vector
     # takes two rows without the parity test
     two = np.iscomplexobj(psi0) or (psi0[..., 0::2].any(-1) & psi0[..., 1::2].any(-1)).any()
     psi = np.ascontiguousarray(psi0, dtype=complex if two else float)
-    # rung x row, the rows of a complex vector its real and imaginary parts
+    # vector x rung x row, the rows of a complex vector its real and imaginary parts
     rows = psi.view(float).reshape(*psi.shape, -1)
-    a = spectrum.u.swapaxes(-1, -2) @ rows[..., 0::2, :]
-    b = spectrum.v.swapaxes(-1, -2) @ rows[..., 1::2, :]
+    a = spectrum.u[..., None, :, :].swapaxes(-1, -2) @ rows[..., 0::2, :]
+    b = spectrum.v[..., None, :, :].swapaxes(-1, -2) @ rows[..., 1::2, :]
     n = b.shape[-2]
     # i beta: the gauge's i on the odd rungs takes the two rows (Re, Im)
     # of b to beta = (-Im, Re), so i beta is (-i Im, i Re)
     i_beta = b[..., ::-1] * _I_GAUGE if two else b * 1j
-    # row x rung x 1, laid out row by row
+    # vector x row x rung, laid out row by row and read as (vector, row) x rung
     rotating = np.add(a[..., :n, :].swapaxes(-1, -2), i_beta.swapaxes(-1, -2), order="C")
-    return Weights(rotating[..., None], a[..., n:, :].swapaxes(-1, -2)[..., None])
+    shape = (*lead, psi.shape[-2] * rows.shape[-1])
+    constant = a[..., n:, :].swapaxes(-1, -2)
+    return Weights(rotating.reshape(*shape, n), constant.reshape(*shape, psi.shape[-1] % 2))
 
 
 def evolve_vector(
     spectrum: Spectrum, weights: Weights, couplings: np.ndarray, time: float
 ) -> np.ndarray:
     """Gauged amplitudes c~ and their coupling derivatives c~', a real
-    contiguous (... x r x d x 2 x G) array: rows, rungs, (c~, c~') and
+    contiguous (... x R r x d x 2 x G) array: rows, rungs, (c~, c~') and
     couplings, from the :class:`Weights` of :func:`spectral_weights`
     (leading axes those of ``spectrum``) and a 1-D grid of ``couplings``.
     Every row and coupling of the stack goes through one product with U
-    and one with V: 2r columns per coupling.  Only the phases and what they
+    and one with V: 2 R r columns per coupling.  Only the phases and what they
     touch are formed here; everything fixed by the initial vectors is in
     ``weights``."""
     s, u, v = spectrum
@@ -153,7 +160,7 @@ def evolve_vector(
     phase = np.empty(x.shape, complex)
     np.cos(x, out=phase.real)
     np.sin(x, out=phase.imag)
-    y = phase * weights.rotating
+    y = phase * weights.rotating[..., None]
     re, im = y.real, y.imag
     # rows V^T c~_odd = Im y, then U^T c~_even = Re y (a0 last); columns
     # (c~, c~') x coupling, the derivatives t s Re y and -t s Im y
@@ -163,7 +170,7 @@ def evolve_vector(
     z[..., n : 2 * n, 0, :] = re
     np.multiply(rate, re, out=z[..., :n, 1, :])
     np.multiply(-rate, im, out=z[..., n : 2 * n, 1, :])
-    z[..., 2 * n :, 0, :] = weights.constant
+    z[..., 2 * n :, 0, :] = weights.constant[..., None]
     cols = z.reshape(*lead, d, 2 * g)
     moved = np.empty(cols.shape)
     np.matmul(u[..., None, :, :], cols[..., n:, :], out=moved[..., 0::2, :])

@@ -25,7 +25,7 @@ from . import dynamics
 from .errors import ConfigurationError, ResourceError, UndefinedBoundError
 from .ladder import InteractionKind, validate_config
 from .optimize import _score
-from .probes import CoherentProduct, LadderStack, Probe, PureFock, _is_integer, decompose
+from .probes import CoherentProduct, Probe, PureFock, _is_integer, decompose
 
 ZERO_PROB = 1e-14
 # floats evaluated at once over generators x rungs x couplings: an element
@@ -106,18 +106,20 @@ class PreparedProbe:
     """Probe decomposed and diagonalized once, reusable across couplings.
 
     ``plan`` holds what every evaluation reuses, built once here: per
-    stack of ladders (see :func:`tsense.probes.decompose`) the stacked
-    spectrum of its distinct generators, each diagonalized once, the
-    :class:`~tsense.dynamics.Weights` of its rows scaled by the square
+    stack of ladders (see :func:`tsense.probes.decompose`) the spectrum
+    of its distinct generators, from one stacked SVD of its ``offdiag``,
+    the :class:`~tsense.dynamics.Weights` of its rows scaled by the square
     root of their weights, so that the populations of a stack add up
     without weights, its dimension d, and how many of its generators fit
     within BLOCK_FLOATS with one coupling.  A stack comes with K rows for
     each generator, its ladders and zero rows (see
-    :class:`~tsense.probes.LadderStack`), so the phases, which depend on
-    the generator alone, are formed once for all of them, and every stack,
-    a single Fock ladder's too, takes the same path.  The weights hold the
-    real rows of the rung gauge (see :mod:`tsense.dynamics`): one per
-    row in Fock and noisy-Fock stacks, two in coherent ones.  Rung k of
+    :class:`~tsense.probes.LadderStack`), which are the K initial vectors
+    :func:`~tsense.dynamics.spectral_weights` takes per generator, so the
+    phases, which depend on the generator alone, are formed once for all
+    of them, and every stack, a single Fock ladder's too, takes the same
+    path.  The weights hold the real rows of the rung gauge (see
+    :mod:`tsense.dynamics`): one per row in Fock and noisy-Fock stacks,
+    two in coherent ones.  Rung k of
     every ladder is outcome k, so there are as many outcomes as the
     largest ladder has rungs.  Each scheme's outcome grouping is built
     once, on first use (see :meth:`fisher`).  A call forms only what
@@ -129,7 +131,10 @@ class PreparedProbe:
     def __init__(self, probe: Probe, kind: InteractionKind):
         self.plan = []
         for stack in decompose(probe, kind).components:
-            spectrum, weights = _diagonalize_stack(stack)
+            spectrum = dynamics.diagonalize(stack.offdiag)
+            psi = stack.amplitudes * np.sqrt(stack.weights)[:, None]
+            weights = dynamics.spectral_weights(
+                spectrum, psi.reshape(len(stack.offdiag), -1, stack.d))
             fit = BLOCK_FLOATS // (2 * weights.rows * stack.d)
             self.plan.append((spectrum, weights, stack.d, fit))
         self.n_outcomes = max(d for _, _, d, _ in self.plan)
@@ -216,25 +221,6 @@ class PreparedProbe:
                     row[group] = 1.0
             self._groupings[scheme] = grouping
             return grouping
-
-
-def _diagonalize_stack(stack: LadderStack) -> tuple[dynamics.Spectrum, dynamics.Weights]:
-    """The spectrum of a stack's distinct generators, from one stacked SVD
-    of its ``offdiag``, and the :class:`~tsense.dynamics.Weights` of its
-    rows on it: each generator's K rows (see
-    :class:`~tsense.probes.LadderStack`), scaled by the square roots of
-    their weights, become its K r real rows."""
-    spectrum = dynamics.diagonalize(stack.offdiag)
-    s, u, v = spectrum
-    k = stack.multiplicity
-    psi = (stack.amplitudes * np.sqrt(stack.weights)[:, None]).reshape(-1, k, stack.d)
-    rotating, constant = dynamics.spectral_weights(
-        dynamics.Spectrum(s[:, None], u[:, None], v[:, None]), psi)
-    # generator x K x row x ... -> generator x (K, row) x ..., a view of the
-    # rotating weights, which spectral_weights lays out row by row
-    g, _, r, n, _ = rotating.shape
-    return spectrum, dynamics.Weights(
-        rotating.reshape(g, k * r, n, 1), constant.reshape(g, k * r, -1, 1))
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -28,6 +28,13 @@ re-derives every probe-fixed array on every call: real [alpha, beta, a0]
 weights turned complex per call, each slice of each stack re-cut and its
 spectrum re-wrapped, the outcome grouping rebuilt and applied as a 0/1
 matrix even where ``PreparedProbe`` skips it (``pnr``).
+
+A few helpers are no oracles but shared shorthand that calls the package
+as it stands: a Fock state's stack of one and its spectrum
+(:func:`fock_stack`, :func:`spectrum_of`), its root rung evolved through
+``spectral_weights`` and ``evolve_vector`` (:func:`evolve_root`), and the
+zero-coupling Fisher information and QFI of ``PreparedProbe``
+(:func:`limit_fisher`, :func:`kernel_qfi`).
 """
 import heapq
 import itertools
@@ -41,6 +48,7 @@ from tsense import (
     FullPNR,
     InteractionKind,
     NoisyFock,
+    PreparedProbe,
     PureFock,
     SequentialS0,
     decompose,
@@ -157,6 +165,46 @@ def ungauged(rows: np.ndarray, start: int = 0) -> np.ndarray:
     if rows.shape[-3] == 2:
         return (rows[..., 0, :, :] + 1j * rows[..., 1, :, :]) / 1j**k
     return rows[..., 0, :, :] * 1j ** (start % 2 - k)
+
+
+def fock_stack(kind: InteractionKind, occs: tuple[int, ...]):
+    """The stack of one that holds the ladder of the Fock state ``occs``."""
+    (stack,) = decompose(PureFock(occs), kind).components
+    return stack
+
+
+def spectrum_of(kind: InteractionKind, occs: tuple[int, ...]):
+    """The ladder of the Fock state ``occs`` as a stack of one, and the
+    spectrum of its generator."""
+    stack = fock_stack(kind, occs)
+    return stack, diagonalize(stack.offdiag[0])
+
+
+def evolve_root(stack, spec, couplings, time: float = 1.0, dtype=float) -> np.ndarray:
+    """Amplitudes c, c' evolved from the root rung of a Fock stack of one.
+
+    Each is a (G x d) array, one row per coupling, rebuilt from the rung
+    gauge's rows: one row for the stack's real amplitudes, two with
+    ``dtype=complex``.  The stack's (1 x d) amplitudes are the one
+    initial vector of the generator of ``spec``.
+    """
+    weights = spectral_weights(spec, stack.amplitudes.astype(dtype))
+    (start,) = np.flatnonzero(stack.amplitudes[0])
+    gauged = unpacked(evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time))
+    return np.stack([ungauged(rows, start) for rows in gauged])
+
+
+def limit_fisher(probe, kind: InteractionKind, scheme) -> float:
+    """Fisher information of ``probe`` under ``scheme`` at zero coupling, t = 1."""
+    (f,) = PreparedProbe(probe, kind).fisher(scheme, np.array([0.0]), 1.0)
+    return f
+
+
+def kernel_qfi(probe, kind: InteractionKind, t: float = 1.0) -> float:
+    """2 sum S at zero coupling from the evolution kernel: 4 t^2 <G^2>, the
+    QFI of a pure Fock probe, on which <G> vanishes."""
+    _, _, s = PreparedProbe(probe, kind).distributions(np.array([0.0]), t)
+    return 2.0 * float(s.sum())
 
 
 def central_diff(fn, x: float, step: float = 1e-5):
@@ -321,7 +369,7 @@ def distributions_per_ladder(probe, kind: InteractionKind, couplings, time: floa
     moments = np.zeros((n_outcomes, 3, len(couplings)))
     for weight, rungs, offdiag, psi in parts:
         spec = diagonalize(offdiag)
-        amps = evolve_vector(spec, spectral_weights(spec, psi), couplings, time)
+        amps = evolve_vector(spec, spectral_weights(spec, psi[None]), couplings, time)
         c, dc = map(ungauged, unpacked(amps))
         prods = np.stack([np.abs(c) ** 2, 2.0 * (np.conj(c) * dc).real, 2.0 * np.abs(dc) ** 2])
         moments[rungs[:, 0]] += weight * prods.transpose(2, 0, 1)

@@ -17,20 +17,26 @@ from tsense import (
     PreparedProbe,
     PureFock,
     SequentialS0,
-    decompose,
     diagonalize,
     dynamic_range,
     dynamic_range_formula,
-    evolve_vector,
     fisher_limit_closed_form,
     lagrange_relaxation,
     optimize_config,
     qfi_coherent,
     scan,
-    spectral_weights,
 )
 
-from oracles import evolved_amplitudes_taylor, second_diff_5, tridiagonal, ungauged, unpacked
+from oracles import (
+    evolve_root,
+    evolved_amplitudes_taylor,
+    fock_stack,
+    kernel_qfi,
+    limit_fisher,
+    second_diff_5,
+    spectrum_of,
+    tridiagonal,
+)
 
 I, II = InteractionKind.I, InteractionKind.II
 
@@ -43,47 +49,13 @@ def report(num: int, desc: str, failures: list) -> None:
     assert not failures, f"criterion {num}: {len(failures)} failing sub-checks"
 
 
-def limit_fisher(occs, kind, scheme):
-    (f,) = PreparedProbe(PureFock(occs), kind).fisher(scheme, np.array([0.0]), 1.0)
-    return f
-
-
-def kernel_qfi(occs, kind):
-    """2 sum S at zero coupling from the evolution kernel, t = 1: 4 <G^2>,
-    the QFI of a pure Fock probe, on which <G> vanishes."""
-    _, _, s = PreparedProbe(PureFock(occs), kind).distributions(np.array([0.0]), 1.0)
-    return 2.0 * float(s.sum())
-
-
-def fock_stack(kind, occs):
-    """The stack of one that holds the ladder of a Fock state."""
-    (stack,) = decompose(PureFock(occs), kind).components
-    return stack
-
-
-def spectrum_of(kind, occs):
-    """A Fock state's stack of one and the spectrum of its ladder."""
-    stack = fock_stack(kind, occs)
-    return stack, diagonalize(stack.offdiag[0])
-
-
-def evolve_root(stack, spec, coupling, dtype=float):
-    """Amplitudes c, c' at one coupling from the ladder's root rung, t = 1,
-    rebuilt from the rung gauge's rows: one row for the stack's real
-    amplitudes, two with ``dtype=complex``."""
-    weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
-    (start,) = np.flatnonzero(stack.amplitudes[0])
-    gauged = unpacked(evolve_vector(spec, weights, np.array([coupling]), 1.0))
-    return np.stack([ungauged(rows, start)[0] for rows in gauged])
-
-
 def test_criterion_1_closed_form_limits():
     failures = []
 
     def check(occs, kind, expected):
         n_ref = occs[0]
         for scheme in (BinaryFock(n_ref), SequentialS0(n_ref)):
-            got = limit_fisher(occs, kind, scheme)
+            got = limit_fisher(PureFock(occs), kind, scheme)
             if abs(got - expected) > 1e-8:
                 failures.append((occs, kind.value, scheme, got, expected))
 
@@ -113,11 +85,11 @@ def test_criterion_2_qfi_consistency():
         for nb in range(11):
             for nc in range(11):
                 plug = 4.0 * (na * (nb + 1) * (nc + 1) + (na + 1) * nb * nc)
-                got = kernel_qfi((na, nb, nc), I)
+                got = kernel_qfi(PureFock((na, nb, nc)), I)
                 if abs(got - plug) > 1e-10:
                     failures.append(((na, nb, nc), got, plug))
             plug = 4.0 * (nb * (nb - 1) * (na + 1) + (nb + 1) * (nb + 2) * na)
-            got = kernel_qfi((na, nb), II)
+            got = kernel_qfi(PureFock((na, nb)), II)
             if abs(got - plug) > 1e-10:
                 failures.append(((na, nb), got, plug))
     for alphas, kind, plug in (
@@ -306,7 +278,7 @@ def test_criterion_7_property_suites():
         occs = tuple(int(x) for x in rng.integers(0, 8, size=kind.n_modes))
         stack, spec = spectrum_of(kind, occs)
         th = float(rng.uniform(-2.0, 2.0))
-        c, _ = evolve_root(stack, spec, th)
+        c, _ = evolve_root(stack, spec, [th])[:, 0]
         if abs(np.vdot(c, c).real - 1.0) > 1e-10:
             failures.append(("unitarity", occs, th))
             break
@@ -317,8 +289,8 @@ def test_criterion_7_property_suites():
         occs = tuple(int(x) for x in rng.integers(0, 6, size=kind.n_modes))
         stack, spec = spectrum_of(kind, occs)
         th = float(rng.uniform(0.05, 1.5))
-        p_plus = np.abs(evolve_root(stack, spec, th)[0]) ** 2
-        p_minus = np.abs(evolve_root(stack, spec, -th)[0]) ** 2
+        p_plus = np.abs(evolve_root(stack, spec, [th])[0, 0]) ** 2
+        p_minus = np.abs(evolve_root(stack, spec, [-th])[0, 0]) ** 2
         if np.max(np.abs(p_plus - p_minus)) > 1e-12:
             failures.append(("evenness", occs, th))
             break
@@ -334,17 +306,17 @@ def test_criterion_7_property_suites():
         th = float(rng.uniform(0.02, 1.5))
 
         def pops(x):
-            return np.abs(evolve_root(stack, spec, x)[0]) ** 2
+            return np.abs(evolve_root(stack, spec, [x])[0, 0]) ** 2
 
         f2u, f1u, f1d, f2d = pops(th + 2 * h), pops(th + h), pops(th - h), pops(th - 2 * h)
         fd1 = (-f2u + 8 * f1u - 8 * f1d + f2d) / (12 * h)
-        c, dc = evolve_root(stack, spec, th)
+        c, dc = evolve_root(stack, spec, [th])[:, 0]
         dp = 2 * np.real(np.conj(c) * dc)
         if np.any(np.abs(dp - fd1) > 1e-5 * np.abs(dp) + 1e-8):
             failures.append(("p' vs fd", occs, th))
             break
         empty = stack.amplitudes[0] == 0
-        s = 2 * np.abs(evolve_root(stack, spec, 0.0)[1]) ** 2
+        s = 2 * np.abs(evolve_root(stack, spec, [0.0])[1, 0]) ** 2
         fd2 = second_diff_5(pops, 0.0, h)
         if np.any((np.abs(s - fd2) > 1e-5 * s + 2e-4)[empty]):
             failures.append(("S vs fd at 0", occs))
@@ -373,7 +345,7 @@ def test_criterion_7_property_suites():
         for na in range(total + 1):
             for nb in range(total - na + 1):
                 occs = (na, nb, total - na - nb)
-                f0 = limit_fisher(occs, I, FullPNR())
+                f0 = limit_fisher(PureFock(occs), I, FullPNR())
                 if f0 > fisher_limit_closed_form(PureFock(occs), I) + 1e-6:
                     failures.append(("FI>QFI", occs, f0))
 
@@ -406,7 +378,7 @@ def test_criterion_7_property_suites():
             seen.add(key)
             spec = diagonalize(stack.offdiag[0])
             for theta_t in (0.1, 0.5, 1.0):
-                got = evolve_root(stack, spec, theta_t, dtype=complex)[0]
+                got = evolve_root(stack, spec, [theta_t], dtype=complex)[0, 0]
                 want = evolved_amplitudes_taylor(tridiagonal(stack.offdiag[0]), root, theta_t)
                 if np.max(np.abs(got - want)) > 1e-10:
                     failures.append(("oracle", kind.value, occs, theta_t))
@@ -473,7 +445,7 @@ def test_criterion_9_coherent_benchmark():
         (II, (2, 3), (s2, s3), 232.0, 124.0),
     )
     for kind, occs, alphas, f_fock_expected, qfi_expected in cases:
-        f_fock = limit_fisher(occs, kind, FullPNR())
+        f_fock = limit_fisher(PureFock(occs), kind, FullPNR())
         qfi_co = qfi_coherent(alphas, kind)
         (f_co,) = PreparedProbe(CoherentProduct(alphas), kind).fisher(
             FullPNR(), np.array([0.0]), 1.0

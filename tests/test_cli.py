@@ -76,7 +76,7 @@ def test_single_quantum_degenerate_probe_is_inert(capsys):
         (["noise-scan", "--state", "1,1,1"], "--eps"),
         (["noise-scan", "--state", "1,1,1", "--eps", "0.1,0.1"], "need 1 or 3 eps values, got 2"),
         (["coherent-compare", "--state", "1,1,1", "--alpha", "1,1"],
-         "need 3 coherent amplitudes, got 2"),
+         "interaction I needs 3 coherent amplitudes, got 2"),
         (["optimize", "--interaction", "I"], "--total"),
     ],
     ids=["fisher-scan-state", "noise-scan-eps", "noise-scan-eps-count",

@@ -79,3 +79,32 @@ def test_every_corpus_config_names_a_fixture():
     assert "no-such-config.json" in operands
     assert "no-such-config.json" not in fixtures
     assert operands - {"no-such-config.json"} <= fixtures
+
+
+@pytest.mark.parametrize("base, tree, status, report", [
+    ([[0, "1.0\n", ""], [2, "", "error: bad\n"]],
+     [[0, "1.0\n", ""], [2, "", "error: bad\n"]],
+     0, ["0 of 2 argvs differ from BASE"]),
+    # the same crash in both trees leaves the results identical
+    ([[0, "1.0\n", ""], ["uncaught ValueError: boom", "", ""]],
+     [[0, "1.0\n", ""], ["uncaught ValueError: boom", "", ""]],
+     1, ["raises: dynamic-range --steps 3", "  base: uncaught ValueError: boom",
+         "  tree: uncaught ValueError: boom", "0 of 2 argvs differ from BASE",
+         "1 of 2 argvs raise an uncaught exception"]),
+    # a crash in one tree is reported as such and as a difference
+    ([["uncaught KeyError: 'x'", "", ""], [2, "", "error: bad\n"]],
+     [[0, "1.0\n", ""], [2, "", "error: bad\n"]],
+     1, ["raises: fisher-scan --state 1,1,1", "  base: uncaught KeyError: 'x'",
+         "differs: fisher-scan --state 1,1,1",
+         "  exit: \"uncaught KeyError: 'x'\" (base) != 0 (tree)",
+         "  stdout: 0 numeric cells differ, largest relative difference 0",
+         "  stdout line 1: '<end>' (base) != '1.0' (tree)",
+         "1 of 2 argvs differ from BASE", "1 of 2 argvs raise an uncaught exception"]),
+])
+def test_an_uncaught_exception_fails_the_comparison(monkeypatch, capsys, base, tree, status, report):
+    corpus = [["fisher-scan", "--state", "1,1,1"], ["dynamic-range", "--steps", "3"]]
+    monkeypatch.setattr(compare_outputs, "read_corpus", lambda: corpus)
+    monkeypatch.setattr(compare_outputs, "export_src", lambda base, dest: dest / "src")
+    monkeypatch.setattr(compare_outputs, "run_corpus", lambda srcs, argvs, tmp: [base, tree])
+    assert compare_outputs.main(["BASE"]) == status
+    assert capsys.readouterr().out.splitlines() == report

@@ -20,28 +20,18 @@ from tsense.ladder import ladder_basis
 
 from oracles import (
     central_diff,
+    evolve_root,
     evolved_amplitudes_taylor,
     expm_taylor,
+    fock_stack,
     second_diff_5,
+    spectrum_of,
     tridiagonal,
     ungauged,
     unpacked,
 )
 
 I, II = InteractionKind.I, InteractionKind.II
-
-
-def fock_stack(kind, root):
-    """The stack of one that holds the ladder of the Fock state ``root``."""
-    (stack,) = decompose(PureFock(root), kind).components
-    return stack
-
-
-def spectrum_of(kind, root):
-    """The ladder of the Fock state ``root`` as a stack of one, and the
-    spectrum of its generator."""
-    stack = fock_stack(kind, root)
-    return stack, diagonalize(stack.offdiag[0])
 
 
 def eigenvectors(spec):
@@ -67,18 +57,6 @@ def root_rung(stack):
     """The rung a Fock stack of one starts on."""
     (k,) = np.flatnonzero(stack.amplitudes[0])
     return int(k)
-
-
-def evolve_root(stack, spec, couplings, time=1.0, dtype=float):
-    """Amplitudes c, c' evolved from the ladder's root rung.
-
-    Each is a (G x d) array, one row per coupling, rebuilt from the rung
-    gauge's rows: one row for the stack's real amplitudes, two with
-    ``dtype=complex``.
-    """
-    weights = spectral_weights(spec, stack.amplitudes[0].astype(dtype))
-    gauged = unpacked(evolve_vector(spec, weights, np.asarray(couplings, dtype=float), time))
-    return np.stack([ungauged(rows, root_rung(stack)) for rows in gauged])
 
 
 def test_trivial_spectrum():
@@ -210,7 +188,7 @@ def test_general_vectors_and_derivatives_match_taylor_exponential(kind):
         stack, spec = spectrum_of(kind, root)
         g = tridiagonal(stack.offdiag[0])
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        amps = evolve_vector(spec, spectral_weights(spec, psi), grid, time)
+        amps = evolve_vector(spec, spectral_weights(spec, psi[None]), grid, time)
         c, dc = map(ungauged, unpacked(amps))
         for i, theta in enumerate(grid):
             want = expm_taylor(-1j * theta * time * g) @ psi
@@ -243,7 +221,7 @@ def test_real_formula_is_the_rung_gauge_of_the_amplitudes(kind, root):
     # and odd rungs, ladders of odd d (with the null column) and of even d
     stack, spec = spectrum_of(kind, root)
     grid = np.array([-1.3, 0.0, 0.1, 0.5, 1.0, 2.2])
-    amps = evolve_vector(spec, spectral_weights(spec, stack.amplitudes[0]), grid, 1.0)
+    amps = evolve_vector(spec, spectral_weights(spec, stack.amplitudes), grid, 1.0)
     c, dc = unpacked(amps)[:, 0]
     assert c.dtype == dc.dtype == float
     g, r = tridiagonal(stack.offdiag[0]), root_rung(stack)
@@ -276,8 +254,8 @@ def test_two_rows_match_taylor_exponential(data, kind, d, complex_psi, theta, ti
         psi = psi + 1j * np.array(data.draw(entries))
     else:
         psi[:2] = data.draw(st.tuples(st.floats(0.125, 1.0), st.floats(-1.0, -0.125)))
-    weights = spectral_weights(spec, psi)
-    assert weights.rotating.shape == (2, d // 2, 1) and weights.constant.shape == (2, d % 2, 1)
+    weights = spectral_weights(spec, psi[None])
+    assert weights.rotating.shape == (2, d // 2) and weights.constant.shape == (2, d % 2)
     c, dc = map(ungauged, unpacked(evolve_vector(spec, weights, np.array([theta]), time)))
     g = tridiagonal(stack.offdiag[0])
     want = expm_taylor(-1j * theta * time * g) @ psi
@@ -317,20 +295,20 @@ def test_complex_or_two_parity_vectors_take_two_rows():
     stacks = decompose(probe, I).components
     assert [w.rows for _, w, _, _ in prep.plan] == [2 * s.multiplicity for s in stacks]
     stack, spec = spectrum_of(II, (3, 4))
-    assert spectral_weights(spec, stack.amplitudes[0]).rows == 1
-    assert spectral_weights(spec, stack.amplitudes[0].astype(complex)).rows == 2
+    assert spectral_weights(spec, stack.amplitudes).rows == 1
+    assert spectral_weights(spec, stack.amplitudes.astype(complex)).rows == 2
     # real, but on rungs 1 and 2: its phases do not factor out
     psi = np.zeros(stack.d)
     psi[1:3] = 0.6, 0.8
-    assert spectral_weights(spec, psi).rows == 2
+    assert spectral_weights(spec, psi[None]).rows == 2
     # one such vector takes its whole stack to two rows
     spectra = diagonalize(np.stack([stack.offdiag[0]] * 2))
-    weights = spectral_weights(spectra, np.stack([stack.amplitudes[0], psi]))
-    assert weights.rotating.shape == (2, 2, stack.d // 2, 1)
+    weights = spectral_weights(spectra, np.stack([stack.amplitudes[0], psi])[:, None])
+    assert weights.rotating.shape == (2, 2, stack.d // 2)
     # two rows evolve it as a complex vector would
     grid = np.array([0.3])
-    c, dc = unpacked(evolve_vector(spec, spectral_weights(spec, psi), grid, 1.0))
-    want, dwant = unpacked(evolve_vector(spec, spectral_weights(spec, psi + 0j), grid, 1.0))
+    c, dc = unpacked(evolve_vector(spec, spectral_weights(spec, psi[None]), grid, 1.0))
+    want, dwant = unpacked(evolve_vector(spec, spectral_weights(spec, psi[None] + 0j), grid, 1.0))
     np.testing.assert_array_equal(c, want)
     np.testing.assert_array_equal(dc, dwant)
 
@@ -421,10 +399,10 @@ def test_evolve_vector_general_initial_state():
     stack, spec = spectrum_of(II, (1, 2))
     psi = np.array([0.6, 0.8j, 0.0], dtype=complex)[: stack.d]
     psi /= np.linalg.norm(psi)
-    forth = evolve_vector(spec, spectral_weights(spec, psi), np.array([0.4]), 1.0)
+    forth = evolve_vector(spec, spectral_weights(spec, psi[None]), np.array([0.4]), 1.0)
     c = ungauged(unpacked(forth)[0])[0]
     assert abs(np.vdot(c, c).real - 1.0) < 1e-12
-    back = evolve_vector(spec, spectral_weights(spec, c), np.array([-0.4]), 1.0)
+    back = evolve_vector(spec, spectral_weights(spec, c[None]), np.array([-0.4]), 1.0)
     back = ungauged(unpacked(back)[0])[0]
     np.testing.assert_allclose(back, psi, atol=1e-12)
 
@@ -445,7 +423,7 @@ def test_a_stack_is_its_ladders_side_by_side(kind, roots):
     m, d = offdiag.shape[0], offdiag.shape[1] + 1
     psi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     grid = np.linspace(-0.7, 1.1, 9)
-    stacked = evolve_vector(spectra, spectral_weights(spectra, psi), grid, 0.8)
+    stacked = evolve_vector(spectra, spectral_weights(spectra, psi[:, None]), grid, 0.8)
     # stack x row x rung x (c~, c~') x coupling, as the products wrote it
     assert stacked.shape == (m, 2, d, 2, len(grid)) and stacked.flags.c_contiguous
     for i in range(m):
@@ -453,5 +431,24 @@ def test_a_stack_is_its_ladders_side_by_side(kind, roots):
         np.testing.assert_array_equal(spectra.eigenvalues[i], spec.eigenvalues)
         for stacked_factor, factor in zip(spectra, spec):
             np.testing.assert_array_equal(stacked_factor[i], factor)
-        single = evolve_vector(spec, spectral_weights(spec, psi[i]), grid, 0.8)
+        single = evolve_vector(spec, spectral_weights(spec, psi[i, None]), grid, 0.8)
         np.testing.assert_array_equal(stacked[i], single)
+
+
+def test_initial_vectors_need_the_spectrum_axes_and_one_row_axis():
+    # (m, d) vectors against m generators would broadcast to m x m rows;
+    # they are refused, as are vectors without a row axis or with one too many
+    roots = [(0, 6, 9), (0, 7, 6), (0, 6, 6)]
+    spectra = diagonalize(np.concatenate([fock_stack(I, r).offdiag for r in roots]))
+    stack, spec = spectrum_of(I, roots[0])
+    psi = np.zeros((len(roots), stack.d))
+    psi[:, 0] = 1.0
+    for spectrum, vectors in [
+        (spectra, psi), (spectra, psi[None]), (spectra, psi[:2, None]),
+        (spectra, psi[:, None, None]), (spec, psi[0]), (spec, psi[:, None]),
+    ]:
+        with pytest.raises(ValueError, match="do not fit generators"):
+            spectral_weights(spectrum, vectors)
+    assert spectral_weights(spectra, psi[:, None]).rotating.shape == (3, 1, stack.d // 2)
+    assert spectral_weights(spectra, np.stack([psi] * 3, axis=1)).rows == 3
+    assert spectral_weights(spec, psi).rows == 3

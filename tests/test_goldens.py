@@ -1,13 +1,16 @@
 """CLI outputs against checked-in goldens.
 
 Each case under ``tests/goldens/`` holds an argv with the exit code,
-stdout and stderr it produced when it was recorded.  Exit code, stderr,
-meta keys, columns, row counts and empty cells must match exactly;
-numeric cells (and numeric meta values) must match to a relative 1e-11,
-so a change that reorders floating-point sums still passes while one
-that changes a result does not.  The ``--help`` texts and the argparse
-usage error are compared byte for byte; every case runs with
-``COLUMNS=80``, because argparse wraps its text to the terminal width.
+stdout and stderr it produced when it was recorded.  Exit code and
+stderr must match exactly.  Stdout is compared by ``summarize`` of
+``tools/compare_outputs.py``: no line may differ in its text (meta keys,
+columns, row counts and empty cells included), and its numbers, the
+CSV cells, JSON numbers and the numbers of ``#`` meta lines, must match
+to a relative 1e-11, so a change that reorders floating-point sums
+still passes while one that changes a result does not.  The ``--help``
+texts and the argparse usage error are compared byte for byte; every
+case runs with ``COLUMNS=80``, because argparse wraps its text to the
+terminal width.
 
 Record the goldens with the package on the path, all of them or only
 the named cases:
@@ -17,7 +20,7 @@ the named cases:
 from __future__ import annotations
 
 import contextlib
-import csv
+import importlib.util
 import io
 import json
 import os
@@ -32,6 +35,11 @@ from tsense.cli import COMMANDS, main
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 REL_TOL = 1e-11
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
 
 CASES = {
     "readme-fisher-scan": [
@@ -112,53 +120,14 @@ def run_case(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
 
 
-def _number(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def _parse_csv(text: str) -> dict:
-    meta, body = {}, []
-    for line in text.splitlines():
-        if line.startswith("# "):
-            key, _, value = line[2:].partition(": ")
-            meta[key] = value
-        else:
-            body.append(line)
-    rows = list(csv.reader(body))
-    return {"meta": meta, "columns": rows[0], "rows": rows[1:]}
-
-
-def _parse(text: str):
-    if not text:
-        return None
-    if text.startswith("{"):
-        return json.loads(text)
-    return _parse_csv(text)
-
-
-def _diff(want, got, path: str) -> list[str]:
-    """Where ``got`` departs from ``want``: structure exactly, numbers to REL_TOL."""
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or list(want) != list(got):
-            return [f"{path}: keys {list(want) if isinstance(want, dict) else want}"
-                    f" != {list(got) if isinstance(got, dict) else got}"]
-        return [m for k in want for m in _diff(want[k], got[k], f"{path}.{k}")]
-    if isinstance(want, list):
-        if not isinstance(got, list) or len(want) != len(got):
-            return [f"{path}: length {len(want)} != {len(got) if isinstance(got, list) else got}"]
-        return [m for i, (a, b) in enumerate(zip(want, got)) for m in _diff(a, b, f"{path}[{i}]")]
-    a = want if isinstance(want, (int, float)) and not isinstance(want, bool) else None
-    b = got if isinstance(got, (int, float)) and not isinstance(got, bool) else None
-    if isinstance(want, str) and isinstance(got, str) and want and got:
-        a, b = _number(want), _number(got)
-    if a is not None and b is not None:
-        if a == b or abs(a - b) <= REL_TOL * max(abs(a), abs(b)):
-            return []
-        return [f"{path}: {want!r} != {got!r}"]
-    return [] if want == got and type(want) is type(got) else [f"{path}: {want!r} != {got!r}"]
+def mismatch(want: str, got: str) -> list[str]:
+    """Where stdout ``got`` departs from the golden ``want``: each line whose
+    text differs, and the numbers if one is off by more than REL_TOL."""
+    cells, largest, lines = compare_outputs.summarize(want, got)
+    problems = [f"line {i}: {x!r} != {y!r}" for i, x, y in lines]
+    if largest > REL_TOL:
+        problems.append(f"{cells} numbers differ, by up to {largest:.3g} relative")
+    return problems
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -168,7 +137,7 @@ def test_cli_matches_golden(name):
     got = run_case(CASES[name])
     assert got["exit"] == golden["exit"]
     assert got["stderr"] == golden["stderr"]
-    problems = _diff(_parse(golden["stdout"]), _parse(got["stdout"]), name)
+    problems = mismatch(golden["stdout"], got["stdout"])
     assert not problems, "\n".join(problems[:10])
 
 
@@ -195,7 +164,7 @@ def test_a_reused_parser_keeps_no_state_between_calls():
     golden = goldens["readme-dynamic-range"]
     got = run_case(golden["argv"])
     assert (got["exit"], got["stderr"]) == (golden["exit"], golden["stderr"])
-    assert not _diff(_parse(golden["stdout"]), _parse(got["stdout"]), "readme-dynamic-range")
+    assert not mismatch(golden["stdout"], got["stdout"])
 
 
 def test_help_cases_cover_every_subcommand():
@@ -204,16 +173,14 @@ def test_help_cases_cover_every_subcommand():
 
 def test_golden_comparison_is_not_vacuous():
     def doc(label="fock(2,1,1)", first="1.0", second=""):
-        return _parse_csv(
-            f"# f_zero: 44.0\n# probe: {label}\ncoupling,fisher\n0.0,{first}\n0.5,{second}\n"
-        )
+        return f"# f_zero: 44.0\n# probe: {label}\ncoupling,fisher\n0.0,{first}\n0.5,{second}\n"
 
-    assert _diff(doc(), doc(), "x") == []
-    assert _diff(doc(), doc(first="1.000000000001"), "x") == []
-    assert _diff(doc(), doc(first="1.0000000001"), "x")
-    assert _diff(doc(), doc(second="0.0"), "x")
-    assert _diff(doc(), doc(label="fock(2,1,2)"), "x")
-    assert _diff({"a": [1.0, None]}, {"a": [1.0, 0.0]}, "x")
+    assert mismatch(doc(), doc()) == []
+    assert mismatch(doc(), doc(first="1.000000000001")) == []
+    assert mismatch(doc(), doc(first="1.0000000001"))
+    assert mismatch(doc(), doc(second="0.0"))
+    assert mismatch(doc(), doc(label="fock(2,1,2)"))
+    assert mismatch(json.dumps({"a": [1.0, None]}), json.dumps({"a": [1.0, 0.0]}))
 
 
 def record(cases: dict | None = None) -> None:

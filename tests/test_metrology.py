@@ -28,14 +28,9 @@ from tsense import dynamics, metrology, probes
 from tsense.ladder import MAX_RUNGS
 from tsense.metrology import REL_TOL, ZOOM_POINTS, SensitivityProfile, outcome_partition
 
-from oracles import first_minimum_dense, generator_second_moment
+from oracles import first_minimum_dense, generator_second_moment, kernel_qfi, limit_fisher
 
 I, II = InteractionKind.I, InteractionKind.II
-
-
-def limit_fisher(probe, kind, scheme):
-    (f,) = PreparedProbe(probe, kind).fisher(scheme, np.array([0.0]), 1.0)
-    return f
 
 
 def test_outcome_partition_shapes():
@@ -97,13 +92,6 @@ def test_closed_form_reductions():
     assert fisher_limit_closed_form(cfg(2, 1, 1), I) == 44.0
     assert fisher_limit_closed_form(cfg(1, 3), II) == 128.0
     assert fisher_limit_closed_form(cfg(2, 1, 1), I, t=3.0) == 44.0 * 9
-
-
-def kernel_qfi(probe, kind, t=1.0):
-    """2 sum S at zero coupling from the evolution kernel: 4 t^2 <G^2>, the
-    QFI of a pure Fock probe, on which <G> vanishes."""
-    _, _, s = PreparedProbe(probe, kind).distributions(np.array([0.0]), t)
-    return 2.0 * float(s.sum())
 
 
 def test_qfi_variance_examples():

@@ -12,9 +12,11 @@ directory that holds a copy of each config file of ``tools/configs/``.
 Exit code, stdout and stderr must agree byte for byte.  Each argv that
 differs is printed with, per stream, how many numeric cells differ (CSV
 cells, JSON numbers and the numbers of ``#`` meta lines) and their largest
-relative difference, and every other line that differs.  The exit status
-is 0 when no argv differs, 1 when some do, and 2 when the tool itself
-cannot run (a bad revision, a failed ``git archive`` or runner).
+relative difference, and every other line that differs.  Each argv that
+raises an uncaught exception in either tree is printed with the exception,
+even where both trees raise the same one.  The exit status is 0 when no
+argv differs or raises, 1 when some do, and 2 when the tool itself cannot
+run (a bad revision, a failed ``git archive`` or runner).
 """
 from __future__ import annotations
 
@@ -139,8 +141,16 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base_src = export_src(argv[0], Path(tmp))
         base, here = run_corpus([base_src, ROOT / "src"], corpus, Path(tmp))
-    differing = 0
+    differing = raising = 0
     for args, (code_a, *streams_a), (code_b, *streams_b) in zip(corpus, base, here):
+        # the runner puts an uncaught exception's text in place of the exit code
+        uncaught = [(tree, code) for tree, code in (("base", code_a), ("tree", code_b))
+                    if isinstance(code, str)]
+        if uncaught:
+            raising += 1
+            print(f"raises: {shlex.join(args)}")
+            for tree, code in uncaught:
+                print(f"  {tree}: {code}")
         if [code_a, *streams_a] == [code_b, *streams_b]:
             continue
         differing += 1
@@ -156,7 +166,9 @@ def main(argv: list[str]) -> int:
             for line, x, y in lines:
                 print(f"  {name} line {line}: {x!r} (base) != {y!r} (tree)")
     print(f"{differing} of {len(corpus)} argvs differ from {argv[0]}")
-    return 1 if differing else 0
+    if raising:
+        print(f"{raising} of {len(corpus)} argvs raise an uncaught exception")
+    return 1 if differing or raising else 0
 
 
 if __name__ == "__main__":
